@@ -31,6 +31,7 @@ from .sfm import (
 )
 from .sparse import (
     CoordIndex,
+    Geometry,
     KernelSpec,
     Rulebook,
     SparseTensor,
@@ -47,6 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CoordIndex",
     "ErfMap",
+    "Geometry",
     "GradTape",
     "Initializer",
     "KernelSpec",

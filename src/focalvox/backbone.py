@@ -29,7 +29,7 @@ from .sfm import (
     sfm_module_param_count,
     srb_block,
 )
-from .sparse import KernelSpec, SparseTensor
+from .sparse import KernelSpec, SparseTensor, unique_coords
 from .tape import GradTape, PrecisionMode, Tensor
 
 PROBE_LOGITS = 3
@@ -288,13 +288,12 @@ def bev_compress(t: SparseTensor, params: BevParams) -> SparseTensor:
     project to the BEV width, LayerNorm.  Output columns are sorted."""
     if t.dims != 3:
         raise ShapeMismatch("BEV compression expects a 3-D tensor")
-    columns = t.coords[:, :3]
-    uniq, inverse = np.unique(columns, axis=0, return_inverse=True)
-    inverse = np.asarray(inverse).reshape(-1)
+    bev_shape = t.spatial_shape[:2]
+    uniq, inverse = unique_coords(t.coords[:, :3], bev_shape)
     pooled = ops.scatter_rows_sum(t.features, inverse, uniq.shape[0])
     projected = ops.linear(pooled, params.proj_w, params.proj_b)
     out = ops.layer_norm(projected, params.ln_gain, params.ln_bias)
-    return SparseTensor(uniq, out, t.spatial_shape[:2])
+    return SparseTensor(uniq, out, bev_shape)
 
 
 class SfmNet:

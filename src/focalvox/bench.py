@@ -20,7 +20,7 @@ import numpy as np
 from . import ops
 from .errors import DegenerateFit, InvalidSpec, ShapeMismatch
 from .sfm import SFMConfig, effective_receptive_field, sfm_pair_count
-from .sparse import SparseTensor, build_index
+from .sparse import SparseTensor
 from .tape import Tensor
 
 MIXER_KINDS = ("sfm", "local-attention")
@@ -74,7 +74,7 @@ def window_neighbor_rows(t: SparseTensor, window_edge: int) -> list[np.ndarray]:
     """Active rows inside each voxel's centered Chebyshev window."""
     if window_edge % 2 == 0 or window_edge < 1:
         raise InvalidSpec("window edge must be odd and positive")
-    index = build_index(t)
+    index = t.geometry.index
     radius = (window_edge - 1) // 2
     dims = t.dims
     hits = []
@@ -176,10 +176,10 @@ def window_occupancy(t: SparseTensor, window_edge: int) -> np.ndarray:
 
 def sfm_bytes_model(n: int, config: SFMConfig, pair_total: int) -> int:
     """Analytic peak-intermediate estimate in bytes (float32 activations,
-    int64 rulebook pairs)."""
+    int32 rulebook pairs)."""
     c, levels = config.channels, config.levels
     activations = 4 * n * (2 * c + levels) + 4 * n * c * (levels + 1)
-    rulebook = 16 * pair_total
+    rulebook = 8 * pair_total
     return int(activations + rulebook)
 
 

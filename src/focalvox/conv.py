@@ -1,9 +1,10 @@
 """Sparse convolution layers (submanifold and regular) with VJPs.
 
 A layer holds its kernel spec and per-offset weight blocks; the forward
-builds (or reuses) a rulebook and runs the gather-scatter plan.  The same
-code serves 2-D and 3-D tensors since everything is parameterized by the
-coordinate rank.
+takes the rulebook from the input geometry's cache (building it on the
+first use of that spec on that active set) and runs the gather-scatter
+plan.  The same code serves 2-D and 3-D tensors since everything is
+parameterized by the coordinate rank.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .errors import InvalidSpec, ShapeMismatch
 from .sparse import (
+    Geometry,
     KernelSpec,
     Rulebook,
     SparseTensor,
@@ -61,7 +63,9 @@ class SparseConvLayer:
         return self.weight.data.shape[2]
 
 
-def _apply_rulebook(t: SparseTensor, layer: SparseConvLayer, rulebook: Rulebook) -> SparseTensor:
+def _apply_rulebook(
+    t: SparseTensor, layer: SparseConvLayer, rulebook: Rulebook, out_geometry: Geometry
+) -> SparseTensor:
     x = t.features
     if x.data.shape[1] != layer.in_channels:
         raise ShapeMismatch(
@@ -84,24 +88,28 @@ def _apply_rulebook(t: SparseTensor, layer: SparseConvLayer, rulebook: Rulebook)
             return gx, gw, gb
 
         tape.record(f"conv_{layer.kind}", out, inputs, vjp)
-    return SparseTensor(rulebook.out_coords, out, rulebook.out_spatial_shape)
+    return SparseTensor(out_geometry, out)
 
 
 def subm_conv(t: SparseTensor, layer: SparseConvLayer) -> SparseTensor:
     """Submanifold sparse convolution: output coords == input coords."""
     if layer.kind != "submanifold":
         raise InvalidSpec("subm_conv requires a submanifold layer")
-    rulebook = build_rulebook_submanifold(t, layer.spec)
-    return _apply_rulebook(t, layer, rulebook)
+    spec = layer.spec
+    rulebook = t.geometry.rulebook(spec, lambda: build_rulebook_submanifold(t, spec))
+    return _apply_rulebook(t, layer, rulebook, t.geometry)
 
 
 def regular_conv_down(t: SparseTensor, layer: SparseConvLayer) -> SparseTensor:
     """Regular (strided) sparse convolution; dilates/downsamples the active set."""
     if layer.kind != "regular":
         raise InvalidSpec("regular_conv_down requires a regular layer")
-    out_shape = regular_out_shape(t.spatial_shape, layer.spec)
-    rulebook = build_rulebook_regular(t, layer.spec, out_shape)
-    return _apply_rulebook(t, layer, rulebook)
+    spec = layer.spec
+    out_shape = regular_out_shape(t.spatial_shape, spec)
+    rulebook = t.geometry.rulebook(
+        (spec, out_shape), lambda: build_rulebook_regular(t, spec, out_shape)
+    )
+    return _apply_rulebook(t, layer, rulebook, rulebook.out_geometry)
 
 
 def conv_vjp(

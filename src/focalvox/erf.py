@@ -20,7 +20,7 @@ import numpy as np
 from . import ops
 from .errors import InactiveQuery, InvalidSpec
 from .fileio import atomic_write_bytes, atomic_write_text
-from .sparse import CoordIndex, SparseTensor, VoxelCoord
+from .sparse import SparseTensor, VoxelCoord
 from .tape import GradTape, Tensor, grad_of
 
 
@@ -81,7 +81,7 @@ def select_query(
         else:
             coord = tuple(int(v) for v in coord)
             query = VoxelCoord(coord[0], coord[1:])
-        if CoordIndex(t.coords, t.spatial_shape).lookup(query) is None:
+        if t.geometry.index.lookup(query) is None:
             raise InactiveQuery(f"voxel {(query.batch, *query.ijk)} is not active")
         return query
     if seed is None:
@@ -102,7 +102,7 @@ def erf_gradient_map(stack, scene: SparseTensor, query: VoxelCoord) -> ErfMap:
     tape = GradTape()
     feats = Tensor(scene.features.data, tape)
     out = stack(scene.with_features(feats))
-    row = CoordIndex(out.coords, out.spatial_shape).lookup(query)
+    row = out.geometry.index.lookup(query)
     if row is None:
         raise InactiveQuery(
             f"voxel {(query.batch, *query.ijk)} is not active in the stack output"

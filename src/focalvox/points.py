@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ops
 from .errors import EmptyScene, InvalidSpec, IoError, ParseError
-from .sparse import SparseTensor
+from .sparse import SparseTensor, unique_coords
 from .tape import GradTape, Tensor
 
 VFE_RAW_FEATURES = 4  # dx, dy, dz, intensity
@@ -162,22 +162,18 @@ def voxelize_raw(cloud: PointCloud, config: VoxelizerConfig):
     if pts.shape[0] == 0:
         raise EmptyScene("no points fall inside the voxelizer range")
 
-    voxels, inverse = np.unique(idx, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    batch = np.zeros((idx.shape[0], 1), dtype=np.int64)
+    coords, inverse = unique_coords(np.concatenate((batch, idx), axis=1), config.grid_shape)
     order = np.lexsort((pts[:, 3], pts[:, 2], pts[:, 1], pts[:, 0], inverse))
     pts = pts[order]
     groups = inverse[order]
 
-    centers = lo + (voxels[groups] + 0.5) * size
+    centers = lo + (coords[groups, 1:] + 0.5) * size
     decorated = np.concatenate((pts[:, :3] - centers, pts[:, 3:4]), axis=1)
     starts = np.concatenate(([0], np.nonzero(np.diff(groups))[0] + 1))
     sums = np.add.reduceat(decorated, starts, axis=0)
     counts = np.diff(np.concatenate((starts, [groups.size])))
     pre = sums / counts[:, None]
-
-    coords = np.concatenate(
-        (np.zeros((voxels.shape[0], 1), dtype=np.int64), voxels), axis=1
-    )
     return pre, coords
 
 

@@ -318,14 +318,15 @@ def sfm_module_param_count(config: SFMConfig, dims: int) -> int:
 def sfm_pair_count(t: SparseTensor, config: SFMConfig) -> dict[str, int]:
     """Exact interaction counts of one mixer application on a scene.
 
-    Rulebook pairs are counted level by level; the gate and modulation
-    stages contribute N*L and N rowwise interactions.
+    Rulebook pairs are counted level by level, on the rulebooks cached on
+    the scene's geometry; the gate and modulation stages contribute N*L
+    and N rowwise interactions.
     """
     n = t.n_active
     conv_pairs = 0
     for k, d in zip(config.kernels, config.dilations):
         spec = KernelSpec.same(k, d, dims=t.dims)
-        rb = build_rulebook_submanifold(t, spec)
+        rb = t.geometry.rulebook(spec, lambda: build_rulebook_submanifold(t, spec))
         conv_pairs += rb.total_pairs
     return {
         "conv_pairs": conv_pairs,

@@ -7,7 +7,9 @@ fix the iteration order of every reduction, which is what makes the whole
 engine bitwise deterministic regardless of worker count.
 
 Coordinate arrays are int64 of shape (N, 1 + D) with columns
-``[batch, i0, ..., i_{D-1}]``.
+``[batch, i0, ..., i_{D-1}]``.  A :class:`Geometry` owns one read-only
+coordinate array together with everything derived from it (its index and
+its rulebooks), and every tensor on that active set shares it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,7 +52,7 @@ class VoxelCoord(NamedTuple):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Geometry of one sparse convolution."""
+    """Kernel, dilation, stride and padding of one sparse convolution."""
 
     kernel: tuple[int, ...]
     dilation: tuple[int, ...]
@@ -118,70 +121,34 @@ def raw_offsets(kernel: tuple[int, ...]) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(k) for k in kernel)))
 
 
-@dataclass
-class SparseTensor:
-    """Active voxel coordinates plus their feature rows.
+def flat_keys(coords: np.ndarray, spatial_shape: tuple[int, ...]) -> np.ndarray:
+    """Row-major int64 key of each ``[batch, i0, ...]`` row.
 
-    ``features`` is a tape-aware tensor so layers can thread gradients; a
-    plain array is accepted and wrapped.
+    For rows inside the grid, key order is lexicographic (batch, ijk)
+    order, so sorting keys sorts coordinates.
     """
+    keys = coords[:, 0].astype(np.int64)
+    for d, extent in enumerate(spatial_shape):
+        keys = keys * extent + coords[:, 1 + d]
+    return keys
 
-    coords: np.ndarray
-    features: Tensor
-    spatial_shape: tuple[int, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.features, Tensor):
-            self.features = Tensor(np.asarray(self.features))
-        self.spatial_shape = tuple(int(s) for s in self.spatial_shape)
-        self.coords = np.ascontiguousarray(self.coords, dtype=np.int64)
-        if self.coords.ndim != 2 or self.coords.shape[1] != 1 + len(self.spatial_shape):
-            raise ShapeMismatch(
-                f"coords shape {self.coords.shape} does not match spatial rank "
-                f"{len(self.spatial_shape)}"
-            )
-        if self.features.data.ndim != 2 or self.features.data.shape[0] != self.coords.shape[0]:
-            raise ShapeMismatch(
-                f"features rows {self.features.data.shape} != coords rows "
-                f"{self.coords.shape[0]}"
-            )
-        if self.coords.shape[0]:
-            if self.coords[:, 0].min(initial=0) < 0:
-                raise InvalidSpec("batch indices must be non-negative")
-            lo = self.coords[:, 1:].min(axis=0)
-            hi = self.coords[:, 1:].max(axis=0)
-            if (lo < 0).any() or (hi >= np.asarray(self.spatial_shape)).any():
-                raise InvalidSpec("grid indices out of the declared spatial shape")
-        if not np.all(np.isfinite(self.features.data)):
-            raise InvalidSpec("features must be finite")
+def _unflatten(keys: np.ndarray, spatial_shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of :func:`flat_keys`."""
+    coords = np.empty((keys.size, 1 + len(spatial_shape)), dtype=np.int64)
+    for d in reversed(range(len(spatial_shape))):
+        keys, coords[:, 1 + d] = np.divmod(keys, spatial_shape[d])
+    coords[:, 0] = keys
+    return coords
 
-    @property
-    def n_active(self) -> int:
-        return self.coords.shape[0]
 
-    @property
-    def channels(self) -> int:
-        return self.features.data.shape[1]
-
-    @property
-    def dims(self) -> int:
-        return len(self.spatial_shape)
-
-    def with_features(self, features: Tensor) -> "SparseTensor":
-        """Same active set and grid, new feature block."""
-        out = object.__new__(SparseTensor)
-        out.coords = self.coords
-        out.spatial_shape = self.spatial_shape
-        if not isinstance(features, Tensor):
-            features = Tensor(np.asarray(features))
-        if features.data.shape[0] != self.coords.shape[0]:
-            raise ShapeMismatch("replacement features row count differs")
-        out.features = features
-        return out
-
-    def coord_at(self, row: int) -> VoxelCoord:
-        c = self.coords[row]
-        return VoxelCoord(int(c[0]), tuple(int(v) for v in c[1:]))
+def unique_coords(
+    coords: np.ndarray, spatial_shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(coords, axis=0, return_inverse=True)`` on in-grid rows,
+    computed on flat keys: sorted distinct rows plus each row's index."""
+    keys, inverse = np.unique(flat_keys(coords, spatial_shape), return_inverse=True)
+    return _unflatten(keys, spatial_shape), inverse.reshape(-1)
 
 
 class CoordIndex:
@@ -193,8 +160,7 @@ class CoordIndex:
 
     def __init__(self, coords: np.ndarray, spatial_shape: tuple[int, ...]):
         self.spatial_shape = tuple(spatial_shape)
-        self._coords = coords
-        keys = self._flatten(coords)
+        keys = flat_keys(coords, self.spatial_shape)
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
         if sorted_keys.size > 1 and (sorted_keys[1:] == sorted_keys[:-1]).any():
@@ -206,33 +172,26 @@ class CoordIndex:
         self._sorted_keys = sorted_keys
         self._rows = order.astype(np.int64)
 
-    def _flatten(self, coords: np.ndarray) -> np.ndarray:
-        keys = coords[:, 0].astype(np.int64)
-        for d, extent in enumerate(self.spatial_shape):
-            keys = keys * extent + coords[:, 1 + d]
-        return keys
-
     @property
     def n(self) -> int:
         return self._rows.size
 
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """Row index per flat key (see :func:`flat_keys`); -1 where absent."""
+        if self.n == 0:
+            return np.full(keys.shape, -1, dtype=np.int64)
+        pos = np.searchsorted(self._sorted_keys, keys)
+        np.minimum(pos, self.n - 1, out=pos)
+        return np.where(self._sorted_keys[pos] == keys, self._rows[pos], -1)
+
     def lookup_many(self, coords: np.ndarray) -> np.ndarray:
         """Row index per query coordinate; -1 where absent or out of grid."""
-        m = coords.shape[0]
-        result = np.full(m, -1, dtype=np.int64)
-        if m == 0 or self.n == 0:
-            return result
+        result = np.full(coords.shape[0], -1, dtype=np.int64)
         shape = np.asarray(self.spatial_shape, dtype=np.int64)
         valid = (coords[:, 0] >= 0) & (coords[:, 1:] >= 0).all(axis=1)
         valid &= (coords[:, 1:] < shape).all(axis=1)
-        if not valid.any():
-            return result
-        keys = self._flatten(coords[valid])
-        pos = np.searchsorted(self._sorted_keys, keys)
-        pos = np.minimum(pos, self._sorted_keys.size - 1)
-        hit = self._sorted_keys[pos] == keys
-        rows = np.where(hit, self._rows[pos], -1)
-        result[valid] = rows
+        if valid.any():
+            result[valid] = self.find(flat_keys(coords[valid], self.spatial_shape))
         return result
 
     def lookup(self, coord) -> int | None:
@@ -244,19 +203,137 @@ class CoordIndex:
         return None if hit < 0 else int(hit)
 
 
+class Geometry:
+    """One active set on one grid, shared by every tensor that lives on it.
+
+    ``coords`` is read-only: a writable input array is copied once and the
+    copy frozen, so nothing derived from the coordinates can go stale.
+    Derived state lives exactly as long as the geometry: the coordinate
+    index, built on first use, and the rulebook cache (see
+    :meth:`rulebook`), keyed by ``KernelSpec`` for submanifold rulebooks
+    and by ``(KernelSpec, out_shape)`` for regular ones.
+    """
+
+    def __init__(self, coords, spatial_shape: tuple[int, ...]):
+        self.spatial_shape = tuple(int(s) for s in spatial_shape)
+        coords = np.ascontiguousarray(coords, dtype=np.int64)
+        if coords.ndim != 2 or coords.shape[1] != 1 + len(self.spatial_shape):
+            raise ShapeMismatch(
+                f"coords shape {coords.shape} does not match spatial rank "
+                f"{len(self.spatial_shape)}"
+            )
+        if coords.shape[0]:
+            if coords[:, 0].min(initial=0) < 0:
+                raise InvalidSpec("batch indices must be non-negative")
+            lo = coords[:, 1:].min(axis=0)
+            hi = coords[:, 1:].max(axis=0)
+            if (lo < 0).any() or (hi >= np.asarray(self.spatial_shape)).any():
+                raise InvalidSpec("grid indices out of the declared spatial shape")
+        if coords.flags.writeable:
+            coords = coords.copy()
+            coords.flags.writeable = False
+        self.coords = coords
+        self._rulebooks: dict = {}
+
+    @property
+    def n_active(self) -> int:
+        return self.coords.shape[0]
+
+    @property
+    def dims(self) -> int:
+        return len(self.spatial_shape)
+
+    @cached_property
+    def index(self) -> CoordIndex:
+        """Index of the active set; raises DuplicateCoordinate on repeats."""
+        return CoordIndex(self.coords, self.spatial_shape)
+
+    def rulebook(self, key, build: Callable[[], "Rulebook"]) -> "Rulebook":
+        """The cached rulebook under ``key``; ``build()`` makes it on a miss."""
+        rb = self._rulebooks.get(key)
+        if rb is None:
+            rb = self._rulebooks[key] = build()
+        return rb
+
+
+class SparseTensor:
+    """Feature rows on a :class:`Geometry` (coordinates plus grid).
+
+    ``SparseTensor(coords, features, spatial_shape)`` makes a new geometry;
+    ``SparseTensor(geometry, features)`` puts features on an existing one
+    without re-validating its coordinates.  ``features`` is a tape-aware
+    tensor so layers can thread gradients; a plain array is accepted and
+    wrapped.  Features must be finite.
+    """
+
+    def __init__(self, coords, features, spatial_shape: tuple[int, ...] | None = None):
+        if isinstance(coords, Geometry):
+            self.geometry = coords
+        else:
+            self.geometry = Geometry(coords, spatial_shape)
+        if not isinstance(features, Tensor):
+            features = Tensor(np.asarray(features))
+        if features.data.ndim != 2 or features.data.shape[0] != self.geometry.n_active:
+            raise ShapeMismatch(
+                f"features rows {features.data.shape} != coords rows "
+                f"{self.geometry.n_active}"
+            )
+        if not np.all(np.isfinite(features.data)):
+            raise InvalidSpec("features must be finite")
+        self.features = features
+
+    @property
+    def coords(self) -> np.ndarray:
+        return self.geometry.coords
+
+    @property
+    def spatial_shape(self) -> tuple[int, ...]:
+        return self.geometry.spatial_shape
+
+    @property
+    def n_active(self) -> int:
+        return self.geometry.n_active
+
+    @property
+    def channels(self) -> int:
+        return self.features.data.shape[1]
+
+    @property
+    def dims(self) -> int:
+        return self.geometry.dims
+
+    def with_features(self, features: Tensor) -> "SparseTensor":
+        """Same geometry, new feature block."""
+        out = object.__new__(SparseTensor)
+        out.geometry = self.geometry
+        if not isinstance(features, Tensor):
+            features = Tensor(np.asarray(features))
+        if features.data.shape[0] != self.n_active:
+            raise ShapeMismatch("replacement features row count differs")
+        out.features = features
+        return out
+
+    def coord_at(self, row: int) -> VoxelCoord:
+        c = self.coords[row]
+        return VoxelCoord(int(c[0]), tuple(int(v) for v in c[1:]))
+
+
 def build_index(t: SparseTensor) -> CoordIndex:
     """Index the tensor's active set; raises DuplicateCoordinate on repeats."""
-    return CoordIndex(t.coords, t.spatial_shape)
+    return t.geometry.index
 
 
 @dataclass
 class Rulebook:
     """Execution plan for one sparse convolution.
 
-    ``pairs[m]`` is an int64 array of shape (P, 2) with columns
-    (input_row, output_row), sorted ascending by output_row then input_row.
-    ``offsets[m]`` is the m-th kernel offset in row-major enumeration order:
-    center-relative for submanifold rulebooks, raw 0..k-1 for regular ones.
+    ``pairs[m]`` is an int32 array of shape (P, 2) with columns
+    (input_row, output_row), sorted ascending by output_row; no output row
+    repeats within one offset.  ``offsets[m]`` is the m-th kernel offset in
+    row-major enumeration order: center-relative for submanifold
+    rulebooks, raw 0..k-1 for regular ones.  A regular rulebook also holds
+    its output ``Geometry``, whose coords are ``out_coords``; a
+    submanifold rulebook's output geometry is its input's.
     """
 
     offsets: tuple[tuple[int, ...], ...]
@@ -264,6 +341,7 @@ class Rulebook:
     out_coords: np.ndarray
     out_spatial_shape: tuple[int, ...]
     kind: str = "submanifold"
+    out_geometry: Geometry | None = field(default=None, repr=False)
     _total: int = field(default=-1, repr=False)
 
     @property
@@ -277,47 +355,71 @@ class Rulebook:
         return self._total
 
 
-def _sort_pairs(in_rows: np.ndarray, out_rows: np.ndarray) -> np.ndarray:
-    order = np.lexsort((in_rows, out_rows))
-    return np.stack((in_rows[order], out_rows[order]), axis=1)
+def _candidates(masks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(offset, row) index arrays where every per-dim mask holds.
+
+    ``masks[d][a, n]`` says whether row n can pair through an offset whose
+    d-th component is the a-th kernel value along that axis.  Offsets are
+    numbered row-major over the kernel, as in :func:`centered_offsets` and
+    :func:`raw_offsets`; the result ascends by offset, then by row.
+    """
+    n = masks[0].shape[1]
+    valid = np.ones((1, n), dtype=bool)
+    for m in masks:
+        valid = (valid[:, None, :] & m[None, :, :]).reshape(valid.shape[0] * m.shape[0], n)
+    return np.nonzero(valid)
 
 
-def build_rulebook_submanifold(
-    t: SparseTensor, spec: KernelSpec, workers: int | None = None
-) -> Rulebook:
+def _digit(offset_ids: np.ndarray, kernel: tuple[int, ...], d: int) -> np.ndarray:
+    """Per-dim component index of row-major offset numbers."""
+    inner = 1
+    for k in kernel[d + 1:]:
+        inner *= k
+    return offset_ids // inner % kernel[d]
+
+
+def _split_pairs(n_offsets: int, offset_ids, in_rows, out_rows) -> list[np.ndarray]:
+    """Per-offset int32 (input_row, output_row) blocks; ``offset_ids`` ascend."""
+    pairs = np.empty((offset_ids.size, 2), dtype=np.int32)
+    pairs[:, 0] = in_rows
+    pairs[:, 1] = out_rows
+    bounds = np.cumsum(np.bincount(offset_ids, minlength=n_offsets))[:-1]
+    return np.split(pairs, bounds)
+
+
+def build_rulebook_submanifold(t: SparseTensor, spec: KernelSpec) -> Rulebook:
     """Rulebook whose output active set equals the input active set.
 
     For the center-relative offset ``o``, pair (i, j) exists iff
     ``coords[i] == coords[j] - o * dilation`` and both sites are active.
-    The center offset therefore pairs every row with itself.
+    The center offset therefore pairs every row with itself.  Every
+    offset's in-grid targets are looked up in one search of the active
+    set's index.
     """
     if not spec.is_unit_stride:
         raise InvalidSpec("submanifold convolution requires stride 1")
     if spec.dims != t.dims:
         raise InvalidSpec(f"spec rank {spec.dims} != tensor rank {t.dims}")
+    coords, shape = t.coords, t.spatial_shape
+    masks = []
+    key_shift = np.zeros(1, dtype=np.int64)  # flat key of each offset's shift
+    for d, (k, dil) in enumerate(zip(spec.kernel, spec.dilation)):
+        half = (k - 1) // 2
+        shift = np.arange(-half, half + 1, dtype=np.int64) * dil
+        target = coords[None, :, 1 + d] - shift[:, None]
+        masks.append((target >= 0) & (target < shape[d]))
+        key_shift = (key_shift[:, None] * shape[d] + shift[None, :]).reshape(-1)
+    offset_ids, out_rows = _candidates(masks)
+    # inside the grid, key(coords[j] - shift) == key(coords[j]) - key(shift)
+    queries = flat_keys(coords, shape)[out_rows] - key_shift[offset_ids]
+    in_rows = t.geometry.index.find(queries)
+    hit = in_rows >= 0
     offsets = centered_offsets(spec.kernel)
-    index = build_index(t)
-    coords = t.coords
-    dilation = np.asarray(spec.dilation, dtype=np.int64)
-    n = t.n_active
-
-    def pairs_for(off) -> np.ndarray:
-        off_arr = np.asarray(off, dtype=np.int64) * dilation
-        if not off_arr.any():
-            rows = np.arange(n, dtype=np.int64)
-            return np.stack((rows, rows), axis=1)
-        targets = coords.copy()
-        targets[:, 1:] -= off_arr
-        in_rows = index.lookup_many(targets)
-        out_rows = np.nonzero(in_rows >= 0)[0].astype(np.int64)
-        return _sort_pairs(in_rows[out_rows], out_rows)
-
-    pairs = _map_offsets(pairs_for, offsets, workers)
     return Rulebook(
         offsets=tuple(offsets),
-        pairs=pairs,
+        pairs=_split_pairs(len(offsets), offset_ids[hit], in_rows[hit], out_rows[hit]),
         out_coords=coords,
-        out_spatial_shape=t.spatial_shape,
+        out_spatial_shape=shape,
         kind="submanifold",
     )
 
@@ -336,82 +438,60 @@ def regular_out_shape(
 
 
 def build_rulebook_regular(
-    t: SparseTensor,
-    spec: KernelSpec,
-    out_shape: tuple[int, ...],
-    workers: int | None = None,
+    t: SparseTensor, spec: KernelSpec, out_shape: tuple[int, ...]
 ) -> Rulebook:
     """Rulebook for a strided (feature-expanding) sparse convolution.
 
     An output position j exists iff some input i and raw kernel offset o
     satisfy ``i == j * stride + o * dilation - padding`` with j inside
     ``out_shape``.  Output coordinates are sorted lexicographically by
-    (batch, ijk).
+    (batch, ijk); they come from one unique over the flat keys of every
+    candidate output, which also yields each pair's output row.
     """
     if spec.dims != t.dims:
         raise InvalidSpec(f"spec rank {spec.dims} != tensor rank {t.dims}")
-    offsets = raw_offsets(spec.kernel)
     coords = t.coords
-    n = t.n_active
-    dims = t.dims
     out_shape = tuple(int(s) for s in out_shape)
-    dilation = np.asarray(spec.dilation, dtype=np.int64)
-    stride = np.asarray(spec.stride, dtype=np.int64)
-    padding = np.asarray(spec.padding, dtype=np.int64)
-    shape_arr = np.asarray(out_shape, dtype=np.int64)
-
-    def candidates_for(off):
+    masks, out_ijk = [], []
+    for d, (k, dil, stride, pad) in enumerate(
+        zip(spec.kernel, spec.dilation, spec.stride, spec.padding)
+    ):
         # solve j * stride = i + padding - o * dilation
-        num = coords[:, 1:] + padding - np.asarray(off, dtype=np.int64) * dilation
-        ok = (num % stride == 0).all(axis=1)
+        num = coords[None, :, 1 + d] + pad - np.arange(k, dtype=np.int64)[:, None] * dil
         j = num // stride
-        ok &= (j >= 0).all(axis=1) & (j < shape_arr).all(axis=1)
-        in_rows = np.nonzero(ok)[0].astype(np.int64)
-        out_pos = np.concatenate(
-            (coords[in_rows, :1], j[in_rows]), axis=1
-        )
-        return in_rows, out_pos
-
-    per_offset = _map_offsets(candidates_for, offsets, workers)
-
-    if n == 0 or not any(c[0].size for c in per_offset):
-        empty_pairs = [np.empty((0, 2), dtype=np.int64) for _ in offsets]
-        return Rulebook(
-            offsets=tuple(offsets),
-            pairs=empty_pairs,
-            out_coords=np.empty((0, 1 + dims), dtype=np.int64),
-            out_spatial_shape=out_shape,
-            kind="regular",
-        )
-
-    all_out = np.concatenate([c[1] for c in per_offset], axis=0)
-    out_coords = np.unique(all_out, axis=0)  # sorted lexicographically
-    out_index = CoordIndex(out_coords, out_shape)
-    pairs = []
-    for in_rows, out_pos in per_offset:
-        if in_rows.size == 0:
-            pairs.append(np.empty((0, 2), dtype=np.int64))
-            continue
-        out_rows = out_index.lookup_many(out_pos)
-        pairs.append(_sort_pairs(in_rows, out_rows))
+        masks.append((num % stride == 0) & (j >= 0) & (j < out_shape[d]))
+        out_ijk.append(j)
+    offset_ids, in_rows = _candidates(masks)
+    keys = coords[in_rows, 0]
+    for d in range(t.dims):
+        keys = keys * out_shape[d] + out_ijk[d][_digit(offset_ids, spec.kernel, d), in_rows]
+    out_keys, out_rows = np.unique(keys, return_inverse=True)
+    order = np.argsort(offset_ids * out_keys.size + out_rows)  # by offset, then output row
+    out_coords = _unflatten(out_keys, out_shape)
+    out_coords.flags.writeable = False
+    out_geometry = Geometry(out_coords, out_shape)
+    offsets = raw_offsets(spec.kernel)
     return Rulebook(
         offsets=tuple(offsets),
-        pairs=pairs,
-        out_coords=out_coords,
+        pairs=_split_pairs(len(offsets), offset_ids, in_rows[order], out_rows[order]),
+        out_coords=out_geometry.coords,
         out_spatial_shape=out_shape,
         kind="regular",
+        out_geometry=out_geometry,
     )
 
 
 def _map_offsets(fn, offsets, workers: int | None):
-    """Evaluate fn per offset, results assembled in offset order.
+    """Evaluate fn per offset, results in offset order.
 
-    Work may run on a thread pool; the assembly order is fixed, so results
-    are identical for any worker count.
+    Serially, each result is computed when the caller reaches it, so a
+    caller that folds results in as they come holds one offset's result at
+    a time.  Work may run on a thread pool; the assembly order is fixed,
+    so results are identical for any worker count.
     """
     n_workers = worker_count(workers)
     if n_workers <= 1 or len(offsets) <= 1:
-        return [fn(off) for off in offsets]
+        return map(fn, offsets)
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(fn, offsets))
 

@@ -153,3 +153,78 @@ def rel_err(a, b):
     b = np.asarray(b, dtype=np.float64)
     denom = max(float(np.max(np.abs(b), initial=0.0)), 1e-12)
     return float(np.max(np.abs(a - b), initial=0.0)) / denom
+
+
+def _sorted_key_lookup(coords, spatial_shape):
+    """Row lookup over sorted flat keys, one ``searchsorted`` per call:
+    the coordinate index the engine started from, kept independent of it."""
+    shape = np.asarray(spatial_shape, dtype=np.int64)
+
+    def flatten(c):
+        keys = c[:, 0].astype(np.int64)
+        for d, extent in enumerate(spatial_shape):
+            keys = keys * extent + c[:, 1 + d]
+        return keys
+
+    order = np.argsort(flatten(coords), kind="stable")
+    sorted_keys = flatten(coords)[order]
+
+    def lookup_many(queries):
+        result = np.full(queries.shape[0], -1, dtype=np.int64)
+        valid = (queries[:, 0] >= 0) & (queries[:, 1:] >= 0).all(axis=1)
+        valid &= (queries[:, 1:] < shape).all(axis=1)
+        if sorted_keys.size == 0 or not valid.any():
+            return result
+        keys = flatten(queries[valid])
+        pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+        result[valid] = np.where(sorted_keys[pos] == keys, order[pos], -1)
+        return result
+
+    return lookup_many
+
+
+def _sorted_pairs(in_rows, out_rows):
+    order = np.lexsort((in_rows, out_rows))
+    return np.stack((in_rows[order], out_rows[order]), axis=1)
+
+
+def per_offset_rulebook_submanifold(t, spec):
+    """Reference submanifold map search, one lookup per kernel offset.
+
+    Returns (offsets, per-offset int64 (P, 2) pair blocks, out_coords) for
+    comparison with ``build_rulebook_submanifold``.
+    """
+    lookup = _sorted_key_lookup(t.coords, t.spatial_shape)
+    dilation = np.asarray(spec.dilation, dtype=np.int64)
+    offsets = centered_offsets(spec.kernel)
+    pairs = []
+    for off in offsets:
+        targets = t.coords.copy()
+        targets[:, 1:] -= np.asarray(off, dtype=np.int64) * dilation
+        in_rows = lookup(targets)
+        out_rows = np.nonzero(in_rows >= 0)[0].astype(np.int64)
+        pairs.append(_sorted_pairs(in_rows[out_rows], out_rows))
+    return tuple(offsets), pairs, t.coords
+
+
+def per_offset_rulebook_regular(t, spec, out_shape):
+    """Reference regular map search: per-offset candidates, a row-wise
+    ``np.unique`` for the output set, then one lookup per offset."""
+    coords = t.coords
+    dilation = np.asarray(spec.dilation, dtype=np.int64)
+    stride = np.asarray(spec.stride, dtype=np.int64)
+    padding = np.asarray(spec.padding, dtype=np.int64)
+    shape = np.asarray(out_shape, dtype=np.int64)
+    offsets = raw_offsets(spec.kernel)
+    per_offset = []
+    for off in offsets:
+        num = coords[:, 1:] + padding - np.asarray(off, dtype=np.int64) * dilation
+        ok = (num % stride == 0).all(axis=1)
+        j = num // stride
+        ok &= (j >= 0).all(axis=1) & (j < shape).all(axis=1)
+        in_rows = np.nonzero(ok)[0].astype(np.int64)
+        per_offset.append((in_rows, np.concatenate((coords[in_rows, :1], j[in_rows]), axis=1)))
+    out_coords = np.unique(np.concatenate([p[1] for p in per_offset], axis=0), axis=0)
+    lookup = _sorted_key_lookup(out_coords, out_shape)
+    pairs = [_sorted_pairs(in_rows, lookup(out_pos)) for in_rows, out_pos in per_offset]
+    return tuple(offsets), pairs, out_coords

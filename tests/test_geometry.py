@@ -1,0 +1,236 @@
+"""Shared geometries: the batched map search against the per-offset
+reference, flat-key uniques, and the per-active-set rulebook cache."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import focalvox.conv as fc
+from focalvox.backbone import SfmNet, downsample, init_network, preset, sfmnet_forward
+from focalvox.conv import SparseConvLayer, regular_conv_down, subm_conv
+from focalvox.points import PointCloud
+from focalvox.sfm import SFMConfig, sfm_block, sfm_pair_count, srb_block
+from focalvox.sparse import (
+    KernelSpec,
+    SparseTensor,
+    build_rulebook_regular,
+    build_rulebook_submanifold,
+    regular_out_shape,
+    unique_coords,
+)
+from focalvox.tape import Tensor
+from helpers import (
+    per_offset_rulebook_regular,
+    per_offset_rulebook_submanifold,
+    random_sparse,
+)
+
+
+def assert_same_rulebook(rb, expected):
+    offsets, pairs, out_coords = expected
+    assert rb.offsets == offsets
+    assert rb.out_coords.dtype == np.int64
+    assert np.array_equal(rb.out_coords, out_coords)
+    assert rb.out_coords.shape == out_coords.shape
+    assert len(rb.pairs) == len(pairs)
+    for got, want in zip(rb.pairs, pairs):
+        assert got.dtype == np.int32
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+scenes = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "dims": st.sampled_from([2, 3]),
+    "batches": st.integers(1, 3),
+    "density": st.sampled_from([0.0, 0.1, 0.3, 0.6]),
+    "extents": st.lists(st.integers(1, 7), min_size=3, max_size=3),
+})
+
+
+def scene_from(s):
+    """A random scene with its rows in random order."""
+    rng = np.random.default_rng(s["seed"])
+    shape = tuple(s["extents"][: s["dims"]])
+    t = random_sparse(rng, shape, s["density"], 1, batches=s["batches"])
+    return SparseTensor(rng.permutation(t.coords), t.features, shape)
+
+
+class TestMapSearchMatchesPerOffsetReference:
+    @settings(max_examples=150, deadline=None)
+    @given(scene=scenes, k=st.sampled_from([1, 3, 5]), d=st.integers(1, 4))
+    def test_submanifold(self, scene, k, d):
+        t = scene_from(scene)
+        spec = KernelSpec.same(k, d, dims=t.dims)
+        rb = build_rulebook_submanifold(t, spec)
+        assert_same_rulebook(rb, per_offset_rulebook_submanifold(t, spec))
+        assert rb.out_coords is t.coords
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scene=scenes,
+        k=st.sampled_from([1, 3, 5]),
+        d=st.integers(1, 4),
+        stride=st.sampled_from([1, 2]),
+        pad=st.integers(0, 4),
+    )
+    def test_regular(self, scene, k, d, stride, pad):
+        t = scene_from(scene)
+        spec = KernelSpec((k,) * t.dims, (d,) * t.dims, (stride,) * t.dims, (pad,) * t.dims)
+        out_shape = regular_out_shape(t.spatial_shape, spec)
+        rb = build_rulebook_regular(t, spec, out_shape)
+        assert_same_rulebook(rb, per_offset_rulebook_regular(t, spec, out_shape))
+        assert rb.out_geometry.coords is rb.out_coords
+        assert rb.out_geometry.spatial_shape == out_shape
+
+    @pytest.mark.parametrize("shape", [(7, 5, 9), (9, 9), (3, 1, 5)])
+    def test_stride_two_downsample_on_odd_shapes(self, shape):
+        rng = np.random.default_rng(len(shape))
+        t = random_sparse(rng, shape, 0.4, 1, batches=2)
+        spec = KernelSpec.downsample(len(shape))
+        out_shape = regular_out_shape(shape, spec)
+        rb = build_rulebook_regular(t, spec, out_shape)
+        assert_same_rulebook(rb, per_offset_rulebook_regular(t, spec, out_shape))
+
+
+class TestUniqueCoords:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_row_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (5, 3, 4)
+        n = 400
+        coords = np.concatenate(
+            (rng.integers(0, 3, (n, 1)), *(rng.integers(0, e, (n, 1)) for e in shape)), axis=1
+        )
+        uniq, inverse = unique_coords(coords, shape)
+        want_uniq, want_inverse = np.unique(coords, axis=0, return_inverse=True)
+        assert uniq.dtype == want_uniq.dtype
+        assert uniq.tobytes() == want_uniq.tobytes()
+        assert inverse.tobytes() == want_inverse.reshape(-1).tobytes()
+
+    def test_empty(self):
+        uniq, inverse = unique_coords(np.empty((0, 3), dtype=np.int64), (4, 4))
+        assert uniq.shape == (0, 3) and inverse.shape == (0,)
+
+
+def subm_layer(rng, spec, channels):
+    w = rng.standard_normal((spec.volume, channels, channels)).astype(np.float32)
+    return SparseConvLayer(spec, "submanifold", Tensor(w), Tensor(np.zeros(channels, np.float32)))
+
+
+def cached(geometry, key):
+    """The rulebook already cached under ``key``; fails on a miss."""
+    return geometry.rulebook(key, lambda: pytest.fail(f"no cached rulebook for {key}"))
+
+
+def count_builds(monkeypatch):
+    calls = {"submanifold": 0, "regular": 0}
+
+    def counting(kind, fn):
+        def wrapped(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(fc, "build_rulebook_submanifold",
+                        counting("submanifold", fc.build_rulebook_submanifold))
+    monkeypatch.setattr(fc, "build_rulebook_regular", counting("regular", fc.build_rulebook_regular))
+    return calls
+
+
+class TestGeometryCache:
+    def test_same_geometry_and_spec_gives_same_rulebook(self):
+        rng = np.random.default_rng(0)
+        t = random_sparse(rng, (6, 6, 6), 0.3, 2)
+        spec = KernelSpec.same(3, 2, dims=3)
+        first = t.geometry.rulebook(spec, lambda: build_rulebook_submanifold(t, spec))
+        assert cached(t.with_features(t.features).geometry, spec) is first
+
+    def test_submanifold_outputs_share_the_input_geometry(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        t = random_sparse(rng, (6, 6, 6), 0.3, 4)
+        spec = KernelSpec.same(3, 1, dims=3)
+        calls = count_builds(monkeypatch)
+        assert t.with_features(t.features.data * 2).geometry is t.geometry
+        out = subm_conv(t, subm_layer(rng, spec, 4))
+        assert out.geometry is t.geometry
+        assert subm_conv(out, subm_layer(rng, spec, 4)).geometry is t.geometry
+        assert calls == {"submanifold": 1, "regular": 0}
+
+    def test_blocks_share_the_input_geometry(self):
+        cfg = preset("tiny")
+        net = SfmNet(cfg, init_network(cfg))
+        stage = 1  # holds one mixer block and one residual block
+        blocks = dict(net.stages[stage].blocks)
+        rng = np.random.default_rng(2)
+        t = random_sparse(rng, (6, 6, 6), 0.3, cfg.stages[stage].channels)
+        assert srb_block(t, blocks["srb"], bn_mode="eval").geometry is t.geometry
+        assert sfm_block(t, cfg.stages[stage].sfm, blocks["sfm"]).geometry is t.geometry
+
+    def test_downsampling_twice_gives_one_output_geometry(self, monkeypatch):
+        cfg = preset("tiny")
+        net = SfmNet(cfg, init_network(cfg))
+        rng = np.random.default_rng(3)
+        t = random_sparse(rng, (9, 9, 9), 0.3, cfg.stages[0].channels, batches=2)
+        calls = count_builds(monkeypatch)
+        first = downsample(t, net.downs[0], bn_mode="eval")
+        second = downsample(t.with_features(t.features), net.downs[0], bn_mode="eval")
+        assert second.geometry is first.geometry
+        assert first.geometry is not t.geometry
+        assert calls == {"submanifold": 0, "regular": 1}
+        assert regular_conv_down(t, net.downs[0].conv).geometry is first.geometry
+
+    def test_coords_are_read_only_and_private(self):
+        coords = np.array([[0, 1, 1, 1], [0, 2, 2, 2]], dtype=np.int64)
+        t = random_sparse(np.random.default_rng(4), (4, 4, 4), 0.5, 1)
+        with pytest.raises(ValueError):
+            t.coords[0, 1] = 3
+        u = SparseTensor(coords, np.ones((2, 1)), (4, 4, 4))
+        coords[0, 1] = 3  # the caller's array stays theirs
+        assert u.coords[0, 1] == 1
+
+    def test_tiny_forward_builds_each_rulebook_once(self, monkeypatch):
+        cfg = preset("tiny")
+        rng = np.random.default_rng(5)
+        pts = np.concatenate(
+            (rng.uniform(-3, 3, (2000, 3)), rng.uniform(0, 1, (2000, 1))), axis=1
+        )
+        calls = count_builds(monkeypatch)
+        sfmnet_forward(PointCloud(pts), cfg, init_network(cfg), bn_mode="eval")
+        assert calls == {"submanifold": 9, "regular": 3}
+
+    def test_sfm_pair_count_unchanged_and_cached(self):
+        rng = np.random.default_rng(6)
+        t = random_sparse(rng, (7, 7, 7), 0.3, 1, batches=2)
+        config = SFMConfig(channels=4, kernels=(3, 5, 3), dilations=(1, 1, 3))
+        expected = 0
+        for k, d in zip(config.kernels, config.dilations):
+            _, pairs, _ = per_offset_rulebook_submanifold(t, KernelSpec.same(k, d, dims=3))
+            expected += sum(p.shape[0] for p in pairs)
+        counts = sfm_pair_count(t, config)
+        n = t.n_active
+        assert counts == {
+            "conv_pairs": expected,
+            "gate": 3 * n,
+            "modulation": n,
+            "total": expected + 4 * n,
+        }
+        for k, d in zip(config.kernels, config.dilations):
+            cached(t.geometry, KernelSpec.same(k, d, dims=3))
+
+    def test_cache_dies_with_its_active_set(self):
+        rng = np.random.default_rng(7)
+        t = random_sparse(rng, (6, 6, 6), 0.4, 2)
+        spec = KernelSpec.same(3, 1, dims=3)
+        gc.disable()  # freed by reference counting alone: no cycles
+        try:
+            out = subm_conv(t, subm_layer(rng, spec, 2))
+            geometry = weakref.ref(t.geometry)
+            del t, out
+            assert geometry() is None
+        finally:
+            gc.enable()
