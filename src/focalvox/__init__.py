@@ -1,10 +1,10 @@
 """Sparse voxel network engine with a focal-modulation token mixer.
 
 Deterministic CPU implementation of submanifold and regular sparse
-convolutions driven by explicit rulebooks, a replayable gradient tape with
-finite-difference checking, the hierarchical focal-modulation mixer and its
-backbone, gradient-based receptive-field probing, and exact interaction
-counting against a local-attention reference.
+convolutions driven by explicit rulebooks, a single-replay gradient tape
+with finite-difference checking, the hierarchical focal-modulation mixer
+and its backbone, gradient-based receptive-field probing, and exact
+interaction counting against a local-attention reference.
 """
 
 from .backbone import (
@@ -16,7 +16,7 @@ from .backbone import (
     preset,
     sfmnet_forward,
 )
-from .conv import SparseConvLayer, conv_vjp, regular_conv_down, subm_conv
+from .conv import SparseConvLayer, regular_conv_down, subm_conv
 from .erf import ErfMap, emit_pgm, erf_gradient_map, select_query
 from .gradcheck import vjp_check
 from .params import Initializer, ParamStore
@@ -68,7 +68,6 @@ __all__ = [
     "build_index",
     "build_rulebook_regular",
     "build_rulebook_submanifold",
-    "conv_vjp",
     "effective_receptive_field",
     "emit_pgm",
     "erf_gradient_map",

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidSpec, ShapeMismatch
 from .sparse import (
     Geometry,
@@ -111,21 +109,3 @@ def regular_conv_down(t: SparseTensor, layer: SparseConvLayer) -> SparseTensor:
     )
     return _apply_rulebook(t, layer, rulebook, rulebook.out_geometry)
 
-
-def conv_vjp(
-    cotangent: np.ndarray,
-    features: np.ndarray,
-    rulebook: Rulebook,
-    weights: np.ndarray,
-    with_bias: bool = True,
-):
-    """Standalone backward for a saved forward state.
-
-    ``grad_features[i] = sum_o sum_{(i,j)} cot[j] @ W_o^T``;
-    ``grad_W_o = sum_{(i,j)} x[i]^T @ cot[j]``; ``grad_bias = sum_j cot[j]``.
-    """
-    if cotangent.shape[0] != rulebook.n_out:
-        raise ShapeMismatch(
-            f"cotangent rows {cotangent.shape[0]} != rulebook outputs {rulebook.n_out}"
-        )
-    return gather_scatter_vjp(features, rulebook, weights, cotangent, with_bias=with_bias)

@@ -29,6 +29,10 @@ class NonFiniteGradient(FocalvoxError):
     """An analytic gradient contains NaN or infinity."""
 
 
+class TapeConsumed(FocalvoxError):
+    """A gradient tape was replayed a second time; replay frees its state."""
+
+
 class InactiveQuery(FocalvoxError):
     """A probe query names a voxel that is not active."""
 

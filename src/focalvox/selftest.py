@@ -99,7 +99,7 @@ def gradcheck_suite(seed: int, module: str = "all", cases: int = 3):
             spec = KernelSpec.same(3, int(rng.integers(1, 3)), dims=3)
 
             def subm_fn(ts, scene=scene, spec=spec):
-                t = SparseTensor(scene.coords, ts[0], scene.spatial_shape)
+                t = SparseTensor(scene.geometry, ts[0])
                 layer = SparseConvLayer(spec, "submanifold", ts[1], ts[2])
                 return subm_conv(t, layer).features
 
@@ -113,7 +113,7 @@ def gradcheck_suite(seed: int, module: str = "all", cases: int = 3):
             down = KernelSpec.downsample(3)
 
             def reg_fn(ts, scene=scene, down=down):
-                t = SparseTensor(scene.coords, ts[0], scene.spatial_shape)
+                t = SparseTensor(scene.geometry, ts[0])
                 layer = SparseConvLayer(down, "regular", ts[1], ts[2])
                 return regular_conv_down(t, layer).features
 
@@ -133,7 +133,7 @@ def gradcheck_suite(seed: int, module: str = "all", cases: int = 3):
             scene = _random_scene(rng, (6, 6, 6), 0.12, 3)
 
             def fn(ts, scene=scene, params=params):
-                t = SparseTensor(scene.coords, ts[0], scene.spatial_shape)
+                t = SparseTensor(scene.geometry, ts[0])
                 return sfm_module(t, cfg, params).features
 
             err = vjp_check(fn, [scene.features.data], seed=seed + case, max_coords=48)
@@ -148,7 +148,7 @@ def gradcheck_suite(seed: int, module: str = "all", cases: int = 3):
             scene = _random_scene(rng, (5, 5, 5), 0.2, 3)
 
             def block_fn(ts, scene=scene, params=params):
-                t = SparseTensor(scene.coords, ts[0], scene.spatial_shape)
+                t = SparseTensor(scene.geometry, ts[0])
                 return sfm_block(t, cfg, params).features
 
             err = vjp_check(block_fn, [scene.features.data], seed=seed + case, max_coords=48)
@@ -159,7 +159,7 @@ def gradcheck_suite(seed: int, module: str = "all", cases: int = 3):
             srb = bind_srb(store.as_dtype(np.float64), "s", 3, 3)
 
             def srb_fn(ts, scene=scene, srb=srb):
-                t = SparseTensor(scene.coords, ts[0], scene.spatial_shape)
+                t = SparseTensor(scene.geometry, ts[0])
                 return srb_block(t, srb, bn_mode="eval").features
 
             err = vjp_check(srb_fn, [scene.features.data], seed=seed + case, max_coords=48)

@@ -206,7 +206,8 @@ class CoordIndex:
 class Geometry:
     """One active set on one grid, shared by every tensor that lives on it.
 
-    ``coords`` is read-only: a writable input array is copied once and the
+    ``coords`` is read-only: an input array is kept only when it and every
+    array it views are read-only; any other input is copied once and the
     copy frozen, so nothing derived from the coordinates can go stale.
     Derived state lives exactly as long as the geometry: the coordinate
     index, built on first use, and the rulebook cache (see
@@ -229,7 +230,7 @@ class Geometry:
             hi = coords[:, 1:].max(axis=0)
             if (lo < 0).any() or (hi >= np.asarray(self.spatial_shape)).any():
                 raise InvalidSpec("grid indices out of the declared spatial shape")
-        if coords.flags.writeable:
+        if not _frozen(coords):
             coords = coords.copy()
             coords.flags.writeable = False
         self.coords = coords
@@ -254,6 +255,16 @@ class Geometry:
         if rb is None:
             rb = self._rulebooks[key] = build()
         return rb
+
+
+def _frozen(a: np.ndarray) -> bool:
+    """Whether no writable array shares ``a``'s memory: ``a`` and every
+    array it views are read-only, down to one that owns its data."""
+    while a is not None:
+        if not isinstance(a, np.ndarray) or a.flags.writeable:
+            return False
+        a = a.base
+    return True
 
 
 class SparseTensor:
@@ -331,7 +342,9 @@ class Rulebook:
     (input_row, output_row), sorted ascending by output_row; no output row
     repeats within one offset.  ``offsets[m]`` is the m-th kernel offset in
     row-major enumeration order: center-relative for submanifold
-    rulebooks, raw 0..k-1 for regular ones.  A regular rulebook also holds
+    rulebooks, raw 0..k-1 for regular ones.  The center offset of a
+    submanifold rulebook (see :attr:`identity_offset`) pairs every row
+    with itself.  A regular rulebook also holds
     its output ``Geometry``, whose coords are ``out_coords``; a
     submanifold rulebook's output geometry is its input's.
     """
@@ -347,6 +360,12 @@ class Rulebook:
     @property
     def n_out(self) -> int:
         return self.out_coords.shape[0]
+
+    @property
+    def identity_offset(self) -> int:
+        """Index of the offset whose pairs are ``(i, i)`` for every row: the
+        center of a submanifold rulebook; -1 for a regular one."""
+        return len(self.offsets) // 2 if self.kind == "submanifold" else -1
 
     @property
     def total_pairs(self) -> int:
@@ -509,7 +528,8 @@ def gather_scatter_matmul(
     offset order (then cast back to the input dtype), which bounds
     summation-order error and keeps the result bitwise identical for any
     worker count.  Within one offset no two pairs share an output row, so
-    the scatter is collision-free.
+    the scatter is collision-free.  The identity offset of a submanifold
+    rulebook needs neither gather nor scatter.
     """
     weights = np.asarray(weights)
     k = len(rulebook.offsets)
@@ -528,18 +548,25 @@ def gather_scatter_matmul(
     acc = np.zeros((m, c_out), dtype=np.float64)
     if bias is not None:
         acc += np.asarray(bias, dtype=np.float64)
+    center = rulebook.identity_offset
 
     def contrib_for(o):
+        if o == center:
+            # C order, as a gathered copy has, so the product's bits match
+            return np.ascontiguousarray(features) @ weights[o]
         p = rulebook.pairs[o]
         if p.shape[0] == 0:
             return None
-        return features[p[:, 0]] @ weights[o]
+        return np.take(features, p[:, 0], axis=0) @ weights[o]
 
     partials = _map_offsets(contrib_for, range(k), workers)
     for o, part in enumerate(partials):
         if part is None:
             continue
-        acc[rulebook.pairs[o][:, 1]] += part
+        if o == center:
+            acc += part
+        else:
+            acc[rulebook.pairs[o][:, 1]] += part
     return acc.astype(features.dtype, copy=False)
 
 
@@ -553,33 +580,49 @@ def gather_scatter_vjp(
 ):
     """Backward pass of :func:`gather_scatter_matmul`.
 
-    Returns (grad_features, grad_weights, grad_bias); grad_bias is None
-    when ``with_bias`` is false.  Accumulation order mirrors the forward
-    pass, so gradients are deterministic as well.
+    ``grad_features[i] = sum_o sum_{(i,j)} cot[j] @ W_o^T``;
+    ``grad_W_o = sum_{(i,j)} x[i]^T @ cot[j]``; ``grad_bias = sum_j cot[j]``.
+    Returns (grad_features, grad_weights, grad_bias) in the features'
+    dtype; grad_bias is None when ``with_bias`` is false.  Accumulation
+    order mirrors the forward pass, so gradients are deterministic as well.
+    A cotangent that is not (output rows, C_out) raises ShapeMismatch.
     """
     weights = np.asarray(weights)
     k = len(rulebook.offsets)
+    if cotangent.shape != (rulebook.n_out, weights.shape[-1]):
+        raise ShapeMismatch(
+            f"cotangent shape {cotangent.shape} != (rulebook outputs "
+            f"{rulebook.n_out}, output channels {weights.shape[-1]})"
+        )
     grad_features = np.zeros(features.shape, dtype=np.float64)
-    grad_weights = np.zeros(weights.shape, dtype=np.float64)
+    # one product per offset: stored directly, no float64 accumulator
+    grad_weights = np.zeros(weights.shape, dtype=features.dtype)
+    center = rulebook.identity_offset
 
     def grads_for(o):
-        p = rulebook.pairs[o]
-        if p.shape[0] == 0:
-            return None
-        cot_rows = cotangent[p[:, 1]]
-        return cot_rows @ weights[o].T, features[p[:, 0]].T @ cot_rows
+        if o == center:
+            x, cot_rows = np.ascontiguousarray(features), np.ascontiguousarray(cotangent)
+        else:
+            p = rulebook.pairs[o]
+            if p.shape[0] == 0:
+                return None
+            x = np.take(features, p[:, 0], axis=0)
+            cot_rows = np.take(cotangent, p[:, 1], axis=0)
+        return cot_rows @ weights[o].T, x.T @ cot_rows
 
     partials = _map_offsets(grads_for, range(k), workers)
     for o, part in enumerate(partials):
         if part is None:
             continue
-        gx, gw = part
-        grad_features[rulebook.pairs[o][:, 0]] += gx
-        grad_weights[o] += gw
+        gx, grad_weights[o] = part
+        if o == center:
+            grad_features += gx
+        else:
+            grad_features[rulebook.pairs[o][:, 0]] += gx
     grad_bias = cotangent.sum(axis=0) if with_bias else None
     out_dtype = features.dtype
     return (
         grad_features.astype(out_dtype, copy=False),
-        grad_weights.astype(out_dtype, copy=False),
+        grad_weights,
         None if grad_bias is None else grad_bias.astype(out_dtype, copy=False),
     )

@@ -2,13 +2,17 @@
 
 The engine records forward operations on a :class:`GradTape` as a Wengert
 list.  Replaying the list in strict reverse order with per-node
-vector-Jacobian products yields gradients for every tensor the computation
-touched; tensors the computation never reached simply have no entry in the
-gradient map.
+vector-Jacobian products yields gradients for every leaf tensor the
+computation touched; leaves the computation never reached simply have no
+entry in the gradient map.
 
-A tape is single-writer: one forward pass per tape.  Tensors are immutable
-value holders; parameters are plain leaf tensors with no tape attached, and
-still receive gradients because nodes reference them as inputs.
+A tape is single-writer and single-replay: one forward pass, then one
+backward pass.  The replay frees each cotangent once its consumer has run
+and each node's VJP closure (with the forward arrays it saved) once the
+node is passed, so a second replay raises :class:`TapeConsumed`.  Tensors
+are immutable value holders; parameters are plain leaf tensors with no
+tape attached, and still receive gradients because nodes reference them
+as inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import itertools
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, TapeConsumed
 
 _uids = itertools.count()
 
@@ -79,10 +83,11 @@ class _Node:
 
 
 class GradTape:
-    """Ordered log of executed operations with replayable VJPs."""
+    """Ordered log of executed operations, replayed once for gradients."""
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        self._consumed = False
 
     def __len__(self):
         return len(self._nodes)
@@ -101,24 +106,35 @@ class GradTape:
     def gradients(self, output: Tensor, cotangent, trace: list[str] | None = None) -> dict[int, np.ndarray]:
         """Replay the tape backwards from ``output`` seeded with ``cotangent``.
 
-        Returns a map from tensor uid to accumulated gradient.  Nodes whose
-        output never received a cotangent are skipped; their inputs stay
-        absent from the map.  ``trace``, if given, collects the names of
-        visited nodes in replay order.
+        Returns a map from leaf tensor uid to accumulated gradient.  Leaves
+        are parameters and taped inputs that no node on this tape produced
+        (and ``output`` itself when it is one); intermediate results have
+        no entry.  Nodes whose output never received a cotangent are
+        skipped; their inputs stay absent from the map.  ``trace``, if
+        given, collects the names of visited nodes in replay order.
+
+        The replay releases memory as it goes and can run once per tape:
+        a second call raises TapeConsumed.  Node names survive it.
         """
+        if self._consumed:
+            raise TapeConsumed("this tape has already been replayed")
         cot = np.asarray(cotangent)
         if cot.shape != output.data.shape:
             raise ShapeMismatch(
                 f"cotangent shape {cot.shape} != output shape {output.data.shape}"
             )
+        self._consumed = True
         grads: dict[int, np.ndarray] = {output.uid: cot}
         for node in reversed(self._nodes):
-            out_cot = grads.get(node.out_uid)
+            vjp, node.vjp = node.vjp, None
+            # every consumer of this output comes later on the tape, so
+            # its cotangent is complete here and nothing reads it after
+            out_cot = grads.pop(node.out_uid, None)
             if out_cot is None:
                 continue
             if trace is not None:
                 trace.append(node.name)
-            for uid, g in zip(node.in_uids, node.vjp(out_cot)):
+            for uid, g in zip(node.in_uids, vjp(out_cot)):
                 if g is None:
                     continue
                 acc = grads.get(uid)

@@ -228,3 +228,55 @@ def per_offset_rulebook_regular(t, spec, out_shape):
     lookup = _sorted_key_lookup(out_coords, out_shape)
     pairs = [_sorted_pairs(in_rows, lookup(out_pos)) for in_rows, out_pos in per_offset]
     return tuple(offsets), pairs, out_coords
+
+
+def reference_gather_scatter_matmul(features, rulebook, weights, bias):
+    """The per-offset executor the engine started from: every offset, the
+    center included, gathers its input rows by fancy indexing and scatters
+    its product into a float64 buffer, in offset order."""
+    weights = np.asarray(weights)
+    acc = np.zeros((rulebook.n_out, weights.shape[2]), dtype=np.float64)
+    if bias is not None:
+        acc += np.asarray(bias, dtype=np.float64)
+    for o, p in enumerate(rulebook.pairs):
+        if p.shape[0]:
+            acc[p[:, 1]] += features[p[:, 0]] @ weights[o]
+    return acc.astype(features.dtype, copy=False)
+
+
+def reference_gather_scatter_vjp(features, rulebook, weights, cotangent, with_bias=True):
+    """Backward of :func:`reference_gather_scatter_matmul`, accumulating both
+    the feature and the weight gradients in float64 buffers."""
+    weights = np.asarray(weights)
+    grad_features = np.zeros(features.shape, dtype=np.float64)
+    grad_weights = np.zeros(weights.shape, dtype=np.float64)
+    for o, p in enumerate(rulebook.pairs):
+        if p.shape[0]:
+            cot_rows = cotangent[p[:, 1]]
+            grad_features[p[:, 0]] += cot_rows @ weights[o].T
+            grad_weights[o] += features[p[:, 0]].T @ cot_rows
+    out_dtype = features.dtype
+    grad_bias = cotangent.sum(axis=0).astype(out_dtype, copy=False) if with_bias else None
+    return (
+        grad_features.astype(out_dtype, copy=False),
+        grad_weights.astype(out_dtype, copy=False),
+        grad_bias,
+    )
+
+
+def keep_all_replay(tape, output, cotangent):
+    """Reverse replay that frees nothing and leaves the tape replayable.
+
+    Returns the map of every cotangent it formed, intermediates included,
+    as the tape's replay did before it released memory as it went.
+    """
+    grads = {output.uid: np.asarray(cotangent)}
+    for node in reversed(tape._nodes):
+        out_cot = grads.get(node.out_uid)
+        if out_cot is None:
+            continue
+        for uid, g in zip(node.in_uids, node.vjp(out_cot)):
+            if g is not None:
+                acc = grads.get(uid)
+                grads[uid] = g if acc is None else acc + g
+    return grads

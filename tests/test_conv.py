@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from focalvox.conv import SparseConvLayer, conv_vjp, regular_conv_down, subm_conv
-from focalvox.errors import InvalidSpec
+from focalvox.conv import SparseConvLayer, regular_conv_down, subm_conv
+from focalvox.errors import InvalidSpec, ShapeMismatch
 from focalvox.gradcheck import vjp_check
 from focalvox.sparse import (
     KernelSpec,
     SparseTensor,
     build_rulebook_submanifold,
+    gather_scatter_vjp,
     regular_out_shape,
 )
 from focalvox.tape import GradTape, Tensor, grad_of
@@ -124,8 +125,14 @@ class TestConvVjp:
 
     def test_zero_cotangent(self):
         t, rb, w, cot = self.setup_case(8)
-        gx, gw, gb = conv_vjp(np.zeros_like(cot), t.features.data, rb, w)
+        gx, gw, gb = gather_scatter_vjp(t.features.data, rb, w, np.zeros_like(cot))
         assert not gx.any() and not gw.any() and not gb.any()
+
+    def test_bad_cotangent_shape_raises(self):
+        t, rb, w, cot = self.setup_case(8)
+        for bad in (cot[:-1], cot[:, :1], cot.reshape(-1)):
+            with pytest.raises(ShapeMismatch):
+                gather_scatter_vjp(t.features.data, rb, w, bad)
 
     def test_isolated_voxel_grad(self):
         rng = np.random.default_rng(9)
@@ -134,7 +141,7 @@ class TestConvVjp:
         rb = build_rulebook_submanifold(t, spec)
         w = rng.standard_normal((27, 3, 2))
         cot = rng.standard_normal((1, 2))
-        gx, gw, gb = conv_vjp(cot, t.features.data.astype(np.float64), rb, w)
+        gx, gw, gb = gather_scatter_vjp(t.features.data.astype(np.float64), rb, w, cot)
         np.testing.assert_allclose(gx, cot @ w[13].T)
         np.testing.assert_allclose(gb, cot[0])
 

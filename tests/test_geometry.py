@@ -1,5 +1,6 @@
-"""Shared geometries: the batched map search against the per-offset
-reference, flat-key uniques, and the per-active-set rulebook cache."""
+"""Shared geometries: the batched map search and the gather-scatter
+executor against their per-offset references, flat-key uniques, and the
+per-active-set rulebook cache."""
 
 import gc
 import weakref
@@ -19,6 +20,8 @@ from focalvox.sparse import (
     SparseTensor,
     build_rulebook_regular,
     build_rulebook_submanifold,
+    gather_scatter_matmul,
+    gather_scatter_vjp,
     regular_out_shape,
     unique_coords,
 )
@@ -27,6 +30,8 @@ from helpers import (
     per_offset_rulebook_regular,
     per_offset_rulebook_submanifold,
     random_sparse,
+    reference_gather_scatter_matmul,
+    reference_gather_scatter_vjp,
 )
 
 
@@ -95,6 +100,52 @@ class TestMapSearchMatchesPerOffsetReference:
         out_shape = regular_out_shape(shape, spec)
         rb = build_rulebook_regular(t, spec, out_shape)
         assert_same_rulebook(rb, per_offset_rulebook_regular(t, spec, out_shape))
+
+
+class TestExecutorMatchesPerOffsetReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scene=scenes,
+        kind=st.sampled_from(["submanifold", "regular"]),
+        k=st.sampled_from([1, 3, 5]),
+        d=st.integers(1, 4),
+        channels=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        strided=st.booleans(),
+        workers=st.sampled_from([1, 4]),
+    )
+    def test_same_bytes(self, scene, kind, k, d, channels, dtype, strided, workers):
+        t = scene_from(scene)
+        if kind == "submanifold":
+            rb = build_rulebook_submanifold(t, KernelSpec.same(k, d, dims=t.dims))
+        else:
+            spec = KernelSpec((k,) * t.dims, (d,) * t.dims, (2,) * t.dims, (d,) * t.dims)
+            out_shape = regular_out_shape(t.spatial_shape, spec)
+            rb = build_rulebook_regular(t, spec, out_shape)
+        rng = np.random.default_rng(scene["seed"])
+        c_in, c_out = channels
+        x = rng.standard_normal((t.n_active, 2 * c_in)).astype(dtype)
+        x = x[:, ::2] if strided else np.ascontiguousarray(x[:, :c_in])
+        w = rng.standard_normal((len(rb.offsets), c_in, c_out)).astype(dtype)
+        b = rng.standard_normal(c_out).astype(dtype)
+        cot = rng.standard_normal((rb.n_out, c_out)).astype(dtype)
+
+        out = gather_scatter_matmul(x, rb, w, b, workers=workers)
+        want = reference_gather_scatter_matmul(x, rb, w, b)
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+        got = gather_scatter_vjp(x, rb, w, cot, workers=workers)
+        for g, ref in zip(got, reference_gather_scatter_vjp(x, rb, w, cot)):
+            assert g.dtype == ref.dtype and g.shape == ref.shape
+            assert g.tobytes() == ref.tobytes()
+
+    def test_identity_offset_is_the_submanifold_center(self):
+        t = random_sparse(np.random.default_rng(8), (5, 5, 5), 0.4, 1, batches=2)
+        rb = build_rulebook_submanifold(t, KernelSpec.same(3, 2, dims=3))
+        rows = np.arange(t.n_active)
+        assert rb.identity_offset == 13
+        assert np.array_equal(rb.pairs[13], np.stack((rows, rows), axis=1))
+        spec = KernelSpec.downsample(3)
+        assert build_rulebook_regular(t, spec, regular_out_shape((5, 5, 5), spec)).identity_offset == -1
 
 
 class TestUniqueCoords:
@@ -192,6 +243,18 @@ class TestGeometryCache:
         u = SparseTensor(coords, np.ones((2, 1)), (4, 4, 4))
         coords[0, 1] = 3  # the caller's array stays theirs
         assert u.coords[0, 1] == 1
+
+    def test_read_only_view_of_writable_memory_is_copied(self):
+        coords = np.array([[0, 1, 1, 1], [0, 2, 2, 2]], dtype=np.int64)
+        view = coords.view()
+        view.flags.writeable = False
+        t = SparseTensor(view, np.ones((2, 1)), (4, 4, 4))
+        assert t.geometry.index.lookup((0, 1, 1, 1)) == 0
+        coords[0, 1] = 3  # the owner can still write through its own array
+        assert t.coords[0, 1] == 1
+        assert t.geometry.index.lookup((0, 1, 1, 1)) == 0
+        frozen = t.coords[:]  # read-only all the way down: shared, not copied
+        assert SparseTensor(frozen, np.ones((2, 1)), (4, 4, 4)).coords is frozen
 
     def test_tiny_forward_builds_each_rulebook_once(self, monkeypatch):
         cfg = preset("tiny")
