@@ -19,7 +19,7 @@ from .backbone import (
 from .conv import SparseConvLayer, regular_conv_down, subm_conv
 from .erf import ErfMap, emit_pgm, erf_gradient_map, select_query
 from .gradcheck import vjp_check
-from .params import Initializer, ParamStore
+from .params import Initializer, ParamReader, ParamStore
 from .points import PointCloud, VoxelizerConfig, load_points, voxelize_vfe
 from .sfm import (
     SFMConfig,
@@ -53,6 +53,7 @@ __all__ = [
     "Initializer",
     "KernelSpec",
     "NetworkConfig",
+    "ParamReader",
     "ParamStore",
     "PointCloud",
     "PrecisionMode",

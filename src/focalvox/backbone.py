@@ -10,24 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import ops
 from .conv import SparseConvLayer, regular_conv_down
 from .errors import InvalidSpec, ShapeMismatch
-from .params import Initializer, ParamStore
+from .params import Initializer, ParamReader, ParamSource, ParamStore
 from .points import VFE_RAW_FEATURES, PointCloud, VoxelizerConfig, voxelize_vfe
 from .sfm import (
     SFMConfig,
     SfmBlockParams,
     SrbParams,
-    bind_sfm_block,
-    bind_srb,
-    init_sfm_block,
-    init_srb,
+    _bn,
+    batch_norm_params,
     sfm_block,
+    sfm_block_params,
     sfm_module_param_count,
     srb_block,
+    srb_params,
 )
 from .sparse import KernelSpec, SparseTensor, unique_coords
 from .tape import GradTape, PrecisionMode, Tensor
@@ -45,7 +43,6 @@ class StageConfig:
 
     n_sfm: int
     n_srb: int
-    channels: int
     sfm: SFMConfig
 
     def __post_init__(self):
@@ -53,10 +50,10 @@ class StageConfig:
             raise InvalidSpec("block counts must be non-negative")
         if self.total_blocks < 1:
             raise InvalidSpec("a stage needs at least one block")
-        if self.sfm.channels != self.channels:
-            raise InvalidSpec(
-                f"stage channels {self.channels} != mixer channels {self.sfm.channels}"
-            )
+
+    @property
+    def channels(self) -> int:
+        return self.sfm.channels
 
     @property
     def total_srb(self) -> int:
@@ -98,7 +95,6 @@ def _stage(n_sfm, n_srb, channels, kernels, dilations, mlp_ratio=2.0):
     return StageConfig(
         n_sfm=n_sfm,
         n_srb=n_srb,
-        channels=channels,
         sfm=SFMConfig(channels=channels, kernels=kernels, dilations=dilations,
                       mlp_ratio=mlp_ratio),
     )
@@ -166,62 +162,15 @@ def preset(name: str) -> NetworkConfig:
 # parameter layout
 
 
-def _stage_block_plan(cfg: StageConfig) -> list[tuple[str, str]]:
-    """Ordered (kind, name) list: sfm blocks each followed by their SRBs."""
-    plan = []
-    srb_index = 0
-    if cfg.n_sfm == 0:
-        for _ in range(cfg.n_srb):
-            plan.append(("srb", f"srb{srb_index}"))
-            srb_index += 1
-        return plan
-    for r in range(cfg.n_sfm):
-        plan.append(("sfm", f"sfm{r}"))
-        for _ in range(cfg.n_srb):
-            plan.append(("srb", f"srb{srb_index}"))
-            srb_index += 1
-    return plan
-
-
-def init_stage(init: Initializer, prefix: str, cfg: StageConfig, dims: int) -> None:
-    for kind, name in _stage_block_plan(cfg):
-        if kind == "sfm":
-            init_sfm_block(init, f"{prefix}.{name}", cfg.sfm, dims)
-        else:
-            init_srb(init, f"{prefix}.{name}", cfg.channels, dims)
-
-
 def init_network(cfg: NetworkConfig, seed: int | None = None) -> ParamStore:
     """Create every parameter of the network, deterministically seeded.
 
     The store's scalar width follows the config's precision mode, which is
     what routes a whole forward pass through float32 or float64.
     """
-    store = ParamStore()
-    init = Initializer(store, cfg.seed if seed is None else seed,
+    init = Initializer(ParamStore(), cfg.seed if seed is None else seed,
                        dtype=cfg.precision.dtype)
-    c1 = cfg.stages[0].channels
-    init.weight("vfe.weight", (VFE_RAW_FEATURES, c1), fan_in=VFE_RAW_FEATURES)
-    init.zeros("vfe.bias", (c1,))
-    for i, stage_cfg in enumerate(cfg.stages, start=1):
-        init_stage(init, f"stage{i}", stage_cfg, dims=3)
-        if i < 4:
-            c_in = stage_cfg.channels
-            c_out = cfg.downsample_channels[i - 1]
-            init.weight(f"down{i}.conv.weight", (27, c_in, c_out), fan_in=27 * c_in)
-            init.ones(f"down{i}.bn.gain", (c_out,))
-            init.zeros(f"down{i}.bn.bias", (c_out,))
-            init.zeros(f"down{i}.bn.running_mean", (c_out,))
-            init.ones(f"down{i}.bn.running_var", (c_out,))
-    c4 = cfg.stages[3].channels
-    init.weight("bev.proj.weight", (c4, cfg.bev_channels), fan_in=c4)
-    init.zeros("bev.proj.bias", (cfg.bev_channels,))
-    init.ones("bev.ln.gain", (cfg.bev_channels,))
-    init.zeros("bev.ln.bias", (cfg.bev_channels,))
-    init_stage(init, "backbone2d", cfg.backbone2d, dims=2)
-    init.weight("probe.weight", (cfg.bev_channels, PROBE_LOGITS), fan_in=cfg.bev_channels)
-    init.zeros("probe.bias", (PROBE_LOGITS,))
-    return store
+    return SfmNet(cfg, init).store
 
 
 @dataclass
@@ -246,14 +195,17 @@ class BevParams:
     ln_bias: Tensor
 
 
-def bind_stage(store: ParamStore, prefix: str, cfg: StageConfig, dims: int) -> StageParams:
+def stage_params(p: ParamSource, prefix: str, cfg: StageConfig, dims: int) -> StageParams:
+    """Mixer blocks, each followed by ``n_srb`` residual blocks (or, with
+    no mixer, ``n_srb`` residual blocks alone)."""
     blocks = []
-    for kind, name in _stage_block_plan(cfg):
-        full = f"{prefix}.{name}"
-        if kind == "sfm":
-            blocks.append(("sfm", bind_sfm_block(store, full, cfg.sfm, dims)))
-        else:
-            blocks.append(("srb", bind_srb(store, full, cfg.channels, dims)))
+    n_srb = 0
+    for r in range(max(cfg.n_sfm, 1)):
+        if cfg.n_sfm:
+            blocks.append(("sfm", sfm_block_params(p, f"{prefix}.sfm{r}", cfg.sfm, dims)))
+        for _ in range(cfg.n_srb):
+            blocks.append(("srb", srb_params(p, f"{prefix}.srb{n_srb}", cfg.channels, dims)))
+            n_srb += 1
     return StageParams(blocks)
 
 
@@ -273,13 +225,8 @@ def run_stage(
 def downsample(t: SparseTensor, params: DownsampleParams, bn_mode: str = "train") -> SparseTensor:
     """Stride-2 regular conv, then BN and ReLU."""
     out = regular_conv_down(t, params.conv)
-    normed, new_mean, new_var = ops.batch_norm_active(
-        out.features, params.bn_gain, params.bn_bias,
-        params.bn_mean.data, params.bn_var.data, mode=bn_mode,
-    )
-    if bn_mode == "train":
-        params.bn_mean.data = new_mean
-        params.bn_var.data = new_var
+    normed = _bn(out.features, params.bn_gain, params.bn_bias,
+                 params.bn_mean, params.bn_var, bn_mode)
     return out.with_features(ops.relu(normed))
 
 
@@ -297,44 +244,47 @@ def bev_compress(t: SparseTensor, params: BevParams) -> SparseTensor:
 
 
 class SfmNet:
-    """Binds a config and a parameter store into a runnable network."""
+    """Binds a config and a parameter store into a runnable network.
 
-    def __init__(self, config: NetworkConfig, store: ParamStore):
+    The constructor is the network's parameter layout.  ``store`` is a
+    ParamStore to bind (every tensor must be present with its declared
+    shape), or an Initializer, which creates each tensor as it is declared
+    (see :func:`init_network`).
+    """
+
+    def __init__(self, config: NetworkConfig, store: ParamStore | Initializer):
+        p = store if isinstance(store, Initializer) else ParamReader(store)
         self.config = config
-        self.store = store
-        self.vfe_w = store.tensor("vfe.weight")
-        self.vfe_b = store.tensor("vfe.bias")
-        self.stages = [
-            bind_stage(store, f"stage{i}", cfg, dims=3)
-            for i, cfg in enumerate(config.stages, start=1)
-        ]
-        self.downs = []
-        for i in range(1, 4):
-            spec = KernelSpec.downsample(3)
-            self.downs.append(
-                DownsampleParams(
-                    conv=SparseConvLayer(
-                        spec, "regular", store.tensor(f"down{i}.conv.weight")
-                    ),
-                    bn_gain=store.tensor(f"down{i}.bn.gain"),
-                    bn_bias=store.tensor(f"down{i}.bn.bias"),
-                    bn_mean=store.tensor(f"down{i}.bn.running_mean"),
-                    bn_var=store.tensor(f"down{i}.bn.running_var"),
-                )
-            )
+        self.store = p.store
+        c1 = config.stages[0].channels
+        self.vfe_w = p.weight("vfe.weight", (VFE_RAW_FEATURES, c1), fan_in=VFE_RAW_FEATURES)
+        self.vfe_b = p.zeros("vfe.bias", (c1,))
+        self.stages, self.downs = [], []
+        down = KernelSpec.downsample(3)
+        for i, stage_cfg in enumerate(config.stages, start=1):
+            self.stages.append(stage_params(p, f"stage{i}", stage_cfg, dims=3))
+            if i < 4:
+                c_in, c_out = stage_cfg.channels, config.downsample_channels[i - 1]
+                weight = p.weight(f"down{i}.conv.weight", (down.volume, c_in, c_out),
+                                  fan_in=down.volume * c_in)
+                self.downs.append(DownsampleParams(
+                    SparseConvLayer(down, "regular", weight),
+                    *batch_norm_params(p, f"down{i}.bn", c_out),
+                ))
+        c4, c_bev = config.stages[3].channels, config.bev_channels
         self.bev = BevParams(
-            proj_w=store.tensor("bev.proj.weight"),
-            proj_b=store.tensor("bev.proj.bias"),
-            ln_gain=store.tensor("bev.ln.gain"),
-            ln_bias=store.tensor("bev.ln.bias"),
+            proj_w=p.weight("bev.proj.weight", (c4, c_bev), fan_in=c4),
+            proj_b=p.zeros("bev.proj.bias", (c_bev,)),
+            ln_gain=p.ones("bev.ln.gain", (c_bev,)),
+            ln_bias=p.zeros("bev.ln.bias", (c_bev,)),
         )
-        self.stage2d = bind_stage(store, "backbone2d", config.backbone2d, dims=2)
-        self.probe_w = store.tensor("probe.weight")
-        self.probe_b = store.tensor("probe.bias")
+        self.stage2d = stage_params(p, "backbone2d", config.backbone2d, dims=2)
+        self.probe_w = p.weight("probe.weight", (c_bev, PROBE_LOGITS), fan_in=c_bev)
+        self.probe_b = p.zeros("probe.bias", (PROBE_LOGITS,))
 
     def backbone3d(self, t: SparseTensor, bn_mode: str = "train") -> SparseTensor:
-        for i, (stage_cfg, stage_params) in enumerate(zip(self.config.stages, self.stages)):
-            t = run_stage(t, stage_cfg, stage_params, bn_mode=bn_mode)
+        for i, (stage_cfg, params) in enumerate(zip(self.config.stages, self.stages)):
+            t = run_stage(t, stage_cfg, params, bn_mode=bn_mode)
             if i < 3:
                 t = downsample(t, self.downs[i], bn_mode=bn_mode)
         return t

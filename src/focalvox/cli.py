@@ -98,10 +98,9 @@ def _load_net(args):
 
 def cmd_voxelize(args) -> int:
     cfg = load_config(args.config)
-    store = init_network(cfg)  # VFE weights come from the config seed
+    net = SfmNet(cfg, init_network(cfg))  # VFE weights come from the config seed
     cloud = load_points(args.points, args.format)
-    t = voxelize_vfe(cloud, cfg.voxelizer, store.tensor("vfe.weight"),
-                     store.tensor("vfe.bias"))
+    t = voxelize_vfe(cloud, cfg.voxelizer, net.vfe_w, net.vfe_b)
     lines = ["b,x,y,z," + ",".join(f"f{i}" for i in range(t.channels))]
     for row in range(t.n_active):
         b, x, y, z = (int(v) for v in t.coords[row])

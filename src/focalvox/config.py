@@ -43,7 +43,6 @@ def _stage_from_dict(obj: dict, where: str) -> StageConfig:
         return StageConfig(
             n_sfm=int(obj["n_sfm"]),
             n_srb=int(obj["n_srb"]),
-            channels=int(obj["channels"]),
             sfm=SFMConfig(
                 channels=int(obj["channels"]),
                 kernels=tuple(obj["kernels"]),

@@ -4,6 +4,11 @@ Parameters live in an ordered map from dotted names ("stage4.sfm0.h.weight")
 to leaf tensors.  Batch-norm running statistics are kept in the same map so
 they persist with the weights, but they are flagged as buffers: they are
 not counted as trainable parameters and receive no gradients.
+
+Each block declares its tensors once, in one layout function that calls
+``weight``/``zeros``/``ones`` on a parameter source: an
+:class:`Initializer` creates each tensor as it is declared, a
+:class:`ParamReader` returns the stored one.
 """
 
 from __future__ import annotations
@@ -112,3 +117,26 @@ class Initializer:
 
     def ones(self, name: str, shape: tuple[int, ...]) -> Tensor:
         return self.store.add(name, np.ones(shape, dtype=self.dtype))
+
+
+class ParamReader:
+    """Reads a layout back from a store: the calls of :class:`Initializer`,
+    returning the stored tensor after checking that it has the declared
+    shape (``ShapeMismatch`` naming the tensor otherwise)."""
+
+    def __init__(self, store: ParamStore):
+        self.store = store
+
+    def _read(self, name: str, shape: tuple[int, ...], fan_in: int = 0) -> Tensor:
+        if name not in self.store:
+            raise ShapeMismatch(f"{name}: missing from the store (layout shape {shape})")
+        t = self.store.tensor(name)
+        if t.data.shape != tuple(shape):
+            raise ShapeMismatch(f"{name}: stored shape {t.data.shape} != layout shape {shape}")
+        return t
+
+    weight = zeros = ones = _read
+
+
+# what a layout function declares its tensors on
+ParamSource = Initializer | ParamReader

@@ -17,20 +17,17 @@ from . import ops
 from .backbone import init_network, preset
 from .conv import SparseConvLayer, regular_conv_down, subm_conv
 from .gradcheck import vjp_check
-from .params import Initializer, ParamStore
+from .params import Initializer, ParamReader, ParamStore
 from .points import PointCloud, voxelize_raw
 from .sfm import (
     SFMConfig,
-    bind_sfm_block,
-    bind_sfm_module,
-    bind_srb,
     erf_meters,
-    init_sfm_block,
-    init_sfm_module,
-    init_srb,
     sfm_block,
+    sfm_block_params,
     sfm_module,
+    sfm_module_params,
     srb_block,
+    srb_params,
 )
 from .sparse import (
     KernelSpec,
@@ -128,8 +125,8 @@ def gradcheck_suite(seed: int, module: str = "all", cases: int = 3):
         cfg = SFMConfig(channels=3, kernels=(3, 3), dilations=(1, 2))
         for case in range(cases):
             store = ParamStore()
-            init_sfm_module(Initializer(store, seed + case), "m", cfg, 3)
-            params = bind_sfm_module(store.as_dtype(np.float64), "m", cfg, 3)
+            sfm_module_params(Initializer(store, seed + case), "m", cfg, 3)
+            params = sfm_module_params(ParamReader(store.as_dtype(np.float64)), "m", cfg, 3)
             scene = _random_scene(rng, (6, 6, 6), 0.12, 3)
 
             def fn(ts, scene=scene, params=params):
@@ -143,8 +140,8 @@ def gradcheck_suite(seed: int, module: str = "all", cases: int = 3):
         cfg = SFMConfig(channels=3, kernels=(3,), dilations=(1,))
         for case in range(cases):
             store = ParamStore()
-            init_sfm_block(Initializer(store, seed + case), "b", cfg, 3)
-            params = bind_sfm_block(store.as_dtype(np.float64), "b", cfg, 3)
+            sfm_block_params(Initializer(store, seed + case), "b", cfg, 3)
+            params = sfm_block_params(ParamReader(store.as_dtype(np.float64)), "b", cfg, 3)
             scene = _random_scene(rng, (5, 5, 5), 0.2, 3)
 
             def block_fn(ts, scene=scene, params=params):
@@ -155,8 +152,8 @@ def gradcheck_suite(seed: int, module: str = "all", cases: int = 3):
             record(f"sfm_block[{case}]", err, COMPOSITE_TOL)
 
             store = ParamStore()
-            init_srb(Initializer(store, seed + case), "s", 3, 3)
-            srb = bind_srb(store.as_dtype(np.float64), "s", 3, 3)
+            srb_params(Initializer(store, seed + case), "s", 3, 3)
+            srb = srb_params(ParamReader(store.as_dtype(np.float64)), "s", 3, 3)
 
             def srb_fn(ts, scene=scene, srb=srb):
                 t = SparseTensor(scene.geometry, ts[0])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import ops
 from .conv import SparseConvLayer, subm_conv
 from .errors import InvalidSpec, ShapeMismatch
-from .params import Initializer, ParamStore
+from .params import ParamSource
 from .sparse import KernelSpec, SparseTensor, build_rulebook_submanifold
 from .tape import Tensor
 
@@ -215,94 +215,66 @@ def srb_block(t: SparseTensor, params: SrbParams, bn_mode: str = "train") -> Spa
 
 
 # ---------------------------------------------------------------------------
-# parameter creation / binding
+# parameter layout: ``p`` creates (Initializer) or binds (ParamReader)
 
-def init_sfm_module(init: Initializer, prefix: str, config: SFMConfig, dims: int) -> None:
+
+def sfm_module_params(p: ParamSource, prefix: str, config: SFMConfig, dims: int) -> SfmModuleParams:
     c, levels = config.channels, config.levels
-    init.weight(f"{prefix}.in_proj.weight", (c, 2 * c + levels), fan_in=c)
-    init.zeros(f"{prefix}.in_proj.bias", (2 * c + levels,))
-    for l, k in enumerate(config.kernels, start=1):
-        volume = k**dims
-        init.weight(f"{prefix}.level{l}.weight", (volume, c, c), fan_in=volume * c)
-        init.zeros(f"{prefix}.level{l}.bias", (c,))
-    init.weight(f"{prefix}.h.weight", (c, c), fan_in=c)
-    init.zeros(f"{prefix}.h.bias", (c,))
-
-
-def bind_sfm_module(store: ParamStore, prefix: str, config: SFMConfig, dims: int) -> SfmModuleParams:
+    in_proj_w = p.weight(f"{prefix}.in_proj.weight", (c, 2 * c + levels), fan_in=c)
+    in_proj_b = p.zeros(f"{prefix}.in_proj.bias", (2 * c + levels,))
     convs = []
     for l, (k, d) in enumerate(zip(config.kernels, config.dilations), start=1):
         spec = KernelSpec.same(k, d, dims=dims)
-        convs.append(
-            SparseConvLayer(
-                spec,
-                "submanifold",
-                store.tensor(f"{prefix}.level{l}.weight"),
-                store.tensor(f"{prefix}.level{l}.bias"),
-            )
-        )
+        weight = p.weight(f"{prefix}.level{l}.weight", (spec.volume, c, c),
+                          fan_in=spec.volume * c)
+        convs.append(SparseConvLayer(spec, "submanifold", weight,
+                                     p.zeros(f"{prefix}.level{l}.bias", (c,))))
     return SfmModuleParams(
-        in_proj_w=store.tensor(f"{prefix}.in_proj.weight"),
-        in_proj_b=store.tensor(f"{prefix}.in_proj.bias"),
+        in_proj_w=in_proj_w,
+        in_proj_b=in_proj_b,
         level_convs=convs,
-        h_w=store.tensor(f"{prefix}.h.weight"),
-        h_b=store.tensor(f"{prefix}.h.bias"),
+        h_w=p.weight(f"{prefix}.h.weight", (c, c), fan_in=c),
+        h_b=p.zeros(f"{prefix}.h.bias", (c,)),
     )
 
 
-def init_sfm_block(init: Initializer, prefix: str, config: SFMConfig, dims: int) -> None:
-    init_sfm_module(init, prefix, config, dims)
+def sfm_block_params(p: ParamSource, prefix: str, config: SFMConfig, dims: int) -> SfmBlockParams:
     c, hidden = config.channels, config.mlp_hidden
-    init.ones(f"{prefix}.ln1.gain", (c,))
-    init.zeros(f"{prefix}.ln1.bias", (c,))
-    init.ones(f"{prefix}.ln2.gain", (c,))
-    init.zeros(f"{prefix}.ln2.bias", (c,))
-    init.weight(f"{prefix}.mlp.fc1.weight", (c, hidden), fan_in=c)
-    init.zeros(f"{prefix}.mlp.fc1.bias", (hidden,))
-    init.weight(f"{prefix}.mlp.fc2.weight", (hidden, c), fan_in=hidden)
-    init.zeros(f"{prefix}.mlp.fc2.bias", (c,))
-
-
-def bind_sfm_block(store: ParamStore, prefix: str, config: SFMConfig, dims: int) -> SfmBlockParams:
     return SfmBlockParams(
-        module=bind_sfm_module(store, prefix, config, dims),
-        ln1_gain=store.tensor(f"{prefix}.ln1.gain"),
-        ln1_bias=store.tensor(f"{prefix}.ln1.bias"),
-        ln2_gain=store.tensor(f"{prefix}.ln2.gain"),
-        ln2_bias=store.tensor(f"{prefix}.ln2.bias"),
-        mlp_w1=store.tensor(f"{prefix}.mlp.fc1.weight"),
-        mlp_b1=store.tensor(f"{prefix}.mlp.fc1.bias"),
-        mlp_w2=store.tensor(f"{prefix}.mlp.fc2.weight"),
-        mlp_b2=store.tensor(f"{prefix}.mlp.fc2.bias"),
+        module=sfm_module_params(p, prefix, config, dims),
+        ln1_gain=p.ones(f"{prefix}.ln1.gain", (c,)),
+        ln1_bias=p.zeros(f"{prefix}.ln1.bias", (c,)),
+        ln2_gain=p.ones(f"{prefix}.ln2.gain", (c,)),
+        ln2_bias=p.zeros(f"{prefix}.ln2.bias", (c,)),
+        mlp_w1=p.weight(f"{prefix}.mlp.fc1.weight", (c, hidden), fan_in=c),
+        mlp_b1=p.zeros(f"{prefix}.mlp.fc1.bias", (hidden,)),
+        mlp_w2=p.weight(f"{prefix}.mlp.fc2.weight", (hidden, c), fan_in=hidden),
+        mlp_b2=p.zeros(f"{prefix}.mlp.fc2.bias", (c,)),
     )
 
 
-def init_srb(init: Initializer, prefix: str, channels: int, dims: int) -> None:
-    volume = 3**dims
-    for stage in ("1", "2"):
-        # convs feed a batch norm, so they carry no bias
-        init.weight(f"{prefix}.conv{stage}.weight", (volume, channels, channels),
-                    fan_in=volume * channels)
-        init.ones(f"{prefix}.bn{stage}.gain", (channels,))
-        init.zeros(f"{prefix}.bn{stage}.bias", (channels,))
-        init.zeros(f"{prefix}.bn{stage}.running_mean", (channels,))
-        init.ones(f"{prefix}.bn{stage}.running_var", (channels,))
+def batch_norm_params(p: ParamSource, prefix: str, channels: int) -> tuple[Tensor, ...]:
+    """(gain, bias, running mean, running var) of one batch norm, in the
+    field order of SrbParams and DownsampleParams."""
+    return (
+        p.ones(f"{prefix}.gain", (channels,)),
+        p.zeros(f"{prefix}.bias", (channels,)),
+        p.zeros(f"{prefix}.running_mean", (channels,)),
+        p.ones(f"{prefix}.running_var", (channels,)),
+    )
 
 
-def bind_srb(store: ParamStore, prefix: str, channels: int, dims: int) -> SrbParams:
+def srb_params(p: ParamSource, prefix: str, channels: int, dims: int) -> SrbParams:
     spec = KernelSpec.same(3, 1, dims=dims)
-    return SrbParams(
-        conv1=SparseConvLayer(spec, "submanifold", store.tensor(f"{prefix}.conv1.weight")),
-        bn1_gain=store.tensor(f"{prefix}.bn1.gain"),
-        bn1_bias=store.tensor(f"{prefix}.bn1.bias"),
-        bn1_mean=store.tensor(f"{prefix}.bn1.running_mean"),
-        bn1_var=store.tensor(f"{prefix}.bn1.running_var"),
-        conv2=SparseConvLayer(spec, "submanifold", store.tensor(f"{prefix}.conv2.weight")),
-        bn2_gain=store.tensor(f"{prefix}.bn2.gain"),
-        bn2_bias=store.tensor(f"{prefix}.bn2.bias"),
-        bn2_mean=store.tensor(f"{prefix}.bn2.running_mean"),
-        bn2_var=store.tensor(f"{prefix}.bn2.running_var"),
-    )
+
+    def conv_bn(stage):
+        # convs feed a batch norm, so they carry no bias
+        weight = p.weight(f"{prefix}.conv{stage}.weight", (spec.volume, channels, channels),
+                          fan_in=spec.volume * channels)
+        return (SparseConvLayer(spec, "submanifold", weight),
+                *batch_norm_params(p, f"{prefix}.bn{stage}", channels))
+
+    return SrbParams(*conv_bn(1), *conv_bn(2))
 
 
 def sfm_module_param_count(config: SFMConfig, dims: int) -> int:

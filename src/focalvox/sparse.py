@@ -4,7 +4,7 @@ A sparse tensor is a list of active voxel coordinates plus an N x C feature
 block.  Convolutions are executed from a rulebook: for every kernel offset,
 the list of (input_row, output_row) pairs that offset connects.  Rulebooks
 fix the iteration order of every reduction, which is what makes the whole
-engine bitwise deterministic regardless of worker count.
+engine bitwise deterministic.
 
 Coordinate arrays are int64 of shape (N, 1 + D) with columns
 ``[batch, i0, ..., i_{D-1}]``.  A :class:`Geometry` owns one read-only
@@ -15,8 +15,6 @@ its rulebooks), and every tensor on that active set shares it.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -25,19 +23,6 @@ import numpy as np
 
 from .errors import DuplicateCoordinate, InvalidSpec, ShapeMismatch
 from .tape import Tensor
-
-
-def worker_count(workers: int | None = None) -> int:
-    """Resolve a worker count; FOCALVOX_THREADS caps the default of 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("FOCALVOX_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
 
 
 class VoxelCoord(NamedTuple):
@@ -500,34 +485,18 @@ def build_rulebook_regular(
     )
 
 
-def _map_offsets(fn, offsets, workers: int | None):
-    """Evaluate fn per offset, results in offset order.
-
-    Serially, each result is computed when the caller reaches it, so a
-    caller that folds results in as they come holds one offset's result at
-    a time.  Work may run on a thread pool; the assembly order is fixed,
-    so results are identical for any worker count.
-    """
-    n_workers = worker_count(workers)
-    if n_workers <= 1 or len(offsets) <= 1:
-        return map(fn, offsets)
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, offsets))
-
-
 def gather_scatter_matmul(
     features: np.ndarray,
     rulebook: Rulebook,
     weights: np.ndarray,
     bias: np.ndarray | None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Execute a rulebook: ``out[j] = bias + sum_o sum_{(i,j)} x[i] @ W_o``.
 
     Per-offset contributions are accumulated into a float64 buffer in
-    offset order (then cast back to the input dtype), which bounds
-    summation-order error and keeps the result bitwise identical for any
-    worker count.  Within one offset no two pairs share an output row, so
+    offset order, each as soon as it is computed (then cast back to the
+    input dtype), which bounds summation-order error and fixes the result
+    bit for bit.  Within one offset no two pairs share an output row, so
     the scatter is collision-free.  The identity offset of a submanifold
     rulebook needs neither gather nor scatter.
     """
@@ -549,24 +518,14 @@ def gather_scatter_matmul(
     if bias is not None:
         acc += np.asarray(bias, dtype=np.float64)
     center = rulebook.identity_offset
-
-    def contrib_for(o):
+    for o in range(k):
         if o == center:
             # C order, as a gathered copy has, so the product's bits match
-            return np.ascontiguousarray(features) @ weights[o]
-        p = rulebook.pairs[o]
-        if p.shape[0] == 0:
-            return None
-        return np.take(features, p[:, 0], axis=0) @ weights[o]
-
-    partials = _map_offsets(contrib_for, range(k), workers)
-    for o, part in enumerate(partials):
-        if part is None:
+            acc += np.ascontiguousarray(features) @ weights[o]
             continue
-        if o == center:
-            acc += part
-        else:
-            acc[rulebook.pairs[o][:, 1]] += part
+        p = rulebook.pairs[o]
+        if p.shape[0]:
+            acc[p[:, 1]] += np.take(features, p[:, 0], axis=0) @ weights[o]
     return acc.astype(features.dtype, copy=False)
 
 
@@ -576,7 +535,6 @@ def gather_scatter_vjp(
     weights: np.ndarray,
     cotangent: np.ndarray,
     with_bias: bool = True,
-    workers: int | None = None,
 ):
     """Backward pass of :func:`gather_scatter_matmul`.
 
@@ -598,27 +556,22 @@ def gather_scatter_vjp(
     # one product per offset: stored directly, no float64 accumulator
     grad_weights = np.zeros(weights.shape, dtype=features.dtype)
     center = rulebook.identity_offset
-
-    def grads_for(o):
+    for o in range(k):
         if o == center:
             x, cot_rows = np.ascontiguousarray(features), np.ascontiguousarray(cotangent)
         else:
             p = rulebook.pairs[o]
             if p.shape[0] == 0:
-                return None
+                continue
             x = np.take(features, p[:, 0], axis=0)
             cot_rows = np.take(cotangent, p[:, 1], axis=0)
-        return cot_rows @ weights[o].T, x.T @ cot_rows
-
-    partials = _map_offsets(grads_for, range(k), workers)
-    for o, part in enumerate(partials):
-        if part is None:
-            continue
-        gx, grad_weights[o] = part
+        gx = cot_rows @ weights[o].T
+        grad_weights[o] = x.T @ cot_rows
+        del x, cot_rows  # hold one offset's gathers at a time
         if o == center:
             grad_features += gx
         else:
-            grad_features[rulebook.pairs[o][:, 0]] += gx
+            grad_features[p[:, 0]] += gx
     grad_bias = cotangent.sum(axis=0) if with_bias else None
     out_dtype = features.dtype
     return (

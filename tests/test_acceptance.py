@@ -16,21 +16,18 @@ from focalvox.config import config_from_json, config_to_json
 from focalvox.conv import SparseConvLayer, regular_conv_down, subm_conv
 from focalvox.erf import emit_pgm, erf_gradient_map
 from focalvox.gradcheck import vjp_check
-from focalvox.params import Initializer, ParamStore
+from focalvox.params import Initializer, ParamReader, ParamStore
 from focalvox.points import PointCloud
 from focalvox.sfm import (
     SFMConfig,
-    bind_sfm_block,
-    bind_sfm_module,
-    bind_srb,
     erf_meters,
     erf_radius,
-    init_sfm_block,
-    init_sfm_module,
-    init_srb,
     sfm_block,
+    sfm_block_params,
     sfm_module,
+    sfm_module_params,
     srb_block,
+    srb_params,
 )
 from focalvox.sparse import (
     KernelSpec,
@@ -237,8 +234,8 @@ def test_criterion_3_gradcheck():
     def module_case(case):
         rng = np.random.default_rng(3500 + case)
         store = ParamStore()
-        init_sfm_module(Initializer(store, 900 + case), "m", module_cfg, 3)
-        params = bind_sfm_module(store.as_dtype(np.float64), "m", module_cfg, 3)
+        sfm_module_params(Initializer(store, 900 + case), "m", module_cfg, 3)
+        params = sfm_module_params(ParamReader(store.as_dtype(np.float64)), "m", module_cfg, 3)
         scene = random_sparse(rng, (6, 6, 6), 0.12, 3, dtype=np.float64)
 
         def fn(ts, scene=scene, params=params):
@@ -254,8 +251,8 @@ def test_criterion_3_gradcheck():
     def block_case(case):
         rng = np.random.default_rng(3600 + case)
         store = ParamStore()
-        init_sfm_block(Initializer(store, 1900 + case), "b", block_cfg, 3)
-        params = bind_sfm_block(store.as_dtype(np.float64), "b", block_cfg, 3)
+        sfm_block_params(Initializer(store, 1900 + case), "b", block_cfg, 3)
+        params = sfm_block_params(ParamReader(store.as_dtype(np.float64)), "b", block_cfg, 3)
         scene = random_sparse(rng, (5, 5, 5), 0.2, 3, dtype=np.float64)
 
         def fn(ts, scene=scene, params=params):
@@ -269,8 +266,8 @@ def test_criterion_3_gradcheck():
     def srb_case(case):
         rng = np.random.default_rng(3700 + case)
         store = ParamStore()
-        init_srb(Initializer(store, 2900 + case), "s", 3, 3)
-        params = bind_srb(store.as_dtype(np.float64), "s", 3, 3)
+        srb_params(Initializer(store, 2900 + case), "s", 3, 3)
+        params = srb_params(ParamReader(store.as_dtype(np.float64)), "s", 3, 3)
         mode = "train" if case % 2 == 0 else "eval"
         scene = random_sparse(rng, (5, 5, 5), 0.2, 3, dtype=np.float64)
 
@@ -291,12 +288,12 @@ def test_criterion_4_sparsity_preservation():
     failures = []
     cfg = SFMConfig(channels=3, kernels=(3, 3), dilations=(1, 2))
     block_store = ParamStore()
-    init_sfm_block(Initializer(block_store, 40), "b", cfg, 3)
-    block_params = bind_sfm_block(block_store, "b", cfg, 3)
+    sfm_block_params(Initializer(block_store, 40), "b", cfg, 3)
+    block_params = sfm_block_params(ParamReader(block_store), "b", cfg, 3)
     module_params = block_params.module
     srb_store = ParamStore()
-    init_srb(Initializer(srb_store, 41), "s", 3, 3)
-    srb_params = bind_srb(srb_store, "s", 3, 3)
+    srb_params(Initializer(srb_store, 41), "s", 3, 3)
+    srb = srb_params(ParamReader(srb_store), "s", 3, 3)
     conv_store = ParamStore()
     conv_init = Initializer(conv_store, 42)
     conv_init.weight("w", (27, 3, 3), fan_in=81)
@@ -315,7 +312,7 @@ def test_criterion_4_sparsity_preservation():
             ("subm_conv", subm_conv(t, conv_layer)),
             ("sfm_module", sfm_module(t, cfg, module_params)),
             ("sfm_block", sfm_block(t, cfg, block_params)),
-            ("srb", srb_block(t, srb_params)),
+            ("srb", srb_block(t, srb)),
         ):
             if out.coords is not t.coords or not np.array_equal(out.coords, t.coords):
                 failures.append(f"{name} changed the active set (seed {seed})")
@@ -335,8 +332,8 @@ def test_criterion_5_erf_support():
     reach_hits = 0
     for seed in range(10):
         store = ParamStore()
-        init_sfm_module(Initializer(store, 500 + seed), "m", cfg, 3)
-        params = bind_sfm_module(store, "m", cfg, 3)
+        sfm_module_params(Initializer(store, 500 + seed), "m", cfg, 3)
+        params = sfm_module_params(ParamReader(store), "m", cfg, 3)
         erf = erf_gradient_map(lambda t: sfm_module(t, cfg, params), scene, query)
         at_max = 0
         for (b, x, y, z), mag in erf.values().items():
@@ -352,8 +349,8 @@ def test_criterion_5_erf_support():
 
     for seed in range(10):
         store = ParamStore()
-        init_srb(Initializer(store, 600 + seed), "s", 3, 3)
-        params = bind_srb(store, "s", 3, 3)
+        srb_params(Initializer(store, 600 + seed), "s", 3, 3)
+        params = srb_params(ParamReader(store), "s", 3, 3)
         erf = erf_gradient_map(
             lambda t: srb_block(t, params, bn_mode="eval"), scene, query
         )
@@ -454,8 +451,8 @@ def test_criterion_8_format_round_trips(tmp_path):
 
     sfm_cfg = SFMConfig(channels=3, kernels=(3, 3), dilations=(1, 3))
     pstore = ParamStore()
-    init_sfm_module(Initializer(pstore, 123), "m", sfm_cfg, 3)
-    params = bind_sfm_module(pstore.as_dtype(np.float64), "m", sfm_cfg, 3)
+    sfm_module_params(Initializer(pstore, 123), "m", sfm_cfg, 3)
+    params = sfm_module_params(ParamReader(pstore.as_dtype(np.float64)), "m", sfm_cfg, 3)
     coords = np.array([(0, x, y, 0) for x in range(9) for y in range(9)], dtype=np.int64)
     feats = np.random.default_rng(5).standard_normal((coords.shape[0], 3))
     scene = SparseTensor(coords, feats, (9, 9, 1))

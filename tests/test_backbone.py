@@ -7,7 +7,6 @@ from focalvox.backbone import (
     NetworkConfig,
     StageConfig,
     bev_compress,
-    bind_stage,
     downsample,
     init_network,
     param_count,
@@ -16,7 +15,7 @@ from focalvox.backbone import (
     sfmnet_forward,
 )
 from focalvox.errors import EmptyScene, InvalidSpec
-from focalvox.params import Initializer, ParamStore, is_buffer_name
+from focalvox.params import Initializer, ParamReader, ParamStore, is_buffer_name
 from focalvox.points import PointCloud
 from focalvox.sfm import SFMConfig, sfm_block
 from focalvox.tape import GradTape, Tensor, grad_of
@@ -27,7 +26,6 @@ def small_stage(n_sfm, n_srb, channels=8):
     return StageConfig(
         n_sfm=n_sfm,
         n_srb=n_srb,
-        channels=channels,
         sfm=SFMConfig(channels=channels, kernels=(3,), dilations=(1,)),
     )
 
@@ -36,10 +34,10 @@ def stage_with_params(n_sfm, n_srb, channels=8, dims=3, seed=0):
     cfg = small_stage(n_sfm, n_srb, channels)
     store = ParamStore()
     init = Initializer(store, seed)
-    from focalvox.backbone import init_stage
+    from focalvox.backbone import stage_params
 
-    init_stage(init, "s", cfg, dims)
-    return cfg, bind_stage(store, "s", cfg, dims)
+    stage_params(init, "s", cfg, dims)
+    return cfg, stage_params(ParamReader(store), "s", cfg, dims)
 
 
 class TestStage:

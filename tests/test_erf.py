@@ -10,19 +10,16 @@ from focalvox.erf import (
     select_query,
 )
 from focalvox.errors import InactiveQuery, InvalidSpec
-from focalvox.params import Initializer, ParamStore
+from focalvox.params import Initializer, ParamReader, ParamStore
 from focalvox.sfm import (
     SFMConfig,
-    bind_sfm_block,
-    bind_srb,
     erf_radius,
-    init_sfm_block,
-    init_srb,
     sfm_block,
+    sfm_block_params,
     sfm_module,
-    bind_sfm_module,
-    init_sfm_module,
+    sfm_module_params,
     srb_block,
+    srb_params,
 )
 from focalvox.sparse import SparseTensor, VoxelCoord
 from helpers import sparse_from_coords
@@ -38,16 +35,16 @@ def slab_scene(nx=11, ny=11, nz=3, channels=3, seed=0):
 
 def srb_stack(channels=3, seed=0):
     store = ParamStore()
-    init_srb(Initializer(store, seed), "p", channels, 3)
-    params = bind_srb(store, "p", channels, 3)
+    srb_params(Initializer(store, seed), "p", channels, 3)
+    params = srb_params(ParamReader(store), "p", channels, 3)
     return lambda t: srb_block(t, params, bn_mode="eval"), params
 
 
 def sfm_module_stack(channels=3, seed=0, kernels=(3, 3), dilations=(1, 3)):
     cfg = SFMConfig(channels=channels, kernels=kernels, dilations=dilations)
     store = ParamStore()
-    init_sfm_module(Initializer(store, seed), "m", cfg, 3)
-    params = bind_sfm_module(store, "m", cfg, 3)
+    sfm_module_params(Initializer(store, seed), "m", cfg, 3)
+    params = sfm_module_params(ParamReader(store), "m", cfg, 3)
     return lambda t: sfm_module(t, cfg, params), cfg, params
 
 
@@ -137,8 +134,8 @@ class TestGradientMap:
 
         cfg = SFMConfig(channels=3, kernels=(3, 3), dilations=(1, 3))
         store = ParamStore()
-        init_sfm_block(Initializer(store, 8), "b", cfg, 3)
-        block = bind_sfm_block(store, "b", cfg, 3)
+        sfm_block_params(Initializer(store, 8), "b", cfg, 3)
+        block = sfm_block_params(ParamReader(store), "b", cfg, 3)
         erf_sfm = erf_gradient_map(lambda x: sfm_block(x, cfg, block), t, query)
 
         stack, _ = srb_stack(seed=9)

@@ -5,27 +5,25 @@ from focalvox import ops
 from focalvox.conv import SparseConvLayer, subm_conv
 from focalvox.errors import InvalidSpec
 from focalvox.gradcheck import vjp_check
-from focalvox.params import Initializer, ParamStore
+from focalvox.params import Initializer, ParamReader, ParamStore
 from focalvox.sfm import (
     SFMConfig,
     SfmBlockParams,
     SfmModuleParams,
     aggregate_context,
-    bind_sfm_block,
     context_levels,
     effective_receptive_field,
     erf_meters,
     erf_radius,
-    init_sfm_block,
-    init_srb,
-    bind_srb,
     input_projection,
     modulate,
     sfm_block,
+    sfm_block_params,
     sfm_module,
     sfm_module_param_count,
     sfm_pair_count,
     srb_block,
+    srb_params,
 )
 from focalvox.sparse import KernelSpec, SparseTensor, centered_offsets
 from focalvox.tape import Tensor
@@ -427,8 +425,10 @@ class TestSrb:
     def make_params(self, rng, c=3, dims=3, dtype=np.float64):
         store = ParamStore()
         init = Initializer(store, seed=int(rng.integers(1 << 30)), dtype=np.float32)
-        init_srb(init, "srb", c, dims)
-        return bind_srb(store.as_dtype(dtype) if dtype is not np.float32 else store, "srb", c, dims)
+        srb_params(init, "srb", c, dims)
+        return srb_params(
+            ParamReader(store.as_dtype(dtype) if dtype is not np.float32 else store), "srb", c, dims
+        )
 
     def test_zeroed_convs_reduce_to_relu(self):
         rng = np.random.default_rng(20)
@@ -507,8 +507,8 @@ class TestParamAccounting:
         cfg = SFMConfig(channels=4, kernels=(3, 3), dilations=(1, 3))
         store = ParamStore()
         init = Initializer(store, seed=0)
-        init_sfm_block(init, "blk", cfg, dims=3)
-        bind_sfm_block(store, "blk", cfg, dims=3)
+        sfm_block_params(init, "blk", cfg, dims=3)
+        sfm_block_params(ParamReader(store), "blk", cfg, dims=3)
         module_names = [n for n in store.param_names() if ".ln" not in n and ".mlp" not in n]
         total = sum(store.data(n).size for n in module_names)
         assert total == sfm_module_param_count(cfg, dims=3)
