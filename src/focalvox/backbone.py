@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from . import ops
 from .conv import SparseConvLayer, regular_conv_down
 from .errors import InvalidSpec, ShapeMismatch
-from .params import Initializer, ParamReader, ParamSource, ParamStore
-from .points import VFE_RAW_FEATURES, PointCloud, VoxelizerConfig, voxelize_vfe
+from .params import Initializer, LayoutTemplate, ParamReader, ParamSource, ParamStore
+from .points import VFE_RAW_FEATURES, PointCloud, VoxelizerConfig, vfe_params, voxelize_vfe
 from .sfm import (
     SFMConfig,
     SfmBlockParams,
@@ -173,6 +173,12 @@ def init_network(cfg: NetworkConfig, seed: int | None = None) -> ParamStore:
     return SfmNet(cfg, init).store
 
 
+def network_template(cfg: NetworkConfig) -> ParamStore:
+    """Every tensor of the layout, in the config's precision, with no
+    random draws: the names and shapes a weights file is loaded into."""
+    return SfmNet(cfg, LayoutTemplate(ParamStore(), dtype=cfg.precision.dtype)).store
+
+
 @dataclass
 class StageParams:
     blocks: list[tuple[str, SfmBlockParams | SrbParams]]
@@ -256,9 +262,7 @@ class SfmNet:
         p = store if isinstance(store, Initializer) else ParamReader(store)
         self.config = config
         self.store = p.store
-        c1 = config.stages[0].channels
-        self.vfe_w = p.weight("vfe.weight", (VFE_RAW_FEATURES, c1), fan_in=VFE_RAW_FEATURES)
-        self.vfe_b = p.zeros("vfe.bias", (c1,))
+        self.vfe_w, self.vfe_b = vfe_params(p, config.stages[0].channels)
         self.stages, self.downs = [], []
         down = KernelSpec.downsample(3)
         for i, stage_cfg in enumerate(config.stages, start=1):

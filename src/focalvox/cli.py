@@ -12,13 +12,14 @@ import sys
 
 import numpy as np
 
-from .backbone import SfmNet, init_network, sfmnet_forward
+from .backbone import SfmNet, init_network, network_template, sfmnet_forward
 from .bench import scaling_experiment
 from .config import load_config
 from .erf import emit_pgm, erf_gradient_map, select_query
 from .errors import FocalvoxError, InvalidSpec, IoError
 from .fileio import atomic_write_text
-from .points import load_points, voxelize_vfe
+from .params import Initializer, ParamStore
+from .points import load_points, vfe_params, voxelize_vfe
 from .selftest import GRADCHECK_MODULES, gradcheck_suite, oracle_suite
 from .sfm import SFMConfig
 from .weights import load_weights
@@ -88,7 +89,7 @@ def _format_row(values) -> str:
 def _load_net(args):
     cfg = load_config(args.config)
     if getattr(args, "weights", None):
-        store = load_weights(args.weights, init_network(cfg))
+        store = load_weights(args.weights, network_template(cfg))
     elif getattr(args, "init_seed", None) is not None:
         store = init_network(cfg, seed=args.init_seed)
     else:
@@ -98,9 +99,11 @@ def _load_net(args):
 
 def cmd_voxelize(args) -> int:
     cfg = load_config(args.config)
-    net = SfmNet(cfg, init_network(cfg))  # VFE weights come from the config seed
+    # the VFE tensors are the first draws of init_network with the config seed
+    init = Initializer(ParamStore(), cfg.seed, dtype=cfg.precision.dtype)
+    vfe_w, vfe_b = vfe_params(init, cfg.stages[0].channels)
     cloud = load_points(args.points, args.format)
-    t = voxelize_vfe(cloud, cfg.voxelizer, net.vfe_w, net.vfe_b)
+    t = voxelize_vfe(cloud, cfg.voxelizer, vfe_w, vfe_b)
     lines = ["b,x,y,z," + ",".join(f"f{i}" for i in range(t.channels))]
     for row in range(t.n_active):
         b, x, y, z = (int(v) for v in t.coords[row])

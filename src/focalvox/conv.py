@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidSpec, ShapeMismatch
 from .sparse import (
     Geometry,
@@ -76,11 +78,18 @@ def _apply_rulebook(
     tape = active_tape(x, weight, bias)
     out = Tensor(out_data, tape)
     if tape is not None:
-        xd, wd = x.data, weight.data
+        wd = weight.data
+        need_w = tape.needs(weight)
+        need_b = bias is not None and tape.needs(bias)
+        # without a weight gradient the VJP reads only the features' shape
+        # and dtype, which a zero-strided view carries without the data
+        xd = x.data if need_w else np.broadcast_to(np.zeros((), x.data.dtype), x.data.shape)
         inputs = (x, weight) if bias is None else (x, weight, bias)
 
         def vjp(cot):
-            gx, gw, gb = gather_scatter_vjp(xd, rulebook, wd, cot, with_bias=bias is not None)
+            gx, gw, gb = gather_scatter_vjp(
+                xd, rulebook, wd, cot, with_bias=need_b, with_weights=need_w
+            )
             if bias is None:
                 return gx, gw
             return gx, gw, gb

@@ -99,7 +99,7 @@ def erf_gradient_map(stack, scene: SparseTensor, query: VoxelCoord) -> ErfMap:
     the L2 norm of the gradient of that scalar with respect to the voxel's
     input features.
     """
-    tape = GradTape()
+    tape = GradTape(params=False)  # only the input features are differentiated
     feats = Tensor(scene.features.data, tape)
     out = stack(scene.with_features(feats))
     row = out.geometry.index.lookup(query)

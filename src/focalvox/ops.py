@@ -34,18 +34,29 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
     tape = active_tape(x, weight, bias)
     out = Tensor(data, tape)
     if tape is not None:
-        xd, wd = x.data, weight.data
+        wd = weight.data
+        xd = x.data if tape.needs(weight) else None
+        need_b = bias is not None and tape.needs(bias)
         inputs = (x, weight) if bias is None else (x, weight, bias)
 
         def vjp(cot):
             gx = cot @ wd.T
-            gw = xd.T @ cot
+            gw = None if xd is None else xd.T @ cot
             if bias is None:
                 return gx, gw
-            return gx, gw, cot.sum(axis=0)
+            return gx, gw, cot.sum(axis=0) if need_b else None
 
         tape.record("linear", out, inputs, vjp)
     return out
+
+
+def _affine_grads(cot, xhat, need_gain: bool, need_bias: bool):
+    """Gain and bias gradients of ``xhat * gain + bias`` (row sums), None
+    for each one the tape does not need."""
+    return (
+        (cot * xhat).sum(axis=0) if need_gain else None,
+        cot.sum(axis=0) if need_bias else None,
+    )
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -62,6 +73,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out = Tensor(data, tape)
     if tape is not None:
         gd = gain.data
+        needs = tape.needs(gain), tape.needs(bias)
 
         def vjp(cot):
             # d/dxhat, then the standard normalization backward per row
@@ -69,7 +81,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             m1 = g.mean(axis=1, keepdims=True)
             m2 = (g * xhat).mean(axis=1, keepdims=True)
             gx = inv_std * (g - m1 - xhat * m2)
-            return gx, (cot * xhat).sum(axis=0), cot.sum(axis=0)
+            return gx, *_affine_grads(cot, xhat, *needs)
 
         tape.record("layer_norm", out, (x, gain, bias), vjp)
     return out
@@ -114,6 +126,7 @@ def batch_norm_active(
     out = Tensor(xhat * gain.data + bias.data, tape)
     if tape is not None:
         gd = gain.data
+        needs = tape.needs(gain), tape.needs(bias)
 
         if mode == "train":
 
@@ -122,12 +135,14 @@ def batch_norm_active(
                 m1 = g.mean(axis=0)
                 m2 = (g * xhat).mean(axis=0)
                 gx = inv_std * (g - m1 - xhat * m2)
-                return gx, (cot * xhat).sum(axis=0), cot.sum(axis=0)
+                return gx, *_affine_grads(cot, xhat, *needs)
 
         else:
+            # the input gradient does not read xhat; only the gain's does
+            saved = xhat if needs[0] else None
 
             def vjp(cot):
-                return cot * gd * inv_std, (cot * xhat).sum(axis=0), cot.sum(axis=0)
+                return cot * gd * inv_std, *_affine_grads(cot, saved, *needs)
 
         tape.record("batch_norm", out, (x, gain, bias), vjp)
     return out, new_mean, new_var

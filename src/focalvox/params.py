@@ -119,6 +119,19 @@ class Initializer:
         return self.store.add(name, np.ones(shape, dtype=self.dtype))
 
 
+class LayoutTemplate(Initializer):
+    """An :class:`Initializer` that draws nothing: weights start at zero
+    like biases.  It declares a layout's names and shapes cheaply, for a
+    store whose values are loaded afterwards."""
+
+    def __init__(self, store: ParamStore, dtype=np.float32):
+        self.store = store
+        self.dtype = dtype
+
+    def weight(self, name: str, shape: tuple[int, ...], fan_in: int) -> Tensor:
+        return self.zeros(name, shape)
+
+
 class ParamReader:
     """Reads a layout back from a store: the calls of :class:`Initializer`,
     returning the stored tensor after checking that it has the declared

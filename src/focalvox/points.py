@@ -16,6 +16,7 @@ import numpy as np
 
 from . import ops
 from .errors import EmptyScene, InvalidSpec, IoError, ParseError
+from .params import ParamSource
 from .sparse import SparseTensor, unique_coords
 from .tape import GradTape, Tensor
 
@@ -123,6 +124,12 @@ class VoxelizerConfig:
             int(round((hi - lo) / size))
             for lo, hi, size in zip(self.range_min, self.range_max, self.voxel_size)
         )
+
+
+def vfe_params(p: ParamSource, channels: int) -> tuple[Tensor, Tensor]:
+    """Layout of the VFE projection: (weight, bias) into ``channels``."""
+    weight = p.weight("vfe.weight", (VFE_RAW_FEATURES, channels), fan_in=VFE_RAW_FEATURES)
+    return weight, p.zeros("vfe.bias", (channels,))
 
 
 def voxelize_vfe(

@@ -535,15 +535,19 @@ def gather_scatter_vjp(
     weights: np.ndarray,
     cotangent: np.ndarray,
     with_bias: bool = True,
+    with_weights: bool = True,
 ):
     """Backward pass of :func:`gather_scatter_matmul`.
 
     ``grad_features[i] = sum_o sum_{(i,j)} cot[j] @ W_o^T``;
     ``grad_W_o = sum_{(i,j)} x[i]^T @ cot[j]``; ``grad_bias = sum_j cot[j]``.
     Returns (grad_features, grad_weights, grad_bias) in the features'
-    dtype; grad_bias is None when ``with_bias`` is false.  Accumulation
-    order mirrors the forward pass, so gradients are deterministic as well.
-    A cotangent that is not (output rows, C_out) raises ShapeMismatch.
+    dtype; grad_bias is None when ``with_bias`` is false, and grad_weights
+    is None when ``with_weights`` is false, in which case no input row is
+    gathered and only the shape and dtype of ``features`` are read.
+    Accumulation order mirrors the forward pass, so gradients are
+    deterministic as well.  A cotangent that is not (output rows, C_out)
+    raises ShapeMismatch.
     """
     weights = np.asarray(weights)
     k = len(rulebook.offsets)
@@ -554,20 +558,25 @@ def gather_scatter_vjp(
         )
     grad_features = np.zeros(features.shape, dtype=np.float64)
     # one product per offset: stored directly, no float64 accumulator
-    grad_weights = np.zeros(weights.shape, dtype=features.dtype)
+    grad_weights = np.zeros(weights.shape, dtype=features.dtype) if with_weights else None
     center = rulebook.identity_offset
     for o in range(k):
         if o == center:
-            x, cot_rows = np.ascontiguousarray(features), np.ascontiguousarray(cotangent)
+            cot_rows = np.ascontiguousarray(cotangent)
         else:
             p = rulebook.pairs[o]
             if p.shape[0] == 0:
                 continue
-            x = np.take(features, p[:, 0], axis=0)
             cot_rows = np.take(cotangent, p[:, 1], axis=0)
         gx = cot_rows @ weights[o].T
-        grad_weights[o] = x.T @ cot_rows
-        del x, cot_rows  # hold one offset's gathers at a time
+        if with_weights:
+            if o == center:
+                x = np.ascontiguousarray(features)
+            else:
+                x = np.take(features, p[:, 0], axis=0)
+            grad_weights[o] = x.T @ cot_rows
+            del x
+        del cot_rows  # hold one offset's gathers at a time
         if o == center:
             grad_features += gx
         else:

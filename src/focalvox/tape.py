@@ -11,8 +11,11 @@ backward pass.  The replay frees each cotangent once its consumer has run
 and each node's VJP closure (with the forward arrays it saved) once the
 node is passed, so a second replay raises :class:`TapeConsumed`.  Tensors
 are immutable value holders; parameters are plain leaf tensors with no
-tape attached, and still receive gradients because nodes reference them
-as inputs.
+tape attached.  On a default tape they still receive gradients, because
+nodes reference them as inputs.  An input-only tape,
+``GradTape(params=False)``, differentiates only the tensors attached to
+it: parameters and other untaped leaves get no gradient there, and no op
+saves forward state or spends work to form one.
 """
 
 from __future__ import annotations
@@ -83,22 +86,36 @@ class _Node:
 
 
 class GradTape:
-    """Ordered log of executed operations, replayed once for gradients."""
+    """Ordered log of executed operations, replayed once for gradients.
 
-    def __init__(self):
+    ``params`` says whether untaped leaves (parameters, constants) are
+    differentiated.  With ``params=False`` only tensors attached to this
+    tape are: ops ask :meth:`needs` at record time and keep no state for an
+    input that needs no gradient.
+    """
+
+    def __init__(self, params: bool = True):
         self._nodes: list[_Node] = []
         self._consumed = False
+        self.params = params
 
     def __len__(self):
         return len(self._nodes)
+
+    def needs(self, t: Tensor) -> bool:
+        """Whether ``t`` gets a gradient from this tape."""
+        return t.tape is self or (t.tape is None and self.params)
 
     def record(self, name: str, output: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
         """Append one node.
 
         ``vjp`` maps the cotangent of ``output`` to a tuple of cotangents,
-        one per input (None for inputs that receive no gradient).
+        one per input (None for inputs that receive no gradient).  Inputs
+        that need no gradient get no uid, so the replay drops whatever the
+        VJP returns for them.
         """
-        self._nodes.append(_Node(name, output.uid, tuple(t.uid for t in inputs), vjp))
+        in_uids = tuple(t.uid if self.needs(t) else None for t in inputs)
+        self._nodes.append(_Node(name, output.uid, in_uids, vjp))
 
     def node_names(self) -> list[str]:
         return [n.name for n in self._nodes]
@@ -107,11 +124,12 @@ class GradTape:
         """Replay the tape backwards from ``output`` seeded with ``cotangent``.
 
         Returns a map from leaf tensor uid to accumulated gradient.  Leaves
-        are parameters and taped inputs that no node on this tape produced
-        (and ``output`` itself when it is one); intermediate results have
-        no entry.  Nodes whose output never received a cotangent are
-        skipped; their inputs stay absent from the map.  ``trace``, if
-        given, collects the names of visited nodes in replay order.
+        are parameters (on a default tape only) and taped inputs that no
+        node on this tape produced (and ``output`` itself when it is one);
+        intermediate results have no entry.  Nodes whose output never
+        received a cotangent are skipped; their inputs stay absent from the
+        map.  ``trace``, if given, collects the names of visited nodes in
+        replay order.
 
         The replay releases memory as it goes and can run once per tape:
         a second call raises TapeConsumed.  Node names survive it.
@@ -135,7 +153,7 @@ class GradTape:
             if trace is not None:
                 trace.append(node.name)
             for uid, g in zip(node.in_uids, vjp(out_cot)):
-                if g is None:
+                if uid is None or g is None:
                     continue
                 acc = grads.get(uid)
                 grads[uid] = g if acc is None else acc + g

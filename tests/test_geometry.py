@@ -112,8 +112,9 @@ class TestExecutorMatchesPerOffsetReference:
         channels=st.tuples(st.integers(1, 5), st.integers(1, 5)),
         dtype=st.sampled_from([np.float32, np.float64]),
         strided=st.booleans(),
+        with_weights=st.booleans(),
     )
-    def test_same_bytes(self, scene, kind, k, d, channels, dtype, strided):
+    def test_same_bytes(self, scene, kind, k, d, channels, dtype, strided, with_weights):
         t = scene_from(scene)
         if kind == "submanifold":
             rb = build_rulebook_submanifold(t, KernelSpec.same(k, d, dims=t.dims))
@@ -132,8 +133,16 @@ class TestExecutorMatchesPerOffsetReference:
         out = gather_scatter_matmul(x, rb, w, b)
         want = reference_gather_scatter_matmul(x, rb, w, b)
         assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
-        got = gather_scatter_vjp(x, rb, w, cot)
-        for g, ref in zip(got, reference_gather_scatter_vjp(x, rb, w, cot)):
+        want = reference_gather_scatter_vjp(x, rb, w, cot)
+        if with_weights:
+            got = gather_scatter_vjp(x, rb, w, cot)
+        else:
+            # only the features' shape and dtype may be read: pass no data
+            shape_only = np.broadcast_to(np.zeros((), dtype), x.shape)
+            got = gather_scatter_vjp(shape_only, rb, w, cot, with_weights=False)
+            assert got[1] is None
+            got, want = (got[0], got[2]), (want[0], want[2])
+        for g, ref in zip(got, want):
             assert g.dtype == ref.dtype and g.shape == ref.shape
             assert g.tobytes() == ref.tobytes()
 

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from focalvox.backbone import init_network, preset
+from focalvox.backbone import SfmNet, init_network, preset
 from focalvox.cli import main
 from focalvox.config import (
     config_from_json,
@@ -295,6 +295,19 @@ class TestCli:
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()[0]
         assert header.startswith("b,x,y,z,f0")
+
+    def test_voxelize_uses_the_network_vfe_weights(self, scene_files, tmp_path):
+        points, config = scene_files
+        out = tmp_path / "v.csv"
+        assert main(["voxelize", "--points", str(points), "--config", str(config),
+                     "--out", str(out)]) == 0
+        cfg = load_config(config)
+        net = SfmNet(cfg, init_network(cfg))
+        t = voxelize_vfe(load_points(points), cfg.voxelizer, net.vfe_w, net.vfe_b)
+        lines = ["b,x,y,z," + ",".join(f"f{i}" for i in range(t.channels))]
+        for c, f in zip(t.coords, t.features.data):
+            lines.append(",".join([*(str(int(v)) for v in c), *(repr(float(v)) for v in f)]))
+        assert out.read_text() == "\n".join(lines) + "\n"
 
     def test_forward_with_seeded_weights(self, scene_files, tmp_path):
         points, config = scene_files

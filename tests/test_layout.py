@@ -5,9 +5,17 @@ block, and that function both creates (Initializer) and binds (ParamReader).
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from focalvox.backbone import SfmNet, StageConfig, init_network, param_count, preset
+from focalvox.backbone import (
+    SfmNet,
+    StageConfig,
+    init_network,
+    network_template,
+    param_count,
+    preset,
+)
 from focalvox.errors import ShapeMismatch
 from focalvox.params import Initializer, ParamReader, ParamStore
 from focalvox.sfm import SFMConfig, sfm_block_params, srb_params
@@ -29,6 +37,17 @@ def test_init_network_bytes_pinned(name):
     store = init_network(cfg)
     assert hashlib.sha256(serialize_weights(store)).hexdigest() == INIT_SHA256[name]
     assert param_count(cfg) == store.scalar_count()
+
+
+def test_network_template_declares_the_layout_without_draws():
+    cfg = preset("tiny")
+    store, template = init_network(cfg), network_template(cfg)
+    assert template.names() == store.names()
+    for name, t in store.items():
+        want = np.ones if name.endswith((".gain", ".running_var")) else np.zeros
+        got = template.data(name)
+        assert got.dtype == t.data.dtype
+        assert np.array_equal(got, want(t.data.shape, dtype=t.data.dtype)), name
 
 
 def test_bind_returns_the_stored_tensors():

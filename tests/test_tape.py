@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from focalvox import ops
-from focalvox.backbone import SfmNet, init_network, preset, sfmnet_forward
+from focalvox.backbone import SfmNet, downsample, init_network, preset, run_stage, sfmnet_forward
+from focalvox.conv import SparseConvLayer, subm_conv
 from focalvox.errors import ShapeMismatch, TapeConsumed
-from focalvox.points import PointCloud
+from focalvox.points import PointCloud, voxelize_vfe
 from focalvox.sfm import sfm_block
+from focalvox.sparse import KernelSpec
 from focalvox.tape import GradTape, Tensor, active_tape, grad_of
 from helpers import keep_all_replay, random_sparse
 
@@ -162,3 +164,111 @@ def test_replay_frees_cotangents_and_saved_state():
         tracemalloc.stop()
     assert grad_of(grads, x).shape == x0.shape
     assert peak <= resident + 8 * x0.nbytes
+
+
+def test_needs_follows_the_tape_mode():
+    default, inputs_only = GradTape(), GradTape(params=False)
+    param = Tensor(np.ones(2))
+    assert default.needs(param) and not inputs_only.needs(param)
+    assert default.needs(Tensor(np.ones(2), default))
+    assert inputs_only.needs(Tensor(np.ones(2), inputs_only))
+    assert not inputs_only.needs(Tensor(np.ones(2), default))
+
+
+def test_input_only_replay_drops_untaped_leaves():
+    """``add`` returns a cotangent for both operands; the input-only tape
+    keeps the taped one's only."""
+    for keep_params in (True, False):
+        tape = GradTape(params=keep_params)
+        x, const = Tensor(np.ones((2, 2)), tape), Tensor(np.ones((2, 2)))
+        grads = tape.gradients(ops.mean_all(ops.add(x, const)), 1.0)
+        assert grad_of(grads, x) is not None
+        assert (grad_of(grads, const) is not None) == keep_params
+        assert len(grads) == 1 + keep_params
+
+
+def input_only_matches_default(fn, x0, cotangent, params):
+    """Run ``fn`` on a taped copy of ``x0`` on both kinds of tape; the
+    input-only tape returns the input's gradient alone, with the default
+    tape's bytes, and no entry for any of ``params``."""
+    results = []
+    for keep_params in (True, False):
+        tape = GradTape(params=keep_params)
+        x = Tensor(x0, tape)
+        grads = tape.gradients(fn(x), cotangent)
+        results.append((x, grads))
+    (x_all, all_grads), (x_in, in_grads) = results
+    param_uids = {t.uid for t in params}
+    assert param_uids & set(all_grads)  # the default tape did reach parameters
+    assert set(in_grads) == {x_in.uid}
+    g, ref = in_grads[x_in.uid], all_grads[x_all.uid]
+    assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes()
+
+
+def test_input_only_tape_on_the_tiny_erf_stack_eval_mode():
+    cfg = preset("tiny")
+    store = init_network(cfg)
+    net = SfmNet(cfg, store)
+    rng = np.random.default_rng(21)
+    pts = np.concatenate((rng.uniform(-3, 3, (1500, 3)), rng.uniform(0, 1, (1500, 1))), axis=1)
+    scene = voxelize_vfe(PointCloud(pts), cfg.voxelizer, net.vfe_w, net.vfe_b)
+
+    def stack(x):
+        t = run_stage(scene.with_features(x), cfg.stages[0], net.stages[0], bn_mode="eval")
+        t = downsample(t, net.downs[0], bn_mode="eval")
+        t = run_stage(t, cfg.stages[1], net.stages[1], bn_mode="eval")
+        return ops.row_l2(t.features, 0)
+
+    params = [store.tensor(name) for name in store.param_names()]
+    input_only_matches_default(stack, scene.features.data, np.float32(1.0), params)
+
+
+def test_input_only_tape_on_an_sfm_block_and_srb_train_mode():
+    cfg = preset("tiny")
+    stage = 1  # one mixer block, then one residual block
+    net = SfmNet(cfg, init_network(cfg))
+    assert [kind for kind, _ in net.stages[stage].blocks] == ["sfm", "srb"]
+    rng = np.random.default_rng(22)
+    scene = random_sparse(rng, (7, 7, 7), 0.3, cfg.stages[stage].channels)
+
+    def stack(x):
+        t = run_stage(scene.with_features(x), cfg.stages[stage], net.stages[stage])
+        return t.features
+
+    cot = rng.standard_normal(stack(scene.features).data.shape).astype(np.float32)
+    params = [net.store.tensor(n) for n in net.store.param_names() if n.startswith("stage2.")]
+    input_only_matches_default(stack, scene.features.data, cot, params)
+
+
+def test_input_only_tape_holds_less_after_the_forward():
+    """relu -> linear -> eval batch norm -> submanifold conv: the default
+    tape keeps the linear's input, the batch norm's xhat and the conv's
+    input for parameter gradients; the input-only tape keeps none."""
+    rng = np.random.default_rng(23)
+    scene = random_sparse(rng, (12, 12, 12), 0.4, 16)
+    w = Tensor(rng.standard_normal((16, 16)).astype(np.float32))
+    b = Tensor(np.zeros(16, dtype=np.float32))
+    gain, shift = Tensor(np.ones(16, dtype=np.float32)), Tensor(np.zeros(16, dtype=np.float32))
+    mean, var = np.zeros(16, dtype=np.float32), np.ones(16, dtype=np.float32)
+    conv = SparseConvLayer(
+        KernelSpec.same(3, 1, dims=3),
+        "submanifold",
+        Tensor(rng.standard_normal((27, 16, 16)).astype(np.float32)),
+    )
+    subm_conv(scene, conv)  # builds the cached rulebook outside the measurement
+    held = {}
+    for keep_params in (True, False):
+        tracemalloc.start()
+        try:
+            tape = GradTape(params=keep_params)
+            x = Tensor(scene.features.data, tape)
+            h = ops.linear(ops.relu(x), w, b)
+            h, _, _ = ops.batch_norm_active(h, gain, shift, mean, var, mode="eval")
+            out = subm_conv(scene.with_features(h), conv).features
+            del h
+            held[keep_params] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        grads = tape.gradients(out, np.ones_like(out.data))
+        assert grad_of(grads, x) is not None
+    assert held[True] - held[False] >= 3 * scene.features.data.nbytes
