@@ -36,7 +36,6 @@ from .sparse import (
     Rulebook,
     SparseTensor,
     VoxelCoord,
-    build_index,
     build_rulebook_regular,
     build_rulebook_submanifold,
     gather_scatter_matmul,
@@ -66,7 +65,6 @@ __all__ = [
     "Tensor",
     "VoxelCoord",
     "VoxelizerConfig",
-    "build_index",
     "build_rulebook_regular",
     "build_rulebook_submanifold",
     "effective_receptive_field",

@@ -286,10 +286,11 @@ class SfmNet:
         self.probe_w = p.weight("probe.weight", (c_bev, PROBE_LOGITS), fan_in=c_bev)
         self.probe_b = p.zeros("probe.bias", (PROBE_LOGITS,))
 
-    def backbone3d(self, t: SparseTensor, bn_mode: str = "train") -> SparseTensor:
-        for i, (stage_cfg, params) in enumerate(zip(self.config.stages, self.stages)):
-            t = run_stage(t, stage_cfg, params, bn_mode=bn_mode)
-            if i < 3:
+    def backbone3d(self, t: SparseTensor, bn_mode: str = "train", depth: int = 4) -> SparseTensor:
+        """3-D stages 1..depth with the downsamples between them."""
+        for i in range(depth):
+            t = run_stage(t, self.config.stages[i], self.stages[i], bn_mode=bn_mode)
+            if i < depth - 1:
                 t = downsample(t, self.downs[i], bn_mode=bn_mode)
         return t
 

@@ -13,14 +13,14 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import ops
 from .errors import DegenerateFit, InvalidSpec, ShapeMismatch
 from .sfm import SFMConfig, effective_receptive_field, sfm_pair_count
-from .sparse import SparseTensor
+from .sparse import SparseTensor, _unflatten
 from .tape import Tensor
 
 MIXER_KINDS = ("sfm", "local-attention")
@@ -57,17 +57,7 @@ class BenchReport:
     wall_ns: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "n_active": self.n_active,
-                "edge_voxels": self.edge_voxels,
-                "interaction_pairs": self.interaction_pairs,
-                "bytes_model": self.bytes_model,
-                "wall_ns": self.wall_ns,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def window_neighbor_rows(t: SparseTensor, window_edge: int) -> list[np.ndarray]:
@@ -161,16 +151,14 @@ def window_occupancy(t: SparseTensor, window_edge: int) -> np.ndarray:
             table = table.cumsum(axis=axis)
         padded = np.zeros(tuple(s + 1 for s in table.shape), dtype=np.int64)
         padded[(slice(1, None),) * dims] = table
-        for i, row in enumerate(rows):
-            pos = t.coords[row, 1:]
-            lo = np.maximum(pos - radius, 0)
-            hi = np.minimum(pos + radius + 1, np.asarray(t.spatial_shape))
-            total = 0
-            for corner in itertools.product((0, 1), repeat=dims):
-                sign = (-1) ** (dims - sum(corner))
-                idx = tuple(hi[d] if corner[d] else lo[d] for d in range(dims))
-                total += sign * padded[idx]
-            counts[row] = total
+        pos = t.coords[rows, 1:]
+        lo = np.maximum(pos - radius, 0)
+        hi = np.minimum(pos + radius + 1, np.asarray(t.spatial_shape))
+        # inclusion-exclusion over the window's corners, one gather each
+        for corner in itertools.product((0, 1), repeat=dims):
+            sign = (-1) ** (dims - sum(corner))
+            idx = tuple(hi[:, d] if corner[d] else lo[:, d] for d in range(dims))
+            counts[rows] += sign * padded[idx]
     return counts
 
 
@@ -200,11 +188,7 @@ def uniform_scene(
     rng = np.random.default_rng(seed)
     flat = rng.choice(volume, size=n_active, replace=False)
     flat.sort()
-    coords = np.zeros((n_active, 1 + len(grid_shape)), dtype=np.int64)
-    rem = flat
-    for d in range(len(grid_shape) - 1, -1, -1):
-        coords[:, 1 + d] = rem % grid_shape[d]
-        rem = rem // grid_shape[d]
+    coords = _unflatten(flat, grid_shape)  # batch 0: every key is below the volume
     feats = rng.standard_normal((n_active, channels)).astype(np.float32)
     return SparseTensor(coords, feats, grid_shape)
 

@@ -8,6 +8,7 @@ is written atomically and is byte-identical for identical argv and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -137,25 +138,12 @@ def cmd_forward(args) -> int:
     return 0
 
 
-def _probe_stack(net: SfmNet, depth: int):
-    from .backbone import downsample, run_stage
-
-    def stack(t):
-        for i in range(depth):
-            t = run_stage(t, net.config.stages[i], net.stages[i], bn_mode="eval")
-            if i < depth - 1:
-                t = downsample(t, net.downs[i], bn_mode="eval")
-        return t
-
-    return stack
-
-
 def cmd_erf(args) -> int:
     cfg, store = _load_net(args)
     net = SfmNet(cfg, store)
     cloud = load_points(args.points, args.format)
     scene = voxelize_vfe(cloud, cfg.voxelizer, net.vfe_w, net.vfe_b)
-    stack = _probe_stack(net, args.stage)
+    stack = functools.partial(net.backbone3d, bn_mode="eval", depth=args.stage)
     if args.query:
         parts = [int(v) for v in args.query.split(",")]
         if len(parts) != 3:
@@ -168,7 +156,7 @@ def cmd_erf(args) -> int:
     else:
         raise InvalidSpec("need --query or --seed")
     erf = erf_gradient_map(stack, scene, query)
-    emit_pgm(erf, args.out_pgm, plane="bev", csv_path=args.out_csv)
+    emit_pgm(erf, args.out_pgm, csv_path=args.out_csv)
     print(
         f"query {(query.batch, *query.ijk)}: {int(np.count_nonzero(erf.magnitudes))} "
         f"reached voxels, peak {erf.normalization:.6g}, wrote {args.out_pgm}"

@@ -118,23 +118,14 @@ def erf_gradient_map(stack, scene: SparseTensor, query: VoxelCoord) -> ErfMap:
     return ErfMap(query, scene.coords, mags, scene.spatial_shape)
 
 
-def render_plane(erf: ErfMap, plane="bev") -> np.ndarray:
-    """8-bit image of the map: columns are x, rows are y.
-
-    ``plane`` is "bev" (max over the height axis) or ``("z", k)`` for one
-    slab of a 3-D map.  Values are normalized by the map maximum and
-    quantized round-half-up; inactive cells are 0.
+def render_plane(erf: ErfMap) -> np.ndarray:
+    """8-bit bird's-eye-view image of the map: columns are x, rows are y,
+    each pixel the maximum over the height axis.  Values are normalized by
+    the map maximum and quantized round-half-up; inactive cells are 0.
     """
     sx, sy = erf.spatial_shape[0], erf.spatial_shape[1]
     image = np.zeros((sy, sx), dtype=np.float64)
-    coords, mags = erf.coords, erf.magnitudes
-    if erf.coords.shape[1] == 4 and plane != "bev":
-        kind, slab = plane
-        if kind != "z":
-            raise InvalidSpec(f"unknown plane {plane!r}")
-        keep = coords[:, 3] == int(slab)
-        coords, mags = coords[keep], mags[keep]
-    for c, m in zip(coords, mags):
+    for c, m in zip(erf.coords, erf.magnitudes):
         x, y = int(c[1]), int(c[2])
         image[y, x] = max(image[y, x], m)
     peak = erf.normalization
@@ -143,11 +134,11 @@ def render_plane(erf: ErfMap, plane="bev") -> np.ndarray:
     return image.astype(np.uint8)
 
 
-def emit_pgm(erf: ErfMap, path, plane="bev", csv_path=None) -> bytes:
-    """Write the binary PGM (P5, maxval 255); optional raw-value CSV."""
+def emit_pgm(erf: ErfMap, path, csv_path=None) -> bytes:
+    """Write the BEV image as binary PGM (P5, maxval 255); optional CSV."""
     if erf.coords.shape[0] == 0:
         raise InvalidSpec("cannot render an empty map")
-    image = render_plane(erf, plane)
+    image = render_plane(erf)
     height, width = image.shape
     payload = f"P5\n{width} {height}\n255\n".encode("ascii") + image.tobytes()
     atomic_write_bytes(path, payload)

@@ -16,6 +16,8 @@ from .tape import Tensor, active_tape
 
 _INV_SQRT2 = np.float64(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = np.float64(1.0 / np.sqrt(2.0 * np.pi))
+NORM_EPS = 1e-5  # layer norm and batch norm
+BN_MOMENTUM = 0.9  # weight of the old running statistics per train-mode update
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
@@ -59,14 +61,12 @@ def _affine_grads(cot, xhat, need_gain: bool, need_bias: bool):
     )
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row normalization over the channel dimension, then affine."""
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
     mean = x.data.mean(axis=1, keepdims=True)
     centered = x.data - mean
     var = (centered * centered).mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
+    inv_std = 1.0 / np.sqrt(var + np.asarray(NORM_EPS, dtype=x.data.dtype))
     xhat = centered * inv_std
     data = xhat * gain.data + bias.data
     tape = active_tape(x, gain, bias)
@@ -94,8 +94,6 @@ def batch_norm_active(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     mode: str = "train",
-    eps: float = 1e-5,
-    momentum: float = 0.9,
 ):
     """Per-channel normalization over all active rows.
 
@@ -107,7 +105,7 @@ def batch_norm_active(
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown batch norm mode {mode!r}")
     n = x.data.shape[0]
-    eps_t = np.asarray(eps, dtype=x.data.dtype)
+    eps_t = np.asarray(NORM_EPS, dtype=x.data.dtype)
     tape = active_tape(x, gain, bias)
     if mode == "train":
         if n == 0:
@@ -117,8 +115,8 @@ def batch_norm_active(
         var = (centered * centered).mean(axis=0)
         inv_std = 1.0 / np.sqrt(var + eps_t)
         xhat = centered * inv_std
-        new_mean = momentum * running_mean + (1.0 - momentum) * mean
-        new_var = momentum * running_var + (1.0 - momentum) * var
+        new_mean = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean
+        new_var = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var
     else:
         inv_std = 1.0 / np.sqrt(running_var.astype(x.data.dtype) + eps_t)
         xhat = (x.data - running_mean.astype(x.data.dtype)) * inv_std

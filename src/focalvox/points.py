@@ -9,7 +9,6 @@ result is bitwise independent of input point order.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,7 +188,3 @@ def write_bin(points: np.ndarray, path) -> None:
     arr = np.asarray(points, dtype="<f4").reshape(-1, 4)
     with open(path, "wb") as fh:
         fh.write(arr.tobytes())
-
-
-def pack_point(x, y, z, intensity=0.0) -> bytes:
-    return struct.pack("<4f", x, y, z, intensity)

@@ -14,7 +14,7 @@ import tempfile
 import numpy as np
 
 from . import ops
-from .backbone import init_network, preset
+from .backbone import init_network, network_template, preset
 from .conv import SparseConvLayer, regular_conv_down, subm_conv
 from .gradcheck import vjp_check
 from .params import Initializer, ParamReader, ParamStore
@@ -251,7 +251,7 @@ def oracle_suite(seed: int = 0):
         path = os.path.join(tmp, "w.sfmw")
         with open(path, "wb") as fh:
             fh.write(blob)
-        reloaded = load_weights(path, init_network(cfg, seed=999))
+        reloaded = load_weights(path, network_template(cfg))
     ok = all(
         np.array_equal(store.data(n), reloaded.data(n)) for n in store.names()
     )

@@ -7,8 +7,8 @@ context modulates a query projection elementwise.  Everything preserves the
 input's active set, so a whole block is a fixed-sparsity token mixer.
 
 One fused linear produces queries, the level-0 context, and the gates
-(split order [queries | context | gates]); gates are raw linear outputs by
-default, with an optional sigmoid squashing.
+(split order [queries | context | gates]); gates are raw linear outputs,
+as in focal modulation, with no squashing.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class SFMConfig:
     kernels: tuple[int, ...]
     dilations: tuple[int, ...]
     mlp_ratio: float = 2.0
-    gate_activation: str = "raw"
 
     def __post_init__(self):
         object.__setattr__(self, "kernels", tuple(int(k) for k in self.kernels))
@@ -42,8 +41,6 @@ class SFMConfig:
             raise InvalidSpec(f"kernel sizes must be odd: {self.kernels}")
         if any(d < 1 for d in self.dilations):
             raise InvalidSpec(f"dilations must be positive: {self.dilations}")
-        if self.gate_activation not in ("raw", "sigmoid"):
-            raise InvalidSpec(f"unknown gate activation {self.gate_activation!r}")
         hidden = self.mlp_ratio * self.channels
         if hidden != int(hidden) or int(hidden) < 1:
             raise InvalidSpec(
@@ -169,8 +166,6 @@ def sfm_module(t: SparseTensor, config: SFMConfig, params: SfmModuleParams) -> S
     queries, base, gates = input_projection(
         t.features, params.in_proj_w, params.in_proj_b, config.channels, config.levels
     )
-    if config.gate_activation == "sigmoid":
-        gates = ops.sigmoid(gates)
     levels = context_levels(t.with_features(base), config, params.level_convs)
     context = aggregate_context(
         [lv.features for lv in levels], gates, params.h_w, params.h_b

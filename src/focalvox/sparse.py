@@ -314,11 +314,6 @@ class SparseTensor:
         return VoxelCoord(int(c[0]), tuple(int(v) for v in c[1:]))
 
 
-def build_index(t: SparseTensor) -> CoordIndex:
-    """Index the tensor's active set; raises DuplicateCoordinate on repeats."""
-    return t.geometry.index
-
-
 @dataclass
 class Rulebook:
     """Execution plan for one sparse convolution.
@@ -337,7 +332,6 @@ class Rulebook:
     offsets: tuple[tuple[int, ...], ...]
     pairs: list[np.ndarray]
     out_coords: np.ndarray
-    out_spatial_shape: tuple[int, ...]
     kind: str = "submanifold"
     out_geometry: Geometry | None = field(default=None, repr=False)
     _total: int = field(default=-1, repr=False)
@@ -423,7 +417,6 @@ def build_rulebook_submanifold(t: SparseTensor, spec: KernelSpec) -> Rulebook:
         offsets=tuple(offsets),
         pairs=_split_pairs(len(offsets), offset_ids[hit], in_rows[hit], out_rows[hit]),
         out_coords=coords,
-        out_spatial_shape=shape,
         kind="submanifold",
     )
 
@@ -479,7 +472,6 @@ def build_rulebook_regular(
         offsets=tuple(offsets),
         pairs=_split_pairs(len(offsets), offset_ids, in_rows[order], out_rows[order]),
         out_coords=out_geometry.coords,
-        out_spatial_shape=out_shape,
         kind="regular",
         out_geometry=out_geometry,
     )

@@ -55,21 +55,10 @@ class Tensor:
 
     __slots__ = ("data", "tape", "uid")
 
-    def __init__(self, data, tape: "GradTape | None" = None, dtype=None):
-        arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        self.data = arr
+    def __init__(self, data, tape: "GradTape | None" = None):
+        self.data = np.asarray(data)
         self.tape = tape
         self.uid = next(_uids)
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, uid={self.uid})"

@@ -85,7 +85,7 @@ def load_weights(path, expected: ParamStore) -> ParamStore:
     """Read a container into ``expected``, validating names and shapes.
 
     The container must declare exactly the same tensor names in the same
-    order, each with the stored shape; payloads are assigned in place.
+    order; ``ParamStore.set_data`` checks each shape and assigns in place.
     """
     records = parse_weights(read_bytes(path))
     names = [name for name, _, _ in records]
@@ -96,10 +96,6 @@ def load_weights(path, expected: ParamStore) -> ParamStore:
             f"tensor names do not match the config layout "
             f"(missing {missing[:3]}, unexpected {extra[:3]})"
         )
-    for name, shape, payload in records:
-        if tuple(shape) != expected.data(name).shape:
-            raise ShapeMismatch(
-                f"{name}: stored shape {tuple(shape)} != expected {expected.data(name).shape}"
-            )
+    for name, _, payload in records:
         expected.set_data(name, payload)
     return expected

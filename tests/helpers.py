@@ -122,32 +122,6 @@ def dense_regular_oracle(t, spec, out_shape, weights, bias):
     return out, reachable
 
 
-def triple_loop_subm_oracle(t, kernel, dilation, weights, bias):
-    """Scalar-loop submanifold oracle for tiny grids; cross-checks the
-    vectorized dense oracle above."""
-    dense, active = densify(t)
-    weights = np.asarray(weights, dtype=np.float64)
-    c_out = weights.shape[2]
-    offs = centered_offsets(kernel)
-    rows = np.zeros((t.n_active, c_out), dtype=np.float64)
-    spatial = t.spatial_shape
-    for row in range(t.n_active):
-        b, *pos = (int(v) for v in t.coords[row])
-        acc = np.zeros(c_out, dtype=np.float64)
-        for m, off in enumerate(offs):
-            src = [p - o * d for p, o, d in zip(pos, off, dilation)]
-            if any(s < 0 or s >= e for s, e in zip(src, spatial)):
-                continue
-            if not active[(b, *src)]:
-                continue
-            for ci in range(t.channels):
-                acc += dense[(b, *src)][ci] * weights[m, ci]
-        if bias is not None:
-            acc = acc + np.asarray(bias, dtype=np.float64)
-        rows[row] = acc
-    return rows
-
-
 def rel_err(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

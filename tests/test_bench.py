@@ -97,13 +97,18 @@ class TestCounting:
         # query-key alone is n^2 = 16; attention-value doubles it
         assert count_interactions("local-attention", t, 3) == 32
 
-    def test_occupancy_matches_execution_instrumentation(self):
+    @pytest.mark.parametrize(
+        "shape, window",
+        [((7, 7, 7), 3), ((7, 7, 7), 5), ((9, 9), 3)],
+        ids=["3d-w3", "3d-w5", "2d-w3"],
+    )
+    def test_occupancy_matches_execution_instrumentation(self, shape, window):
         rng = np.random.default_rng(5)
-        t = random_sparse(rng, (7, 7, 7), 0.3, 2, batches=2)
-        occupancy = window_occupancy(t, 3)
-        neighbor_lists = window_neighbor_rows(t, 3)
+        t = random_sparse(rng, shape, 0.3, 2, batches=2)
+        occupancy = window_occupancy(t, window)
+        neighbor_lists = window_neighbor_rows(t, window)
         assert occupancy.tolist() == [len(n) for n in neighbor_lists]
-        assert count_interactions("local-attention", t, 3) == 2 * sum(
+        assert count_interactions("local-attention", t, window) == 2 * sum(
             len(n) for n in neighbor_lists
         )
 

@@ -349,16 +349,6 @@ class TestSfmModule:
         assert counts["conv_pairs"] <= bound
         assert counts["total"] <= bound + n * (cfg.levels + 1)
 
-    def test_sigmoid_gate_option(self):
-        rng = np.random.default_rng(15)
-        cfg = SFMConfig(
-            channels=3, kernels=(3,), dilations=(1,), gate_activation="sigmoid"
-        )
-        params = module_params(rng, cfg, dims=3)
-        t = sparse_from_coords([(0, 2, 2, 2)], (5, 5, 5), 3, rng=rng, dtype=np.float64)
-        out = sfm_module(t, cfg, params)
-        assert np.all(np.isfinite(out.features.data))
-
 
 class TestSfmBlock:
     def test_zero_mixer_residual_identity(self):

