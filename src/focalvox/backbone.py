@@ -16,6 +16,7 @@ from .errors import InvalidSpec, ShapeMismatch
 from .params import Initializer, LayoutTemplate, ParamReader, ParamSource, ParamStore
 from .points import VFE_RAW_FEATURES, PointCloud, VoxelizerConfig, vfe_params, voxelize_vfe
 from .sfm import (
+    BatchNormParams,
     SFMConfig,
     SfmBlockParams,
     SrbParams,
@@ -180,17 +181,9 @@ def network_template(cfg: NetworkConfig) -> ParamStore:
 
 
 @dataclass
-class StageParams:
-    blocks: list[tuple[str, SfmBlockParams | SrbParams]]
-
-
-@dataclass
 class DownsampleParams:
     conv: SparseConvLayer
-    bn_gain: Tensor
-    bn_bias: Tensor
-    bn_mean: Tensor
-    bn_var: Tensor
+    bn: BatchNormParams
 
 
 @dataclass
@@ -201,39 +194,40 @@ class BevParams:
     ln_bias: Tensor
 
 
-def stage_params(p: ParamSource, prefix: str, cfg: StageConfig, dims: int) -> StageParams:
-    """Mixer blocks, each followed by ``n_srb`` residual blocks (or, with
-    no mixer, ``n_srb`` residual blocks alone)."""
+def stage_params(
+    p: ParamSource, prefix: str, cfg: StageConfig, dims: int
+) -> list[SfmBlockParams | SrbParams]:
+    """A stage's blocks in run order: mixer blocks, each followed by
+    ``n_srb`` residual blocks (or, with no mixer, ``n_srb`` residual
+    blocks alone)."""
     blocks = []
     n_srb = 0
     for r in range(max(cfg.n_sfm, 1)):
         if cfg.n_sfm:
-            blocks.append(("sfm", sfm_block_params(p, f"{prefix}.sfm{r}", cfg.sfm, dims)))
+            blocks.append(sfm_block_params(p, f"{prefix}.sfm{r}", cfg.sfm, dims))
         for _ in range(cfg.n_srb):
-            blocks.append(("srb", srb_params(p, f"{prefix}.srb{n_srb}", cfg.channels, dims)))
+            blocks.append(srb_params(p, f"{prefix}.srb{n_srb}", cfg.channels, dims))
             n_srb += 1
-    return StageParams(blocks)
+    return blocks
 
 
 def run_stage(
-    t: SparseTensor, cfg: StageConfig, params: StageParams, bn_mode: str = "train"
+    t: SparseTensor, cfg: StageConfig, blocks: list[SfmBlockParams | SrbParams],
+    bn_mode: str = "train",
 ) -> SparseTensor:
     """Sequential mixer/residual blocks; the active set never changes."""
-    out = t
-    for kind, block in params.blocks:
-        if kind == "sfm":
-            out = sfm_block(out, cfg.sfm, block)
+    for block in blocks:
+        if isinstance(block, SfmBlockParams):
+            t = sfm_block(t, cfg.sfm, block)
         else:
-            out = srb_block(out, block, bn_mode=bn_mode)
-    return out
+            t = srb_block(t, block, bn_mode=bn_mode)
+    return t
 
 
 def downsample(t: SparseTensor, params: DownsampleParams, bn_mode: str = "train") -> SparseTensor:
     """Stride-2 regular conv, then BN and ReLU."""
     out = regular_conv_down(t, params.conv)
-    normed = _bn(out.features, params.bn_gain, params.bn_bias,
-                 params.bn_mean, params.bn_var, bn_mode)
-    return out.with_features(ops.relu(normed))
+    return out.with_features(ops.relu(_bn(out.features, params.bn, bn_mode)))
 
 
 def bev_compress(t: SparseTensor, params: BevParams) -> SparseTensor:
@@ -272,8 +266,7 @@ class SfmNet:
                 weight = p.weight(f"down{i}.conv.weight", (down.volume, c_in, c_out),
                                   fan_in=down.volume * c_in)
                 self.downs.append(DownsampleParams(
-                    SparseConvLayer(down, "regular", weight),
-                    *batch_norm_params(p, f"down{i}.bn", c_out),
+                    SparseConvLayer(down, weight), batch_norm_params(p, f"down{i}.bn", c_out)
                 ))
         c4, c_bev = config.stages[3].channels, config.bev_channels
         self.bev = BevParams(
@@ -294,35 +287,22 @@ class SfmNet:
                 t = downsample(t, self.downs[i], bn_mode=bn_mode)
         return t
 
-    def forward_voxels(self, t: SparseTensor, bn_mode: str = "train"):
-        """3-D stages with downsamples, BEV compression, 2-D stage, probe."""
-        t = self.backbone3d(t, bn_mode=bn_mode)
-        bev = bev_compress(t, self.bev)
-        bev = run_stage(bev, self.config.backbone2d, self.stage2d, bn_mode=bn_mode)
-        logits = ops.linear(bev.features, self.probe_w, self.probe_b)
-        return bev, logits
-
-    def forward_points(
-        self, cloud: PointCloud, tape: GradTape | None = None, bn_mode: str = "train"
-    ):
-        voxels = voxelize_vfe(cloud, self.config.voxelizer, self.vfe_w, self.vfe_b, tape=tape)
-        return self.forward_voxels(voxels, bn_mode=bn_mode)
-
 
 def sfmnet_forward(
-    scene: PointCloud | SparseTensor,
+    cloud: PointCloud,
     config: NetworkConfig,
     store: ParamStore,
     tape: GradTape | None = None,
     bn_mode: str = "train",
 ):
-    """One full pass; returns (BEV sparse tensor, per-cell probe logits)."""
+    """One full pass: voxelize, 3-D stages with downsamples, BEV
+    compression, 2-D stage, probe.  Returns (BEV sparse tensor, per-cell
+    probe logits)."""
     net = SfmNet(config, store)
-    if isinstance(scene, PointCloud):
-        return net.forward_points(scene, tape=tape, bn_mode=bn_mode)
-    if tape is not None and scene.features.tape is None:
-        scene = scene.with_features(Tensor(scene.features.data, tape))
-    return net.forward_voxels(scene, bn_mode=bn_mode)
+    t = voxelize_vfe(cloud, config.voxelizer, net.vfe_w, net.vfe_b, tape=tape)
+    bev = bev_compress(net.backbone3d(t, bn_mode=bn_mode), net.bev)
+    bev = run_stage(bev, config.backbone2d, net.stage2d, bn_mode=bn_mode)
+    return bev, ops.linear(bev.features, net.probe_w, net.probe_b)
 
 
 # ---------------------------------------------------------------------------

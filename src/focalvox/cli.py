@@ -23,6 +23,7 @@ from .params import Initializer, ParamStore
 from .points import load_points, vfe_params, voxelize_vfe
 from .selftest import GRADCHECK_MODULES, gradcheck_suite, oracle_suite
 from .sfm import SFMConfig
+from .sparse import VoxelCoord
 from .weights import load_weights
 
 
@@ -148,11 +149,11 @@ def cmd_erf(args) -> int:
         parts = [int(v) for v in args.query.split(",")]
         if len(parts) != 3:
             raise InvalidSpec("--query must be 'x,y,z'")
-        probe_out = stack(scene)
-        query = select_query(probe_out, coord=(0, *parts))
+        # erf_gradient_map raises InactiveQuery when the stack output lacks it
+        query = VoxelCoord(0, tuple(parts))
     elif args.seed is not None:
-        probe_out = stack(scene)
-        query = select_query(probe_out, seed=args.seed)
+        # the draw needs the output's active count: one untaped forward
+        query = select_query(stack(scene), seed=args.seed)
     else:
         raise InvalidSpec("need --query or --seed")
     erf = erf_gradient_map(stack, scene, query)

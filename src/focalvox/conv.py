@@ -1,10 +1,11 @@
 """Sparse convolution layers (submanifold and regular) with VJPs.
 
-A layer holds its kernel spec and per-offset weight blocks; the forward
-takes the rulebook from the input geometry's cache (building it on the
-first use of that spec on that active set) and runs the gather-scatter
-plan.  The same code serves 2-D and 3-D tensors since everything is
-parameterized by the coordinate rank.
+A layer holds its kernel spec and per-offset weight blocks; the function
+that runs it is the conv's kind (:func:`subm_conv` or
+:func:`regular_conv_down`).  The forward takes the rulebook from the input
+geometry's cache (building it on the first use of that spec on that
+active set) and runs the gather-scatter plan.  The same code serves 2-D
+and 3-D tensors since everything is parameterized by the coordinate rank.
 """
 
 from __future__ import annotations
@@ -32,22 +33,15 @@ from .tape import Tensor, active_tape
 class SparseConvLayer:
     """Kernel spec plus parameters for one sparse convolution.
 
-    kind is "submanifold" (stride 1, active set preserved) or "regular"
-    (strided, active set expands to every reachable output position).
     ``weight`` is a (kernel_volume, C_in, C_out) tensor; ``bias`` is
     optional (layers feeding a batch norm drop it).
     """
 
     spec: KernelSpec
-    kind: str
     weight: Tensor
     bias: Tensor | None = None
 
     def __post_init__(self):
-        if self.kind not in ("submanifold", "regular"):
-            raise InvalidSpec(f"unknown conv kind {self.kind!r}")
-        if self.kind == "submanifold" and not self.spec.is_unit_stride:
-            raise InvalidSpec("submanifold convolution requires stride 1")
         if self.weight.data.ndim != 3 or self.weight.data.shape[0] != self.spec.volume:
             raise InvalidSpec(
                 f"weight shape {self.weight.data.shape} != "
@@ -87,30 +81,27 @@ def _apply_rulebook(
         inputs = (x, weight) if bias is None else (x, weight, bias)
 
         def vjp(cot):
-            gx, gw, gb = gather_scatter_vjp(
-                xd, rulebook, wd, cot, with_bias=need_b, with_weights=need_w
-            )
+            gx, gw = gather_scatter_vjp(xd, rulebook, wd, cot, with_weights=need_w)
             if bias is None:
                 return gx, gw
-            return gx, gw, gb
+            return gx, gw, (cot.sum(axis=0).astype(xd.dtype) if need_b else None)
 
-        tape.record(f"conv_{layer.kind}", out, inputs, vjp)
+        tape.record(f"conv_{rulebook.kind}", out, inputs, vjp)
     return SparseTensor(out_geometry, out)
 
 
 def subm_conv(t: SparseTensor, layer: SparseConvLayer) -> SparseTensor:
-    """Submanifold sparse convolution: output coords == input coords."""
-    if layer.kind != "submanifold":
-        raise InvalidSpec("subm_conv requires a submanifold layer")
+    """Submanifold sparse convolution: output coords == input coords.
+
+    The layer's spec must have unit stride (``InvalidSpec`` otherwise)."""
     spec = layer.spec
     rulebook = t.geometry.rulebook(spec, lambda: build_rulebook_submanifold(t, spec))
     return _apply_rulebook(t, layer, rulebook, t.geometry)
 
 
 def regular_conv_down(t: SparseTensor, layer: SparseConvLayer) -> SparseTensor:
-    """Regular (strided) sparse convolution; dilates/downsamples the active set."""
-    if layer.kind != "regular":
-        raise InvalidSpec("regular_conv_down requires a regular layer")
+    """Regular (strided) sparse convolution: the active set expands to every
+    reachable output position of the downsampled grid."""
     spec = layer.spec
     out_shape = regular_out_shape(t.spatial_shape, spec)
     rulebook = t.geometry.rulebook(

@@ -3,7 +3,8 @@
 Parameters live in an ordered map from dotted names ("stage4.sfm0.h.weight")
 to leaf tensors.  Batch-norm running statistics are kept in the same map so
 they persist with the weights, but they are flagged as buffers: they are
-not counted as trainable parameters and receive no gradients.
+not counted as trainable parameters and receive no gradients.  Every
+value that enters a store, by ``add`` or ``set_data``, must be finite.
 
 Each block declares its tensors once, in one layout function that calls
 ``weight``/``zeros``/``ones`` on a parameter source: an
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import InvalidSpec, ShapeMismatch
 from .tape import Tensor
 
 _BUFFER_SUFFIXES = (".running_mean", ".running_var")
@@ -23,6 +24,12 @@ _BUFFER_SUFFIXES = (".running_mean", ".running_var")
 
 def is_buffer_name(name: str) -> bool:
     return name.endswith(_BUFFER_SUFFIXES)
+
+
+def _finite(name: str, arr: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise InvalidSpec(f"{name}: non-finite values")
+    return arr
 
 
 class ParamStore:
@@ -43,11 +50,7 @@ class ParamStore:
     def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name {name!r}")
-        arr = np.asarray(value)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"parameter {name!r} has non-finite values")
-        t = Tensor(arr)
-        self._entries[name] = t
+        t = self._entries[name] = Tensor(_finite(name, np.asarray(value)))
         return t
 
     def tensor(self, name: str) -> Tensor:
@@ -57,18 +60,17 @@ class ParamStore:
         return self._entries[name].data
 
     def set_data(self, name: str, value: np.ndarray) -> None:
-        """Replace the payload of an entry in place (same shape required).
-
-        Used by weight loading and by batch-norm running-stat updates; the
-        tensor identity (uid) is preserved.
-        """
+        """Replace the payload of an entry in place, keeping the tensor
+        identity (uid).  Weight loading assigns through it; the value must
+        have the entry's shape (``ShapeMismatch``) and be finite
+        (``InvalidSpec``), each error naming the tensor."""
         t = self._entries[name]
         arr = np.asarray(value, dtype=t.data.dtype)
         if arr.shape != t.data.shape:
             raise ShapeMismatch(
                 f"{name}: cannot assign shape {arr.shape} to {t.data.shape}"
             )
-        t.data = arr
+        t.data = _finite(name, arr)
 
     def items(self):
         return self._entries.items()

@@ -97,7 +97,7 @@ def gradcheck_suite(seed: int, module: str = "all", cases: int = 3):
 
             def subm_fn(ts, scene=scene, spec=spec):
                 t = SparseTensor(scene.geometry, ts[0])
-                layer = SparseConvLayer(spec, "submanifold", ts[1], ts[2])
+                layer = SparseConvLayer(spec, ts[1], ts[2])
                 return subm_conv(t, layer).features
 
             err = vjp_check(
@@ -111,7 +111,7 @@ def gradcheck_suite(seed: int, module: str = "all", cases: int = 3):
 
             def reg_fn(ts, scene=scene, down=down):
                 t = SparseTensor(scene.geometry, ts[0])
-                layer = SparseConvLayer(down, "regular", ts[1], ts[2])
+                layer = SparseConvLayer(down, ts[1], ts[2])
                 return regular_conv_down(t, layer).features
 
             err = vjp_check(

@@ -46,9 +46,6 @@ class SFMConfig:
             raise InvalidSpec(
                 f"mlp_ratio * channels must be a positive integer, got {hidden}"
             )
-        r = effective_receptive_field(self)
-        if r < 1 or r % 2 == 0:
-            raise InvalidSpec(f"receptive field must be a positive odd integer, got {r}")
 
     @property
     def levels(self) -> int:
@@ -99,19 +96,23 @@ class SfmBlockParams:
 
 
 @dataclass
+class BatchNormParams:
+    """One batch norm; the running statistics are mutable buffers."""
+
+    gain: Tensor
+    bias: Tensor
+    running_mean: Tensor
+    running_var: Tensor
+
+
+@dataclass
 class SrbParams:
-    """Two conv+BN stages with a skip; running stats are mutable buffers."""
+    """Two conv+BN stages with a skip."""
 
     conv1: SparseConvLayer
-    bn1_gain: Tensor
-    bn1_bias: Tensor
-    bn1_mean: Tensor
-    bn1_var: Tensor
+    bn1: BatchNormParams
     conv2: SparseConvLayer
-    bn2_gain: Tensor
-    bn2_bias: Tensor
-    bn2_mean: Tensor
-    bn2_var: Tensor
+    bn2: BatchNormParams
 
 
 def input_projection(
@@ -185,27 +186,23 @@ def sfm_block(t: SparseTensor, config: SFMConfig, params: SfmBlockParams) -> Spa
     return t.with_features(y)
 
 
-def _bn(x, gain, bias, mean_t, var_t, mode):
+def _bn(x: Tensor, bn: BatchNormParams, mode: str) -> Tensor:
     out, new_mean, new_var = ops.batch_norm_active(
-        x, gain, bias, mean_t.data, var_t.data, mode=mode
+        x, bn.gain, bn.bias, bn.running_mean.data, bn.running_var.data, mode=mode
     )
     if mode == "train":
         # the engine's one in-place update: running buffers track the batch
-        mean_t.data = new_mean
-        var_t.data = new_var
+        bn.running_mean.data = new_mean
+        bn.running_var.data = new_var
     return out
 
 
 def srb_block(t: SparseTensor, params: SrbParams, bn_mode: str = "train") -> SparseTensor:
     """Residual conv block: conv-BN-relu-conv-BN, skip, relu."""
     h = subm_conv(t, params.conv1)
-    h = h.with_features(
-        ops.relu(_bn(h.features, params.bn1_gain, params.bn1_bias,
-                     params.bn1_mean, params.bn1_var, bn_mode))
-    )
+    h = h.with_features(ops.relu(_bn(h.features, params.bn1, bn_mode)))
     h = subm_conv(h, params.conv2)
-    pre = _bn(h.features, params.bn2_gain, params.bn2_bias,
-              params.bn2_mean, params.bn2_var, bn_mode)
+    pre = _bn(h.features, params.bn2, bn_mode)
     return t.with_features(ops.relu(ops.add(pre, t.features)))
 
 
@@ -222,8 +219,7 @@ def sfm_module_params(p: ParamSource, prefix: str, config: SFMConfig, dims: int)
         spec = KernelSpec.same(k, d, dims=dims)
         weight = p.weight(f"{prefix}.level{l}.weight", (spec.volume, c, c),
                           fan_in=spec.volume * c)
-        convs.append(SparseConvLayer(spec, "submanifold", weight,
-                                     p.zeros(f"{prefix}.level{l}.bias", (c,))))
+        convs.append(SparseConvLayer(spec, weight, p.zeros(f"{prefix}.level{l}.bias", (c,))))
     return SfmModuleParams(
         in_proj_w=in_proj_w,
         in_proj_b=in_proj_b,
@@ -248,10 +244,8 @@ def sfm_block_params(p: ParamSource, prefix: str, config: SFMConfig, dims: int) 
     )
 
 
-def batch_norm_params(p: ParamSource, prefix: str, channels: int) -> tuple[Tensor, ...]:
-    """(gain, bias, running mean, running var) of one batch norm, in the
-    field order of SrbParams and DownsampleParams."""
-    return (
+def batch_norm_params(p: ParamSource, prefix: str, channels: int) -> BatchNormParams:
+    return BatchNormParams(
         p.ones(f"{prefix}.gain", (channels,)),
         p.zeros(f"{prefix}.bias", (channels,)),
         p.zeros(f"{prefix}.running_mean", (channels,)),
@@ -266,8 +260,7 @@ def srb_params(p: ParamSource, prefix: str, channels: int, dims: int) -> SrbPara
         # convs feed a batch norm, so they carry no bias
         weight = p.weight(f"{prefix}.conv{stage}.weight", (spec.volume, channels, channels),
                           fan_in=spec.volume * channels)
-        return (SparseConvLayer(spec, "submanifold", weight),
-                *batch_norm_params(p, f"{prefix}.bn{stage}", channels))
+        return SparseConvLayer(spec, weight), batch_norm_params(p, f"{prefix}.bn{stage}", channels)
 
     return SrbParams(*conv_bn(1), *conv_bn(2))
 

@@ -526,17 +526,16 @@ def gather_scatter_vjp(
     rulebook: Rulebook,
     weights: np.ndarray,
     cotangent: np.ndarray,
-    with_bias: bool = True,
     with_weights: bool = True,
 ):
     """Backward pass of :func:`gather_scatter_matmul`.
 
     ``grad_features[i] = sum_o sum_{(i,j)} cot[j] @ W_o^T``;
-    ``grad_W_o = sum_{(i,j)} x[i]^T @ cot[j]``; ``grad_bias = sum_j cot[j]``.
-    Returns (grad_features, grad_weights, grad_bias) in the features'
-    dtype; grad_bias is None when ``with_bias`` is false, and grad_weights
-    is None when ``with_weights`` is false, in which case no input row is
-    gathered and only the shape and dtype of ``features`` are read.
+    ``grad_W_o = sum_{(i,j)} x[i]^T @ cot[j]``.  Returns (grad_features,
+    grad_weights) in the features' dtype; grad_weights is None when
+    ``with_weights`` is false, in which case no input row is gathered and
+    only the shape and dtype of ``features`` are read.  A bias gradient
+    is the cotangent's column sum, which the conv forms itself.
     Accumulation order mirrors the forward pass, so gradients are
     deterministic as well.  A cotangent that is not (output rows, C_out)
     raises ShapeMismatch.
@@ -573,10 +572,4 @@ def gather_scatter_vjp(
             grad_features += gx
         else:
             grad_features[p[:, 0]] += gx
-    grad_bias = cotangent.sum(axis=0) if with_bias else None
-    out_dtype = features.dtype
-    return (
-        grad_features.astype(out_dtype, copy=False),
-        grad_weights,
-        None if grad_bias is None else grad_bias.astype(out_dtype, copy=False),
-    )
+    return grad_features.astype(features.dtype, copy=False), grad_weights

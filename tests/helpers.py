@@ -218,7 +218,7 @@ def reference_gather_scatter_matmul(features, rulebook, weights, bias):
     return acc.astype(features.dtype, copy=False)
 
 
-def reference_gather_scatter_vjp(features, rulebook, weights, cotangent, with_bias=True):
+def reference_gather_scatter_vjp(features, rulebook, weights, cotangent):
     """Backward of :func:`reference_gather_scatter_matmul`, accumulating both
     the feature and the weight gradients in float64 buffers."""
     weights = np.asarray(weights)
@@ -230,11 +230,10 @@ def reference_gather_scatter_vjp(features, rulebook, weights, cotangent, with_bi
             grad_features[p[:, 0]] += cot_rows @ weights[o].T
             grad_weights[o] += features[p[:, 0]].T @ cot_rows
     out_dtype = features.dtype
-    grad_bias = cotangent.sum(axis=0).astype(out_dtype, copy=False) if with_bias else None
     return (
         grad_features.astype(out_dtype, copy=False),
         grad_weights.astype(out_dtype, copy=False),
-        grad_bias,
+        cotangent.sum(axis=0).astype(out_dtype, copy=False),
     )
 
 

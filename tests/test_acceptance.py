@@ -215,14 +215,14 @@ def test_criterion_3_gradcheck():
 
             def fn(ts, scene=scene, spec=spec):
                 t = SparseTensor(scene.coords, ts[0], scene.spatial_shape)
-                return subm_conv(t, SparseConvLayer(spec, "submanifold", ts[1], ts[2])).features
+                return subm_conv(t, SparseConvLayer(spec, ts[1], ts[2])).features
 
         else:
             spec = KernelSpec.downsample(3)
 
             def fn(ts, scene=scene, spec=spec):
                 t = SparseTensor(scene.coords, ts[0], scene.spatial_shape)
-                return regular_conv_down(t, SparseConvLayer(spec, "regular", ts[1], ts[2])).features
+                return regular_conv_down(t, SparseConvLayer(spec, ts[1], ts[2])).features
 
         return fn, [scene.features.data, rng.standard_normal((27, 2, 2)),
                     rng.standard_normal(2)]
@@ -299,7 +299,7 @@ def test_criterion_4_sparsity_preservation():
     conv_init.weight("w", (27, 3, 3), fan_in=81)
     conv_init.zeros("b", (3,))
     conv_layer = SparseConvLayer(
-        KernelSpec.same(3, 2, dims=3), "submanifold",
+        KernelSpec.same(3, 2, dims=3),
         conv_store.tensor("w"), conv_store.tensor("b"),
     )
     for seed in range(100):

@@ -47,7 +47,7 @@ class TestStage:
 
     def test_srb_only_zeroed_convs_is_relu(self):
         cfg, params = stage_with_params(0, 1)
-        for kind, block in params.blocks:
+        for block in params:
             block.conv1.weight.data = np.zeros_like(block.conv1.weight.data)
             block.conv2.weight.data = np.zeros_like(block.conv2.weight.data)
         rng = np.random.default_rng(0)
@@ -62,7 +62,7 @@ class TestStage:
         rng = np.random.default_rng(1)
         t = random_sparse(rng, (5, 5, 5), 0.4, 8)
         staged = run_stage(t, cfg, params)
-        bare = sfm_block(t, cfg.sfm, params.blocks[0][1])
+        bare = sfm_block(t, cfg.sfm, params[0])
         np.testing.assert_array_equal(staged.features.data, bare.features.data)
 
     def test_stage_matches_manual_composition(self):
@@ -73,9 +73,9 @@ class TestStage:
         manual = t
         from focalvox.sfm import srb_block
 
-        manual = sfm_block(manual, cfg.sfm, params.blocks[0][1])
-        manual = srb_block(manual, params.blocks[1][1], bn_mode="eval")
-        manual = srb_block(manual, params.blocks[2][1], bn_mode="eval")
+        manual = sfm_block(manual, cfg.sfm, params[0])
+        manual = srb_block(manual, params[1], bn_mode="eval")
+        manual = srb_block(manual, params[2], bn_mode="eval")
         np.testing.assert_array_equal(expected.features.data, manual.features.data)
 
     def test_stage_preserves_active_set(self):
@@ -97,15 +97,17 @@ class TestDownsample:
         init.ones("d.bn.running_var", (c_out,))
         from focalvox.backbone import DownsampleParams
         from focalvox.conv import SparseConvLayer
+        from focalvox.sfm import BatchNormParams
         from focalvox.sparse import KernelSpec
 
         return DownsampleParams(
-            conv=SparseConvLayer(KernelSpec.downsample(3), "regular",
-                                 store.tensor("d.conv.weight")),
-            bn_gain=store.tensor("d.bn.gain"),
-            bn_bias=store.tensor("d.bn.bias"),
-            bn_mean=store.tensor("d.bn.running_mean"),
-            bn_var=store.tensor("d.bn.running_var"),
+            conv=SparseConvLayer(KernelSpec.downsample(3), store.tensor("d.conv.weight")),
+            bn=BatchNormParams(
+                gain=store.tensor("d.bn.gain"),
+                bias=store.tensor("d.bn.bias"),
+                running_mean=store.tensor("d.bn.running_mean"),
+                running_var=store.tensor("d.bn.running_var"),
+            ),
         )
 
     def test_coordinate_law(self):

@@ -7,19 +7,27 @@ from focalvox.gradcheck import vjp_check
 from focalvox.sparse import (
     KernelSpec,
     SparseTensor,
+    build_rulebook_regular,
     build_rulebook_submanifold,
     gather_scatter_vjp,
     regular_out_shape,
 )
 from focalvox.tape import GradTape, Tensor, grad_of
-from helpers import dense_regular_oracle, dense_subm_oracle, random_sparse, rel_err, sparse_from_coords
+from helpers import (
+    dense_regular_oracle,
+    dense_subm_oracle,
+    random_sparse,
+    reference_gather_scatter_vjp,
+    rel_err,
+    sparse_from_coords,
+)
 
 
 def make_subm_layer(rng, kernel, dilation, c_in, c_out, dims=3, dtype=np.float32):
     spec = KernelSpec.same(kernel, dilation, dims=dims)
     w = Tensor(rng.standard_normal((spec.volume, c_in, c_out)).astype(dtype))
     b = Tensor(rng.standard_normal(c_out).astype(dtype))
-    return SparseConvLayer(spec, "submanifold", w, b)
+    return SparseConvLayer(spec, w, b)
 
 
 class TestSubmConv:
@@ -29,7 +37,7 @@ class TestSubmConv:
         w = np.zeros((27, 4, 4), dtype=np.float32)
         w[13] = np.eye(4, dtype=np.float32)
         layer = SparseConvLayer(
-            KernelSpec.same(3, 1, dims=3), "submanifold", Tensor(w), Tensor(np.zeros(4, np.float32))
+            KernelSpec.same(3, 1, dims=3), Tensor(w), Tensor(np.zeros(4, np.float32))
         )
         out = subm_conv(t, layer)
         assert out.coords is t.coords
@@ -53,13 +61,13 @@ class TestSubmConv:
         )
         assert rel_err(out.features.data, expected) < 1e-5
 
-    def test_kind_checked(self):
+    def test_strided_spec_rejected(self):
         rng = np.random.default_rng(3)
         t = random_sparse(rng, (4, 4, 4), 0.5, 2)
-        layer = make_subm_layer(rng, 3, 1, 2, 2)
-        layer.kind = "regular"
-        with pytest.raises(InvalidSpec):
-            subm_conv(t, layer)
+        spec = KernelSpec.downsample(3)
+        w = Tensor(rng.standard_normal((spec.volume, 2, 2)).astype(np.float32))
+        with pytest.raises(InvalidSpec, match="stride 1"):
+            subm_conv(t, SparseConvLayer(spec, w))
 
     def test_linearity(self):
         rng = np.random.default_rng(4)
@@ -83,7 +91,7 @@ class TestRegularConvDown:
         spec = KernelSpec.downsample(dims)
         w = Tensor(rng.standard_normal((spec.volume, c_in, c_out)).astype(np.float32))
         b = Tensor(rng.standard_normal(c_out).astype(np.float32))
-        return SparseConvLayer(spec, "regular", w, b)
+        return SparseConvLayer(spec, w, b)
 
     def test_single_voxel_stride_two(self):
         rng = np.random.default_rng(5)
@@ -125,8 +133,8 @@ class TestConvVjp:
 
     def test_zero_cotangent(self):
         t, rb, w, cot = self.setup_case(8)
-        gx, gw, gb = gather_scatter_vjp(t.features.data, rb, w, np.zeros_like(cot))
-        assert not gx.any() and not gw.any() and not gb.any()
+        gx, gw = gather_scatter_vjp(t.features.data, rb, w, np.zeros_like(cot))
+        assert not gx.any() and not gw.any()
 
     def test_bad_cotangent_shape_raises(self):
         t, rb, w, cot = self.setup_case(8)
@@ -141,9 +149,8 @@ class TestConvVjp:
         rb = build_rulebook_submanifold(t, spec)
         w = rng.standard_normal((27, 3, 2))
         cot = rng.standard_normal((1, 2))
-        gx, gw, gb = gather_scatter_vjp(t.features.data.astype(np.float64), rb, w, cot)
+        gx, gw = gather_scatter_vjp(t.features.data.astype(np.float64), rb, w, cot)
         np.testing.assert_allclose(gx, cot @ w[13].T)
-        np.testing.assert_allclose(gb, cot[0])
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(10)
@@ -153,7 +160,7 @@ class TestConvVjp:
         def fn(ts):
             feats, w, b = ts
             t = SparseTensor(scene.coords, feats, scene.spatial_shape)
-            return subm_conv(t, SparseConvLayer(spec, "submanifold", w, b)).features
+            return subm_conv(t, SparseConvLayer(spec, w, b)).features
 
         err = vjp_check(
             fn,
@@ -170,7 +177,7 @@ class TestConvVjp:
         def fn(ts):
             feats, w, b = ts
             t = SparseTensor(scene.coords, feats, scene.spatial_shape)
-            return regular_conv_down(t, SparseConvLayer(spec, "regular", w, b)).features
+            return regular_conv_down(t, SparseConvLayer(spec, w, b)).features
 
         err = vjp_check(
             fn,
@@ -178,6 +185,33 @@ class TestConvVjp:
             seed=12,
         )
         assert err < 1e-6
+
+
+class TestConvBiasGradient:
+    """The conv forms the bias gradient itself (the executor's VJP returns
+    only feature and weight gradients); its bytes are the reference's."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["submanifold", "regular"])
+    def test_taped_bias_gradient_matches_reference(self, kind, dtype):
+        rng = np.random.default_rng(14)
+        t = random_sparse(rng, (6, 6, 6), 0.3, 3, dtype=dtype)
+        if kind == "submanifold":
+            spec = KernelSpec.same(3, 2, dims=3)
+            conv, rb = subm_conv, build_rulebook_submanifold(t, spec)
+        else:
+            spec = KernelSpec.downsample(3)
+            out_shape = regular_out_shape(t.spatial_shape, spec)
+            conv, rb = regular_conv_down, build_rulebook_regular(t, spec, out_shape)
+        w = Tensor(rng.standard_normal((spec.volume, 3, 4)).astype(dtype))
+        b = Tensor(rng.standard_normal(4).astype(dtype))
+        tape = GradTape()
+        out = conv(t.with_features(Tensor(t.features.data, tape)), SparseConvLayer(spec, w, b))
+        cot = rng.standard_normal(out.features.data.shape).astype(dtype)
+        got = grad_of(tape.gradients(out.features, cot), b)
+        want = reference_gather_scatter_vjp(t.features.data, rb, w.data, cot)[2]
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSupportBound:
@@ -220,10 +254,10 @@ class TestSlabEquivalence:
         spec3 = KernelSpec.same((3, 3, 1), (2, 2, 1))
         w = rng.standard_normal((9, 3, 4)).astype(np.float32)
         b = rng.standard_normal(4).astype(np.float32)
-        out3 = subm_conv(t, SparseConvLayer(spec3, "submanifold", Tensor(w), Tensor(b)))
+        out3 = subm_conv(t, SparseConvLayer(spec3, Tensor(w), Tensor(b)))
 
         spec2 = KernelSpec.same((3, 3), (2, 2))
-        layer2 = SparseConvLayer(spec2, "submanifold", Tensor(w), Tensor(b))
+        layer2 = SparseConvLayer(spec2, Tensor(w), Tensor(b))
         for z in range(3):
             rows = np.nonzero(t.coords[:, 3] == z)[0]
             if rows.size == 0:

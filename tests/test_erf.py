@@ -12,6 +12,7 @@ from focalvox.erf import (
 from focalvox.errors import InactiveQuery, InvalidSpec
 from focalvox.params import Initializer, ParamReader, ParamStore
 from focalvox.sfm import (
+    BatchNormParams,
     SFMConfig,
     erf_radius,
     sfm_block,
@@ -70,8 +71,8 @@ class TestGradientMap:
         stack, params = srb_stack(seed=1)
         params.conv1.weight.data = np.zeros_like(params.conv1.weight.data)
         params.conv2.weight.data = np.zeros_like(params.conv2.weight.data)
-        params.bn1_gain.data = np.zeros_like(params.bn1_gain.data)
-        params.bn2_gain.data = np.zeros_like(params.bn2_gain.data)
+        params.bn1.gain.data = np.zeros_like(params.bn1.gain.data)
+        params.bn2.gain.data = np.zeros_like(params.bn2.gain.data)
         # with both conv paths dead the query output is relu(x): gradient
         # flows only through the skip, so kill the query's own activation
         t.features.data[:] = -1.0
@@ -172,7 +173,7 @@ class TestComposedRadius:
 
         def conv_layer():
             return SparseConvLayer(
-                KernelSpec.same(3, 1, dims=3), "submanifold",
+                KernelSpec.same(3, 1, dims=3),
                 Tensor(rng.standard_normal((27, c, c)).astype(np.float32)),
                 Tensor(rng.standard_normal(c).astype(np.float32)),
             )
@@ -180,13 +181,15 @@ class TestComposedRadius:
         pre, post = conv_layer(), conv_layer()
         down = DownsampleParams(
             conv=SparseConvLayer(
-                KernelSpec.downsample(3), "regular",
+                KernelSpec.downsample(3),
                 Tensor(rng.standard_normal((27, c, c)).astype(np.float32)),
             ),
-            bn_gain=Tensor(np.ones(c, dtype=np.float32)),
-            bn_bias=Tensor(np.zeros(c, dtype=np.float32)),
-            bn_mean=Tensor(np.zeros(c, dtype=np.float32)),
-            bn_var=Tensor(np.ones(c, dtype=np.float32)),
+            bn=BatchNormParams(
+                gain=Tensor(np.ones(c, dtype=np.float32)),
+                bias=Tensor(np.zeros(c, dtype=np.float32)),
+                running_mean=Tensor(np.zeros(c, dtype=np.float32)),
+                running_var=Tensor(np.ones(c, dtype=np.float32)),
+            ),
         )
 
         def stack(t):

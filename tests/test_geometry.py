@@ -133,7 +133,7 @@ class TestExecutorMatchesPerOffsetReference:
         out = gather_scatter_matmul(x, rb, w, b)
         want = reference_gather_scatter_matmul(x, rb, w, b)
         assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
-        want = reference_gather_scatter_vjp(x, rb, w, cot)
+        want = reference_gather_scatter_vjp(x, rb, w, cot)[:2]
         if with_weights:
             got = gather_scatter_vjp(x, rb, w, cot)
         else:
@@ -141,7 +141,7 @@ class TestExecutorMatchesPerOffsetReference:
             shape_only = np.broadcast_to(np.zeros((), dtype), x.shape)
             got = gather_scatter_vjp(shape_only, rb, w, cot, with_weights=False)
             assert got[1] is None
-            got, want = (got[0], got[2]), (want[0], want[2])
+            got, want = got[:1], want[:1]
         for g, ref in zip(got, want):
             assert g.dtype == ref.dtype and g.shape == ref.shape
             assert g.tobytes() == ref.tobytes()
@@ -178,7 +178,7 @@ class TestUniqueCoords:
 
 def subm_layer(rng, spec, channels):
     w = rng.standard_normal((spec.volume, channels, channels)).astype(np.float32)
-    return SparseConvLayer(spec, "submanifold", Tensor(w), Tensor(np.zeros(channels, np.float32)))
+    return SparseConvLayer(spec, Tensor(w), Tensor(np.zeros(channels, np.float32)))
 
 
 def cached(geometry, key):
@@ -224,11 +224,11 @@ class TestGeometryCache:
         cfg = preset("tiny")
         net = SfmNet(cfg, init_network(cfg))
         stage = 1  # holds one mixer block and one residual block
-        blocks = dict(net.stages[stage].blocks)
+        mixer, residual = net.stages[stage]
         rng = np.random.default_rng(2)
         t = random_sparse(rng, (6, 6, 6), 0.3, cfg.stages[stage].channels)
-        assert srb_block(t, blocks["srb"], bn_mode="eval").geometry is t.geometry
-        assert sfm_block(t, cfg.stages[stage].sfm, blocks["sfm"]).geometry is t.geometry
+        assert srb_block(t, residual, bn_mode="eval").geometry is t.geometry
+        assert sfm_block(t, cfg.stages[stage].sfm, mixer).geometry is t.geometry
 
     def test_downsampling_twice_gives_one_output_geometry(self, monkeypatch):
         cfg = preset("tiny")

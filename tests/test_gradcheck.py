@@ -124,7 +124,7 @@ def test_conv_vjp_through_tape():
     def fn(ts):
         feats, w, b = ts
         t = SparseTensor(scene.coords, feats, scene.spatial_shape)
-        layer = SparseConvLayer(spec, "submanifold", w, b)
+        layer = SparseConvLayer(spec, w, b)
         return subm_conv(t, layer).features
 
     err = vjp_check(

@@ -333,6 +333,19 @@ class TestCli:
                      "--weights", str(wpath), "--dump", str(d2)]) == 0
         assert d1.read_bytes() == d2.read_bytes()
 
+    @pytest.mark.parametrize("name", ["probe.weight", "stage1.srb0.conv1.weight"])
+    def test_forward_rejects_non_finite_weights(self, scene_files, tmp_path, capsys, name):
+        points, config = scene_files
+        store = init_network(load_config(config), seed=3)
+        store.data(name).flat[0] = np.nan  # written as-is; the loader must catch it
+        wpath = tmp_path / "w.sfmw"
+        save_weights(store, wpath)
+        dump = tmp_path / "fwd.csv"
+        assert main(["forward", "--points", str(points), "--config", str(config),
+                     "--weights", str(wpath), "--dump", str(dump)]) == 1
+        assert name in capsys.readouterr().err
+        assert not dump.exists()
+
     def test_erf_inactive_query_exit_one(self, scene_files, tmp_path, capsys):
         points, config = scene_files
         code = main(["erf", "--points", str(points), "--config", str(config),
@@ -340,6 +353,25 @@ class TestCli:
                      "--out-pgm", str(tmp_path / "e.pgm")])
         assert code == 1
         assert "63, 63, 31" in capsys.readouterr().err
+
+    def test_erf_query_runs_the_stack_once(self, scene_files, tmp_path, capsys, monkeypatch):
+        points, config = scene_files
+        calls = []
+        backbone3d = SfmNet.backbone3d
+
+        def counted(net, *args, **kwargs):
+            calls.append(1)
+            return backbone3d(net, *args, **kwargs)
+
+        monkeypatch.setattr(SfmNet, "backbone3d", counted)
+        common = ["erf", "--points", str(points), "--config", str(config),
+                  "--init-seed", "1", "--stage", "2", "--out-pgm", str(tmp_path / "e.pgm")]
+        assert main([*common, "--seed", "7"]) == 0
+        assert len(calls) == 2  # the seeded draw needs the output's active count
+        query = capsys.readouterr().out.split("(")[1].split(")")[0].split(", ")[1:]
+        calls.clear()
+        assert main([*common, "--query", ",".join(query)]) == 0
+        assert len(calls) == 1
 
     def test_erf_seeded_probe_writes_files(self, scene_files, tmp_path):
         points, config = scene_files

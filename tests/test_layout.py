@@ -18,7 +18,7 @@ from focalvox.backbone import (
 )
 from focalvox.errors import ShapeMismatch
 from focalvox.params import Initializer, ParamReader, ParamStore
-from focalvox.sfm import SFMConfig, sfm_block_params, srb_params
+from focalvox.sfm import SFMConfig, SfmBlockParams, sfm_block_params, srb_params
 from focalvox.weights import serialize_weights
 
 # sha256 of serialize_weights(init_network(preset(name))) before the layout
@@ -56,9 +56,10 @@ def test_bind_returns_the_stored_tensors():
     net = SfmNet(cfg, store)
     assert net.store is store
     assert net.vfe_w is store.tensor("vfe.weight")
-    assert net.downs[2].bn_var is store.tensor("down3.bn.running_var")
-    kind, block = net.stage2d.blocks[0]
-    assert kind == "sfm" and block.module.h_w is store.tensor("backbone2d.sfm0.h.weight")
+    assert net.downs[2].bn.running_var is store.tensor("down3.bn.running_var")
+    block = net.stage2d[0]
+    assert isinstance(block, SfmBlockParams)
+    assert block.module.h_w is store.tensor("backbone2d.sfm0.h.weight")
 
 
 def test_bind_other_channels_names_the_tensor():

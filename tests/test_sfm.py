@@ -43,7 +43,6 @@ def module_params(rng, config, dims, dtype=np.float64):
         convs.append(
             SparseConvLayer(
                 spec,
-                "submanifold",
                 Tensor(rng.standard_normal((spec.volume, c, c)).astype(dtype) * 0.4),
                 Tensor(rng.standard_normal(c).astype(dtype) * 0.1),
             )
@@ -175,7 +174,7 @@ class TestContextLevels:
         w = np.zeros((27, 2, 2))
         w[13] = np.eye(2)
         conv = SparseConvLayer(
-            KernelSpec.same(3, 1, dims=3), "submanifold", Tensor(w), Tensor(np.zeros(2))
+            KernelSpec.same(3, 1, dims=3), Tensor(w), Tensor(np.zeros(2))
         )
         rng = np.random.default_rng(2)
         t = random_sparse(rng, (5, 5, 5), 0.3, 2, dtype=np.float64)
@@ -437,10 +436,10 @@ class TestSrb:
         # fresh buffers are mean 0 / var 1, so eval BN is a near-identity scale
         x = t.features.data
         h = x @ params.conv1.weight.data[13]
-        h = h / np.sqrt(1.0 + 1e-5) * params.bn1_gain.data + params.bn1_bias.data
+        h = h / np.sqrt(1.0 + 1e-5) * params.bn1.gain.data + params.bn1.bias.data
         h = np.maximum(h, 0)
         h = h @ params.conv2.weight.data[13]
-        h = h / np.sqrt(1.0 + 1e-5) * params.bn2_gain.data + params.bn2_bias.data
+        h = h / np.sqrt(1.0 + 1e-5) * params.bn2.gain.data + params.bn2.bias.data
         expected = np.maximum(h + x, 0)
         np.testing.assert_allclose(out.features.data, expected, rtol=1e-10)
 
@@ -451,13 +450,13 @@ class TestSrb:
         out = srb_block(t, params, bn_mode="train")
         h = subm_conv(t, params.conv1)
         h1, _, _ = ops.batch_norm_active(
-            h.features, params.bn1_gain, params.bn1_bias,
+            h.features, params.bn1.gain, params.bn1.bias,
             np.zeros(3), np.ones(3), mode="train",
         )
         h = h.with_features(ops.relu(h1))
         h = subm_conv(h, params.conv2)
         h2, _, _ = ops.batch_norm_active(
-            h.features, params.bn2_gain, params.bn2_bias,
+            h.features, params.bn2.gain, params.bn2.bias,
             np.zeros(3), np.ones(3), mode="train",
         )
         expected = ops.relu(ops.add(h2, t.features))
@@ -468,9 +467,9 @@ class TestSrb:
         rng = np.random.default_rng(23)
         params = self.make_params(rng)
         t = random_sparse(rng, (5, 5, 5), 0.4, 3, dtype=np.float64)
-        before = params.bn1_mean.data.copy()
+        before = params.bn1.running_mean.data.copy()
         srb_block(t, params, bn_mode="train")
-        assert not np.array_equal(params.bn1_mean.data, before)
+        assert not np.array_equal(params.bn1.running_mean.data, before)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(24)

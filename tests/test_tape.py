@@ -8,7 +8,7 @@ from focalvox.backbone import SfmNet, downsample, init_network, preset, run_stag
 from focalvox.conv import SparseConvLayer, subm_conv
 from focalvox.errors import ShapeMismatch, TapeConsumed
 from focalvox.points import PointCloud, voxelize_vfe
-from focalvox.sfm import sfm_block
+from focalvox.sfm import SfmBlockParams, SrbParams, sfm_block
 from focalvox.sparse import KernelSpec
 from focalvox.tape import GradTape, Tensor, active_tape, grad_of
 from helpers import keep_all_replay, random_sparse
@@ -132,7 +132,7 @@ def test_tiny_network_leaf_gradients_match_keep_all_replay():
 def test_sfm_block_leaf_gradients_match_keep_all_replay():
     cfg = preset("tiny")
     stage = 1  # holds one mixer block
-    params = dict(SfmNet(cfg, init_network(cfg)).stages[stage].blocks)["sfm"]
+    params = SfmNet(cfg, init_network(cfg)).stages[stage][0]
     rng = np.random.default_rng(12)
     scene = random_sparse(rng, (7, 7, 7), 0.3, cfg.stages[stage].channels)
     tape = GradTape()
@@ -227,7 +227,7 @@ def test_input_only_tape_on_an_sfm_block_and_srb_train_mode():
     cfg = preset("tiny")
     stage = 1  # one mixer block, then one residual block
     net = SfmNet(cfg, init_network(cfg))
-    assert [kind for kind, _ in net.stages[stage].blocks] == ["sfm", "srb"]
+    assert [type(b) for b in net.stages[stage]] == [SfmBlockParams, SrbParams]
     rng = np.random.default_rng(22)
     scene = random_sparse(rng, (7, 7, 7), 0.3, cfg.stages[stage].channels)
 
@@ -252,7 +252,6 @@ def test_input_only_tape_holds_less_after_the_forward():
     mean, var = np.zeros(16, dtype=np.float32), np.ones(16, dtype=np.float32)
     conv = SparseConvLayer(
         KernelSpec.same(3, 1, dims=3),
-        "submanifold",
         Tensor(rng.standard_normal((27, 16, 16)).astype(np.float32)),
     )
     subm_conv(scene, conv)  # builds the cached rulebook outside the measurement
