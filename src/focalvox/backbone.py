@@ -67,10 +67,12 @@ class StageConfig:
 
 @dataclass(frozen=True)
 class NetworkConfig:
+    """Each channel width is set once, by the stage that runs at it: the
+    VFE and each downsample produce the width of the stage they feed, and
+    the BEV projection and the probe use that of ``backbone2d``."""
+
     voxelizer: VoxelizerConfig
     stages: tuple[StageConfig, StageConfig, StageConfig, StageConfig]
-    downsample_channels: tuple[int, int, int]
-    bev_channels: int
     backbone2d: StageConfig
     precision: PrecisionMode = PrecisionMode.STANDARD32
     seed: int = 0
@@ -78,13 +80,6 @@ class NetworkConfig:
     def __post_init__(self):
         if len(self.stages) != 4:
             raise InvalidSpec("exactly four 3-D stages required")
-        if self.voxelizer.out_channels != self.stages[0].channels:
-            raise InvalidSpec("voxelizer output channels != stage-1 channels")
-        expected = tuple(s.channels for s in self.stages[1:])
-        if tuple(self.downsample_channels) != expected:
-            raise InvalidSpec(
-                f"downsample channel plan {self.downsample_channels} != stage plan {expected}"
-            )
         if min(self.voxelizer.grid_shape) < 1:
             raise InvalidSpec("voxelizer grid is empty")
 
@@ -92,13 +87,8 @@ class NetworkConfig:
 PRESET_NAMES = ("tiny", "argoverse2-like", "waymo-like")
 
 
-def _stage(n_sfm, n_srb, channels, kernels, dilations, mlp_ratio=2.0):
-    return StageConfig(
-        n_sfm=n_sfm,
-        n_srb=n_srb,
-        sfm=SFMConfig(channels=channels, kernels=kernels, dilations=dilations,
-                      mlp_ratio=mlp_ratio),
-    )
+def _stage(n_sfm, n_srb, channels, kernels, dilations):
+    return StageConfig(n_sfm, n_srb, SFMConfig(channels, kernels, dilations))
 
 
 def preset(name: str) -> NetworkConfig:
@@ -115,45 +105,39 @@ def preset(name: str) -> NetworkConfig:
         k, d = (3, 3), (1, 3)
         return NetworkConfig(
             voxelizer=VoxelizerConfig((0.1, 0.1, 0.2), (-3.2, -3.2, -3.2),
-                                      (3.2, 3.2, 3.2), out_channels=16),
+                                      (3.2, 3.2, 3.2)),
             stages=(
                 _stage(0, 1, 16, k, d),
                 _stage(1, 1, 32, k, d),
                 _stage(1, 1, 64, k, d),
                 _stage(1, 2, 128, k, d),
             ),
-            downsample_channels=(32, 64, 128),
-            bev_channels=128,
             backbone2d=_stage(1, 1, 128, k, d),
         )
     if name == "argoverse2-like":
         k, d = (3, 3, 3, 3), (1, 3, 5, 7)
         return NetworkConfig(
             voxelizer=VoxelizerConfig((0.1, 0.1, 0.2), (-12.8, -12.8, -3.2),
-                                      (12.8, 12.8, 3.2), out_channels=16),
+                                      (12.8, 12.8, 3.2)),
             stages=(
                 _stage(0, 2, 16, k, d),
                 _stage(1, 2, 32, k, d),
                 _stage(1, 4, 64, k, d),
                 _stage(4, 2, 128, k, d),
             ),
-            downsample_channels=(32, 64, 128),
-            bev_channels=128,
             backbone2d=_stage(2, 4, 128, k, d),
         )
     if name == "waymo-like":
         k, d = (3, 5, 3, 5), (1, 1, 3, 3)
         return NetworkConfig(
             voxelizer=VoxelizerConfig((0.08, 0.08, 0.15), (-10.24, -10.24, -2.4),
-                                      (10.24, 10.24, 2.4), out_channels=16),
+                                      (10.24, 10.24, 2.4)),
             stages=(
                 _stage(0, 2, 16, k, d),
                 _stage(1, 2, 32, k, d),
                 _stage(1, 4, 64, k, d),
                 _stage(2, 6, 128, k, d),
             ),
-            downsample_channels=(32, 64, 128),
-            bev_channels=128,
             backbone2d=_stage(2, 6, 128, k, d),
         )
     raise InvalidSpec(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
@@ -262,13 +246,13 @@ class SfmNet:
         for i, stage_cfg in enumerate(config.stages, start=1):
             self.stages.append(stage_params(p, f"stage{i}", stage_cfg, dims=3))
             if i < 4:
-                c_in, c_out = stage_cfg.channels, config.downsample_channels[i - 1]
+                c_in, c_out = stage_cfg.channels, config.stages[i].channels
                 weight = p.weight(f"down{i}.conv.weight", (down.volume, c_in, c_out),
                                   fan_in=down.volume * c_in)
                 self.downs.append(DownsampleParams(
                     SparseConvLayer(down, weight), batch_norm_params(p, f"down{i}.bn", c_out)
                 ))
-        c4, c_bev = config.stages[3].channels, config.bev_channels
+        c4, c_bev = config.stages[3].channels, config.backbone2d.channels
         self.bev = BevParams(
             proj_w=p.weight("bev.proj.weight", (c4, c_bev), fan_in=c4),
             proj_b=p.zeros("bev.proj.bias", (c_bev,)),
@@ -333,16 +317,12 @@ def param_count(cfg: NetworkConfig) -> int:
 
     Cross-checked in tests against enumerating an initialized ParamStore.
     """
-    c1 = cfg.stages[0].channels
+    c1, c4, c_bev = cfg.stages[0].channels, cfg.stages[3].channels, cfg.backbone2d.channels
     total = VFE_RAW_FEATURES * c1 + c1
-    for i, stage_cfg in enumerate(cfg.stages):
-        total += _stage_param_count(stage_cfg, dims=3)
-        if i < 3:
-            c_in = stage_cfg.channels
-            c_out = cfg.downsample_channels[i]
-            total += 27 * c_in * c_out + 2 * c_out
-    c4 = cfg.stages[3].channels
-    total += c4 * cfg.bev_channels + cfg.bev_channels + 2 * cfg.bev_channels
+    total += sum(_stage_param_count(s, dims=3) for s in cfg.stages)
+    for s_in, s_out in zip(cfg.stages, cfg.stages[1:]):  # downsamples
+        total += 27 * s_in.channels * s_out.channels + 2 * s_out.channels
+    total += c4 * c_bev + c_bev + 2 * c_bev
     total += _stage_param_count(cfg.backbone2d, dims=2)
-    total += cfg.bev_channels * PROBE_LOGITS + PROBE_LOGITS
+    total += c_bev * PROBE_LOGITS + PROBE_LOGITS
     return total

@@ -1,29 +1,30 @@
 """JSON configuration documents.
 
 A config file carries the voxelizer geometry, the four 3-D stage recipes,
-the downsample channel plan, BEV settings, the 2-D stage recipe, the
-precision mode and the seed.  The schema is closed: unknown keys anywhere
-are rejected.
+the 2-D stage recipe, the precision mode and the seed.  Channel widths are
+stated once, per stage: the VFE and each downsample produce the width of
+the stage they feed, and the BEV projection that of the 2-D stage.  The
+schema is closed: unknown keys anywhere are rejected.  Values must have
+their JSON type: counts, channels, kernels, dilations and the seed are
+integers, sizes, ranges and ``mlp_ratio`` finite numbers, and list fields
+arrays.  Every error names its location (``stages[2]: ...``).
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 from .backbone import NetworkConfig, StageConfig
-from .errors import ConfigError
+from .errors import ConfigError, FocalvoxError
 from .fileio import atomic_write_text, read_bytes
 from .points import VoxelizerConfig
 from .sfm import SFMConfig
 from .tape import PrecisionMode
 
-_TOP_KEYS = {
-    "voxelizer", "stages", "downsample_channels", "bev", "backbone2d",
-    "precision", "seed",
-}
-_VOXELIZER_KEYS = {"voxel_size", "range_min", "range_max", "out_channels"}
+_TOP_KEYS = {"voxelizer", "stages", "backbone2d", "precision", "seed"}
+_VOXELIZER_KEYS = {"voxel_size", "range_min", "range_max"}
 _STAGE_KEYS = {"n_sfm", "n_srb", "channels", "kernels", "dilations", "mlp_ratio"}
-_BEV_KEYS = {"channels"}
 
 
 def _require_keys(obj: dict, allowed: set, where: str) -> None:
@@ -37,21 +38,40 @@ def _require_keys(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _field(obj: dict, key: str, where: str, kind: type = int, array: bool = False):
+    """``obj[key]`` checked against its JSON type: an integer (not a
+    boolean) for ``kind=int``, a finite number for ``kind=float``; with
+    ``array``, a JSON array of those, returned as a tuple."""
+    value = obj[key]
+    if array and not isinstance(value, list):
+        raise ConfigError(f"{where}: {key} must be an array, got {value!r}")
+    allowed = (int, float) if kind is float else int
+    for i, v in enumerate(value if array else [value]):
+        if (isinstance(v, bool) or not isinstance(v, allowed)
+                # false for NaN, infinities and integers beyond float range
+                or (kind is float and not abs(v) <= sys.float_info.max)):
+            name = f"{key}[{i}]" if array else key
+            noun = "a finite number" if kind is float else "an integer"
+            raise ConfigError(f"{where}: {name} must be {noun}, got {v!r}")
+    return tuple(kind(v) for v in value) if array else kind(value)
+
+
+def _build(where: str, make, **fields):
+    """``make(**fields)``, with any engine error re-raised as a ConfigError at ``where``."""
+    try:
+        return make(**fields)
+    except FocalvoxError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _stage_from_dict(obj: dict, where: str) -> StageConfig:
     _require_keys(obj, _STAGE_KEYS, where)
-    try:
-        return StageConfig(
-            n_sfm=int(obj["n_sfm"]),
-            n_srb=int(obj["n_srb"]),
-            sfm=SFMConfig(
-                channels=int(obj["channels"]),
-                kernels=tuple(obj["kernels"]),
-                dilations=tuple(obj["dilations"]),
-                mlp_ratio=float(obj["mlp_ratio"]),
-            ),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    sfm = _build(where, SFMConfig, channels=_field(obj, "channels", where),
+                 kernels=_field(obj, "kernels", where, array=True),
+                 dilations=_field(obj, "dilations", where, array=True),
+                 mlp_ratio=_field(obj, "mlp_ratio", where, float))
+    return _build(where, StageConfig, n_sfm=_field(obj, "n_sfm", where),
+                  n_srb=_field(obj, "n_srb", where), sfm=sfm)
 
 
 def _stage_to_dict(cfg: StageConfig) -> dict:
@@ -67,35 +87,25 @@ def _stage_to_dict(cfg: StageConfig) -> dict:
 
 def config_from_dict(doc: dict) -> NetworkConfig:
     _require_keys(doc, _TOP_KEYS, "config")
-    _require_keys(doc["voxelizer"], _VOXELIZER_KEYS, "voxelizer")
-    _require_keys(doc["bev"], _BEV_KEYS, "bev")
+    vox = doc["voxelizer"]
+    _require_keys(vox, _VOXELIZER_KEYS, "voxelizer")
+    voxelizer = _build("voxelizer", VoxelizerConfig, **{
+        key: _field(vox, key, "voxelizer", float, array=True)
+        for key in ("voxel_size", "range_min", "range_max")
+    })
     if not isinstance(doc["stages"], list) or len(doc["stages"]) != 4:
         raise ConfigError("stages must be an array of exactly 4 objects")
-    try:
-        voxelizer = VoxelizerConfig(
-            voxel_size=tuple(doc["voxelizer"]["voxel_size"]),
-            range_min=tuple(doc["voxelizer"]["range_min"]),
-            range_max=tuple(doc["voxelizer"]["range_max"]),
-            out_channels=int(doc["voxelizer"]["out_channels"]),
-        )
-        precision = PrecisionMode(doc["precision"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
     stages = tuple(
         _stage_from_dict(s, f"stages[{i}]") for i, s in enumerate(doc["stages"])
     )
+    backbone2d = _stage_from_dict(doc["backbone2d"], "backbone2d")
     try:
-        return NetworkConfig(
-            voxelizer=voxelizer,
-            stages=stages,
-            downsample_channels=tuple(int(c) for c in doc["downsample_channels"]),
-            bev_channels=int(doc["bev"]["channels"]),
-            backbone2d=_stage_from_dict(doc["backbone2d"], "backbone2d"),
-            precision=precision,
-            seed=int(doc["seed"]),
-        )
+        precision = PrecisionMode(doc["precision"])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"precision: {exc}") from exc
+    return _build("config", NetworkConfig, voxelizer=voxelizer, stages=stages,
+                  backbone2d=backbone2d, precision=precision,
+                  seed=_field(doc, "seed", "config"))
 
 
 def config_to_dict(cfg: NetworkConfig) -> dict:
@@ -104,11 +114,8 @@ def config_to_dict(cfg: NetworkConfig) -> dict:
             "voxel_size": list(cfg.voxelizer.voxel_size),
             "range_min": list(cfg.voxelizer.range_min),
             "range_max": list(cfg.voxelizer.range_max),
-            "out_channels": cfg.voxelizer.out_channels,
         },
         "stages": [_stage_to_dict(s) for s in cfg.stages],
-        "downsample_channels": list(cfg.downsample_channels),
-        "bev": {"channels": cfg.bev_channels},
         "backbone2d": _stage_to_dict(cfg.backbone2d),
         "precision": cfg.precision.value,
         "seed": cfg.seed,
@@ -122,13 +129,17 @@ def config_to_json(cfg: NetworkConfig) -> str:
 def config_from_json(text: str) -> NetworkConfig:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer beyond Python's digit limit
         raise ConfigError(f"invalid JSON: {exc}") from exc
     return config_from_dict(doc)
 
 
 def load_config(path) -> NetworkConfig:
-    return config_from_json(read_bytes(path).decode("utf-8"))
+    try:
+        text = read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8: {exc}") from exc
+    return config_from_json(text)
 
 
 def save_config(cfg: NetworkConfig, path) -> None:

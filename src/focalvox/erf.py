@@ -69,25 +69,11 @@ def composed_support_radius(stage_radii: list[int], down_radius: int = 1) -> int
     return radius
 
 
-def select_query(
-    t: SparseTensor, coord=None, seed: int | None = None
-) -> VoxelCoord:
-    """An active voxel: the explicit one (validated) or a seeded draw."""
+def select_query(t: SparseTensor, seed: int) -> VoxelCoord:
+    """A seeded draw of one active voxel (uniform over the rows of ``t``)."""
     if t.n_active == 0:
         raise InactiveQuery("scene has no active voxels")
-    if coord is not None:
-        if isinstance(coord, VoxelCoord):
-            query = coord
-        else:
-            coord = tuple(int(v) for v in coord)
-            query = VoxelCoord(coord[0], coord[1:])
-        if t.geometry.index.lookup(query) is None:
-            raise InactiveQuery(f"voxel {(query.batch, *query.ijk)} is not active")
-        return query
-    if seed is None:
-        raise InvalidSpec("need an explicit coordinate or a seed")
-    rng = np.random.default_rng(seed)
-    row = int(rng.integers(0, t.n_active))
+    row = int(np.random.default_rng(seed).integers(0, t.n_active))
     return t.coord_at(row)
 
 

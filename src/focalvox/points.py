@@ -102,12 +102,13 @@ class VoxelizerConfig:
     voxel_size: tuple[float, float, float]
     range_min: tuple[float, float, float]
     range_max: tuple[float, float, float]
-    out_channels: int
 
     def __post_init__(self):
         object.__setattr__(self, "voxel_size", tuple(float(v) for v in self.voxel_size))
         object.__setattr__(self, "range_min", tuple(float(v) for v in self.range_min))
         object.__setattr__(self, "range_max", tuple(float(v) for v in self.range_max))
+        if not len(self.voxel_size) == len(self.range_min) == len(self.range_max) == 3:
+            raise InvalidSpec("voxel_size, range_min and range_max need three values each")
         if any(v <= 0 for v in self.voxel_size):
             raise InvalidSpec("voxel sizes must be positive")
         for lo, hi, size in zip(self.range_min, self.range_max, self.voxel_size):

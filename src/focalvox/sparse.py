@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -194,10 +193,11 @@ class Geometry:
     ``coords`` is read-only: an input array is kept only when it and every
     array it views are read-only; any other input is copied once and the
     copy frozen, so nothing derived from the coordinates can go stale.
-    Derived state lives exactly as long as the geometry: the coordinate
-    index, built on first use, and the rulebook cache (see
-    :meth:`rulebook`), keyed by ``KernelSpec`` for submanifold rulebooks
-    and by ``(KernelSpec, out_shape)`` for regular ones.
+    The coordinate index is built here, so a repeated coordinate raises
+    DuplicateCoordinate when the geometry is made.  The rulebook cache (see
+    :meth:`rulebook`) lives exactly as long as the geometry, keyed by
+    ``KernelSpec`` for submanifold rulebooks and by ``(KernelSpec,
+    out_shape)`` for regular ones.
     """
 
     def __init__(self, coords, spatial_shape: tuple[int, ...]):
@@ -219,6 +219,7 @@ class Geometry:
             coords = coords.copy()
             coords.flags.writeable = False
         self.coords = coords
+        self.index = CoordIndex(coords, self.spatial_shape)
         self._rulebooks: dict = {}
 
     @property
@@ -228,11 +229,6 @@ class Geometry:
     @property
     def dims(self) -> int:
         return len(self.spatial_shape)
-
-    @cached_property
-    def index(self) -> CoordIndex:
-        """Index of the active set; raises DuplicateCoordinate on repeats."""
-        return CoordIndex(self.coords, self.spatial_shape)
 
     def rulebook(self, key, build: Callable[[], "Rulebook"]) -> "Rulebook":
         """The cached rulebook under ``key``; ``build()`` makes it on a miss."""

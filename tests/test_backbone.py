@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from focalvox.backbone import (
     run_stage,
     sfmnet_forward,
 )
+from focalvox.config import config_from_json, config_to_json
 from focalvox.errors import EmptyScene, InvalidSpec
 from focalvox.params import Initializer, ParamReader, ParamStore, is_buffer_name
 from focalvox.points import PointCloud
@@ -257,8 +260,6 @@ class TestEndToEnd:
             sfmnet_forward(cloud, cfg, store)
 
     def test_check64_precision_runs_in_float64(self):
-        from dataclasses import replace
-
         from focalvox.tape import PrecisionMode
 
         cfg = replace(preset("tiny"), precision=PrecisionMode.CHECK64)
@@ -305,13 +306,21 @@ class TestPresetsAndCounts:
         assert buffer_scalars > 0
         assert param_count(cfg) == store.scalar_count()
 
-    def test_channel_plan_consistency_checked(self):
+    def test_widths_follow_the_stages(self):
+        # non-preset widths: the downsamples into and out of stage 2 and the
+        # BEV projection take their widths from the stages they feed
         cfg = preset("tiny")
-        with pytest.raises(InvalidSpec):
-            NetworkConfig(
-                voxelizer=cfg.voxelizer,
-                stages=cfg.stages,
-                downsample_channels=(32, 64, 999),
-                bev_channels=cfg.bev_channels,
-                backbone2d=cfg.backbone2d,
-            )
+        stage2 = replace(cfg.stages[1], sfm=replace(cfg.stages[1].sfm, channels=40))
+        bev2d = replace(cfg.backbone2d, sfm=replace(cfg.backbone2d.sfm, channels=64))
+        cfg = replace(cfg, stages=(cfg.stages[0], stage2, *cfg.stages[2:]), backbone2d=bev2d)
+        cfg = config_from_json(config_to_json(cfg))
+        assert (cfg.stages[1].channels, cfg.backbone2d.channels) == (40, 64)
+        store = init_network(cfg)
+        assert store.data("down1.conv.weight").shape == (27, 16, 40)
+        assert store.data("down2.conv.weight").shape == (27, 40, 64)
+        assert store.data("bev.proj.weight").shape == (128, 64)
+        assert store.data("probe.weight").shape == (64, 3)
+        assert param_count(cfg) == store.scalar_count()
+        bev, logits = sfmnet_forward(synthetic_cloud(300, seed=3), cfg, store)
+        assert bev.channels == 64
+        assert logits.data.shape == (bev.n_active, 3)

@@ -51,14 +51,17 @@ def sfm_module_stack(channels=3, seed=0, kernels=(3, 3), dilations=(1, 3)):
 
 class TestSelectQuery:
     def test_explicit_active(self):
+        # through the identity stack only the query voxel has a gradient
         t = slab_scene(3, 3, 1)
-        q = select_query(t, coord=(0, 1, 2, 0))
-        assert q == VoxelCoord(0, (1, 2, 0))
+        erf = erf_gradient_map(lambda t: t, t, VoxelCoord(0, (1, 2, 0)))
+        reached = {c: m for c, m in erf.values().items() if m}
+        assert list(reached) == [(0, 1, 2, 0)]
+        assert reached[(0, 1, 2, 0)] == pytest.approx(1.0, rel=1e-6)
 
     def test_explicit_inactive(self):
         t = slab_scene(3, 3, 1)
         with pytest.raises(InactiveQuery):
-            select_query(t, coord=(0, 1, 1, 5))
+            erf_gradient_map(lambda t: t, t, VoxelCoord(0, (1, 1, 5)))
 
     def test_seeded_deterministic(self):
         t = slab_scene(5, 5, 2)
@@ -76,14 +79,14 @@ class TestGradientMap:
         # with both conv paths dead the query output is relu(x): gradient
         # flows only through the skip, so kill the query's own activation
         t.features.data[:] = -1.0
-        erf = erf_gradient_map(stack, t, select_query(t, coord=(0, 2, 2, 0)))
+        erf = erf_gradient_map(stack, t, VoxelCoord(0, (2, 2, 0)))
         assert erf.normalization == 0.0
         assert not erf.magnitudes.any()
 
     def test_srb_support_radius_two(self):
         t = slab_scene(9, 9, 1, seed=2)
         stack, _ = srb_stack(seed=3)
-        query = select_query(t, coord=(0, 4, 4, 0))
+        query = VoxelCoord(0, (4, 4, 0))
         erf = erf_gradient_map(stack, t, query)
         values = erf.values()
         for (b, x, y, z), mag in values.items():
@@ -103,7 +106,7 @@ class TestGradientMap:
         t = slab_scene(11, 11, 3, seed=4)
         stack, cfg, _ = sfm_module_stack(seed=5)
         assert erf_radius(cfg) == 4
-        query = select_query(t, coord=(0, 5, 5, 1))
+        query = VoxelCoord(0, (5, 5, 1))
         erf = erf_gradient_map(stack, t, query)
         reached = 0
         for (b, x, y, z), mag in erf.values().items():

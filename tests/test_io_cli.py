@@ -145,11 +145,11 @@ class TestVoxelize:
         rng = np.random.default_rng(3)
         cfg = self.cfg()
         cloud = PointCloud(np.array([[0.0, 0.0, 0.0, 0.5]]))
-        w = Tensor(rng.standard_normal((4, cfg.out_channels)).astype(np.float32))
-        b = Tensor(rng.standard_normal(cfg.out_channels).astype(np.float32))
+        w = Tensor(rng.standard_normal((4, 16)).astype(np.float32))
+        b = Tensor(rng.standard_normal(16).astype(np.float32))
         t = voxelize_vfe(cloud, cfg, w, b)
         assert (t.features.data >= 0).all()
-        assert t.channels == cfg.out_channels
+        assert t.channels == 16
 
 
 class TestWeightsContainer:
@@ -223,6 +223,33 @@ class TestWeightsContainer:
             load_weights(path, expected)
 
 
+def tiny_config_with(path: tuple, value) -> str:
+    """The tiny preset's config JSON with ``value`` set at ``path``."""
+    doc = json.loads(config_to_json(preset("tiny")))
+    obj = doc
+    for step in path[:-1]:
+        obj = obj[step]
+    obj[path[-1]] = value
+    return json.dumps(doc)
+
+
+# a value of the wrong JSON type, or one its config object rejects, and
+# the start of the error, which names where it is
+BAD_VALUES = [
+    (("stages", 2, "channels"), 32.9, r"stages\[2\]: channels must be an integer"),
+    (("stages", 1, "n_sfm"), 1.7, r"stages\[1\]: n_sfm must be an integer"),
+    (("stages", 1, "n_sfm"), "1", r"stages\[1\]: n_sfm must be an integer"),
+    (("stages", 1, "mlp_ratio"), "2", r"stages\[1\]: mlp_ratio must be a finite number"),
+    (("stages", 1, "mlp_ratio"), 10**400, r"stages\[1\]: mlp_ratio must be a finite number"),
+    (("seed",), True, r"config: seed must be an integer"),
+    (("stages", 1, "dilations"), "13", r"stages\[1\]: dilations must be an array"),
+    (("backbone2d", "kernels"), [3, True], r"backbone2d: kernels\[1\] must be an integer"),
+    (("stages", 2, "kernels"), [3, 4], r"stages\[2\]: kernel sizes must be odd"),
+    (("stages", 0, "n_srb"), -1, r"stages\[0\]: block counts must be non-negative"),
+    (("voxelizer", "voxel_size"), [0.1, 0.1], r"voxelizer: .* three values"),
+]
+
+
 class TestConfigFile:
     def test_roundtrip_byte_identical(self, tmp_path):
         cfg = preset("tiny")
@@ -233,11 +260,23 @@ class TestConfigFile:
         save_config(cfg, path)
         assert config_to_json(load_config(path)) == text
 
-    def test_unknown_key_rejected(self):
-        doc = json.loads(config_to_json(preset("tiny")))
-        doc["surprise"] = 1
-        with pytest.raises(ConfigError):
-            config_from_json(json.dumps(doc))
+    @pytest.mark.parametrize("path, value", [
+        (("surprise",), 1),
+        # the VFE, downsample and BEV widths follow the stages: no keys of their own
+        (("voxelizer", "out_channels"), 16),
+        (("downsample_channels",), [32, 64, 128]),
+        (("bev",), {"channels": 128}),
+    ], ids=["surprise", "voxelizer.out_channels", "downsample_channels", "bev"])
+    def test_unknown_key_rejected(self, path, value):
+        with pytest.raises(ConfigError, match=rf"unknown keys \['{path[-1]}'\]"):
+            config_from_json(tiny_config_with(path, value))
+
+    @pytest.mark.parametrize("path, value, message", BAD_VALUES, ids=[
+        ".".join(map(str, path)) + "=" + json.dumps(value)[:16] for path, value, _ in BAD_VALUES
+    ])
+    def test_bad_value_rejected_with_location(self, path, value, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_json(tiny_config_with(path, value))
 
     def test_unknown_nested_key_rejected(self):
         doc = json.loads(config_to_json(preset("tiny")))
@@ -256,6 +295,14 @@ class TestConfigFile:
         doc["stages"] = doc["stages"][:3]
         with pytest.raises(ConfigError):
             config_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("raw", [b"\xff{}", b'{"seed": ' + b"1" * 5000 + b"}"],
+                             ids=["not-utf8", "5000-digit-integer"])
+    def test_unreadable_file_rejected(self, tmp_path, raw):
+        path = tmp_path / "c.json"
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError):
+            load_config(path)
 
 
 @pytest.fixture

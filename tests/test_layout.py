@@ -66,8 +66,7 @@ def test_bind_other_channels_names_the_tensor():
     cfg = preset("tiny")
     store = init_network(cfg)
     stage2 = replace(cfg.stages[1], sfm=replace(cfg.stages[1].sfm, channels=40))
-    wider = replace(cfg, stages=(cfg.stages[0], stage2, *cfg.stages[2:]),
-                    downsample_channels=(40, 64, 128))
+    wider = replace(cfg, stages=(cfg.stages[0], stage2, *cfg.stages[2:]))
     with pytest.raises(ShapeMismatch, match=r"down1\.conv\.weight"):
         SfmNet(wider, store)
 

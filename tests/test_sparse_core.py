@@ -26,9 +26,8 @@ class TestCoordIndex:
         assert idx.lookup((0, 0, 0, 0)) == 0
 
     def test_duplicate_rejected(self):
-        t = sparse_from_coords([(0, 1, 2, 3), (0, 1, 2, 3)], (4, 4, 4), 1)
         with pytest.raises(DuplicateCoordinate):
-            t.geometry.index
+            sparse_from_coords([(0, 1, 2, 3), (0, 1, 2, 3)], (4, 4, 4), 1)
 
     def test_random_against_linear_scan(self):
         rng = np.random.default_rng(0)
