@@ -4,12 +4,17 @@ Every function takes and returns :class:`~focalvox.tape.Tensor` values and
 records itself on the tape carried by its inputs (if any).  Computation
 preserves the dtype of its operands, so the same code runs in float32 for
 the runtime path and float64 for gradient checking.
+
+The exact gelu's ``erf`` is a numpy port of the Cephes ``ndtr.c`` erf
+(Moshier, 1989), the code SciPy's ``special.erf`` runs.  It evaluates in
+float64 and rounds once, so float32 results equal SciPy's bit for bit; in
+float64 they are equal for |x| <= 1 and within 1 ulp beyond, where numpy's
+SIMD ``exp`` can round the last bit differently from the C library's.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import EmptyBatch, ShapeMismatch
 from .tape import Tensor, active_tape
@@ -18,6 +23,80 @@ _INV_SQRT2 = np.float64(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = np.float64(1.0 / np.sqrt(2.0 * np.pi))
 NORM_EPS = 1e-5  # layer norm and batch norm
 BN_MOMENTUM = 0.9  # weight of the old running statistics per train-mode update
+
+# Cephes ndtr.c rationals for erf (Moshier 1989), highest degree first; U
+# and Q have an implied leading 1, as Cephes evaluates them with ``p1evl``
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+      2.23200534594684319226e3, 7.00332514112805075473e3,
+      5.55923013010394962768e4)
+_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+      4.59432382970980127987e3, 2.26290000613890934246e4,
+      4.92673942608635921086e4)
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+      7.46321056442269912687e0, 4.86371970985681366614e1,
+      1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3,
+      5.57535335369399327526e2)
+_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+      3.54937778887819891062e2, 9.75708501743205489753e2,
+      1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+# |x| from which erf rounds to exactly 1: the first such float32, and for
+# float64 a bound where erfc(6) ~ 2.2e-17 is below half an ulp of 1
+_SATURATE = {np.dtype(np.float32): 3.919205904006958, np.dtype(np.float64): 6.0}
+_ERF_BLOCK = 1 << 15  # elements per block; keeps the float64 scratch in cache
+
+
+def _polevl(x: np.ndarray, coefs, out: np.ndarray, monic: bool = False) -> np.ndarray:
+    """Cephes ``polevl`` (``p1evl`` if ``monic``: a leading 1 is implied),
+    in Cephes' Horner order, into ``out``."""
+    if monic:
+        np.add(x, coefs[0], out=out)
+    else:
+        np.multiply(x, coefs[0], out=out)
+        out += coefs[1]
+    for c in coefs[1 if monic else 2 :]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Cephes ``erf``, evaluated in float64 and rounded once to ``x.dtype``.
+
+    ``x`` is first clamped to the dtype's saturation point, where erf
+    already rounds to +-1, so that nothing below overflows.  ``|x| <= 1``
+    takes ``x T(x^2) / U(x^2)`` (Cephes negates the value at ``|x|``; the
+    rounding is symmetric, so the bits agree); beyond, only the elements
+    that need it take ``1 - exp(-x^2) P(|x|) / Q(|x|)``, signed by
+    ``copysign``.
+    Underflow is ignored: it only flags the rounding of a tiny result
+    (erf(x) ~ 1.128 x), and SciPy's ufunc does not raise it either.
+    """
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    saturate = _SATURATE[x.dtype]
+    scratch = np.empty((4, min(flat.size, _ERF_BLOCK)))
+    with np.errstate(under="ignore"):
+        for start in range(0, flat.size, _ERF_BLOCK):
+            xb = flat[start : start + _ERF_BLOCK]
+            s, z, y, u = scratch[:, : xb.size]
+            s[...] = xb
+            np.clip(s, -saturate, saturate, out=s)
+            np.square(s, out=z)
+            big = np.flatnonzero(z > 1.0)  # overwritten below
+            _polevl(z, _T, y)
+            y *= s
+            y /= _polevl(z, _U, u, monic=True)
+            if big.size:
+                sb = s[big]
+                ab = np.abs(sb)
+                e = np.exp(-(ab * ab))
+                e *= _polevl(ab, _P, np.empty_like(ab))
+                e /= _polevl(ab, _Q, np.empty_like(ab), monic=True)
+                y[big] = np.copysign(1.0 - e, sb)
+            out[start : start + _ERF_BLOCK] = y
+    return out.reshape(x.shape)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
@@ -149,7 +228,7 @@ def batch_norm_active(
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF gelu, ``x * Phi(x)`` via the error function."""
     xd = x.data
-    phi = 0.5 * (1.0 + erf(xd * xd.dtype.type(_INV_SQRT2)))
+    phi = 0.5 * (1.0 + _erf(xd * xd.dtype.type(_INV_SQRT2)))
     out = Tensor(xd * phi, x.tape)
     if x.tape is not None:
 

@@ -35,6 +35,10 @@ class SFMConfig:
     def __post_init__(self):
         object.__setattr__(self, "kernels", tuple(int(k) for k in self.kernels))
         object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))
+        if self.channels < 1:
+            raise InvalidSpec(f"channels must be at least 1, got {self.channels}")
+        if not self.mlp_ratio > 0:
+            raise InvalidSpec(f"mlp_ratio must be positive, got {self.mlp_ratio}")
         if len(self.kernels) != len(self.dilations) or not self.kernels:
             raise InvalidSpec("kernels and dilations must be equal-length, non-empty")
         if any(k < 1 or k % 2 == 0 for k in self.kernels):

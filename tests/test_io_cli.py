@@ -237,6 +237,7 @@ def tiny_config_with(path: tuple, value) -> str:
 # the start of the error, which names where it is
 BAD_VALUES = [
     (("stages", 2, "channels"), 32.9, r"stages\[2\]: channels must be an integer"),
+    (("stages", 1, "channels"), 0, r"stages\[1\]: channels must be at least 1, got 0"),
     (("stages", 1, "n_sfm"), 1.7, r"stages\[1\]: n_sfm must be an integer"),
     (("stages", 1, "n_sfm"), "1", r"stages\[1\]: n_sfm must be an integer"),
     (("stages", 1, "mlp_ratio"), "2", r"stages\[1\]: mlp_ratio must be a finite number"),

@@ -141,6 +141,106 @@ class TestGelu:
         assert out.data.dtype == np.float32
 
 
+def scipy_erf(x):
+    from scipy.special import erf  # the independent oracle (a test extra)
+
+    return erf(x)
+
+
+def f32_bits(lo, hi, step=1):
+    """Float32 values whose bit patterns run from ``lo`` to ``hi``."""
+    return np.arange(lo, hi, step, dtype=np.int64).astype(np.uint32).view(np.float32)
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit; any NaN matches any NaN."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    uint = np.uint32 if got.dtype == np.float32 else np.uint64
+    same = (got.view(uint) == want.view(uint)) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), f"{np.count_nonzero(~same)} differ, first at {got[~same][:3]}"
+
+
+class TestErf:
+    """The numpy port of the Cephes erf against scipy's, which runs the same
+    Cephes code: bit for bit in float32, within 1 ulp of float64 past 1."""
+
+    ONE = int(np.float32(1.0).view(np.uint32))
+    SATURATE = int(np.float32(ops._SATURATE[np.dtype(np.float32)]).view(np.uint32))
+
+    @pytest.fixture(autouse=True)
+    def _raise_on_fp_errors(self):
+        with np.errstate(all="raise"):
+            yield
+
+    def test_float32_strided_sweep(self):
+        # every 613th bit pattern in [0, 4.5], both signs: ~1.8M values
+        x = f32_bits(0, int(np.float32(4.5).view(np.uint32)) + 1, 613)
+        x = np.concatenate([x, -x])
+        assert_same_bits(ops._erf(x), scipy_erf(x))
+
+    @pytest.mark.parametrize("center", [ONE, SATURATE], ids=["one", "saturate"])
+    def test_float32_every_value_near(self, center):
+        x = f32_bits(center - 4096, center + 4097)
+        x = np.concatenate([x, -x])
+        assert_same_bits(ops._erf(x), scipy_erf(x))
+
+    def test_saturation_is_first_float32_at_one(self):
+        sat = np.float32(ops._SATURATE[np.dtype(np.float32)])
+        below = np.nextafter(sat, np.float32(0))
+        one = np.float32(1)
+        assert scipy_erf(np.array([below, sat])).tolist() == [np.nextafter(one, 0), one]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_special_values(self, dtype):
+        info = np.finfo(dtype)
+        # zero, infinity, NaN, the least and greatest subnormal, the least
+        # normal and the greatest finite value
+        edges = [info.smallest_subnormal, info.smallest_normal - info.smallest_subnormal,
+                 info.smallest_normal, info.max]
+        x = np.array([0.0, np.inf, np.nan, *edges], dtype)
+        x = np.concatenate([x, -x])
+        got = ops._erf(x)
+        assert_same_bits(got, scipy_erf(x))
+        assert np.signbit(got[[0, 7]]).tolist() == [False, True]  # +0, -0
+        assert got[[1, 8]].tolist() == [1.0, -1.0]
+        assert np.isnan(got[[2, 9]]).all()
+
+    def test_every_float32_subnormal_stride(self):
+        x = f32_bits(1, 1 << 23, 97)
+        x = np.concatenate([x, -x])
+        assert_same_bits(ops._erf(x), scipy_erf(x))
+
+    @pytest.mark.parametrize("make", [
+        lambda x: x[: 3 * 257].reshape(3, 257),
+        lambda x: x[: 64 * 40].reshape(64, 40)[:, ::3],
+        lambda x: x[: 64 * 40].reshape(64, 40).T,
+        lambda x: x[:0].reshape(0, 5),
+    ], ids=["2d", "strided", "transposed", "empty"])
+    def test_layouts(self, make):
+        x = make(np.random.default_rng(0).uniform(-5, 5, 4096).astype(np.float32))
+        got = ops._erf(x)
+        assert_same_bits(got, scipy_erf(x))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_edges(self, offset):
+        n = ops._ERF_BLOCK + offset
+        # a value past 1 at each end of the first block and of the next
+        x = np.random.default_rng(1).uniform(-5, 5, n).astype(np.float32)
+        x[[0, -1]] = 2.5
+        assert_same_bits(ops._erf(x), scipy_erf(x))
+
+    def test_float64_exact_to_one_then_one_ulp(self):
+        rng = np.random.default_rng(2)
+        x = np.concatenate([rng.uniform(-1, 1, 100_000), rng.uniform(-7, 7, 100_000),
+                            np.array([1.0, -1.0, 6.0, -6.0, np.nextafter(6.0, 0)])])
+        got, want = ops._erf(x), scipy_erf(x)
+        inner = np.abs(x) <= 1
+        assert_same_bits(got[inner], want[inner])
+        # numpy's SIMD exp, not libm's, is the only source of the last bit
+        ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= 1
+
+
 class TestMlp:
     def _params(self, rng, c, ratio):
         h = int(ratio * c)

@@ -84,6 +84,17 @@ class TestConfig:
         with pytest.raises(InvalidSpec):
             SFMConfig(channels=3, kernels=(3,), dilations=(1,), mlp_ratio=0.5)
 
+    @pytest.mark.parametrize("channels", [0, -4])
+    def test_nonpositive_channels(self, channels):
+        # -4 channels at mlp_ratio -0.5 give a positive integer hidden width
+        with pytest.raises(InvalidSpec, match=rf"^channels must be at least 1, got {channels}$"):
+            SFMConfig(channels=channels, kernels=(3,), dilations=(1,), mlp_ratio=-0.5)
+
+    @pytest.mark.parametrize("mlp_ratio", [0.0, -0.5, float("nan")])
+    def test_nonpositive_mlp_ratio(self, mlp_ratio):
+        with pytest.raises(InvalidSpec, match=r"^mlp_ratio must be positive"):
+            SFMConfig(channels=4, kernels=(3,), dilations=(1,), mlp_ratio=mlp_ratio)
+
 
 class TestEffectiveReceptiveField:
     def test_single_level(self):
