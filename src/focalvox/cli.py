@@ -36,6 +36,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer, as numpy seeds must be."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="focalvox", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -52,15 +72,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forward", help="full network pass; dump BEV cells")
     add_points_config(p)
     p.add_argument("--weights", help="weights container path")
-    p.add_argument("--init-seed", type=int, help="synthesize weights from a seed")
+    p.add_argument("--init-seed", type=_seed, help="synthesize weights from a seed")
     p.add_argument("--dump", required=True)
 
     p = sub.add_parser("erf", help="gradient receptive-field probe")
     add_points_config(p)
     p.add_argument("--weights")
-    p.add_argument("--init-seed", type=int)
-    p.add_argument("--query", help="active voxel 'x,y,z' in the probed output grid")
-    p.add_argument("--seed", type=int, help="seeded random query selection")
+    p.add_argument("--init-seed", type=_seed)
+    p.add_argument("--query", type=_int_list,
+                   help="active voxel 'x,y,z' in the probed output grid")
+    p.add_argument("--seed", type=_seed, help="seeded random query selection")
     p.add_argument("--stage", type=int, default=1, choices=(1, 2, 3, 4),
                    help="probe through stages 1..k of the 3-D backbone")
     p.add_argument("--out-pgm", required=True)
@@ -68,16 +89,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="interaction-count scaling experiment")
     p.add_argument("--mixer", required=True, choices=("sfm", "local-attention"))
-    p.add_argument("--n-list", required=True, help="comma-separated voxel counts")
+    p.add_argument("--n-list", type=_int_list, required=True,
+                   help="comma-separated voxel counts")
     p.add_argument("--density", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kernels", default="3,3")
-    p.add_argument("--dilations", default="1,3")
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--kernels", type=_int_list, default="3,3")
+    p.add_argument("--dilations", type=_int_list, default="1,3")
     p.add_argument("--window", type=int, default=5, help="attention window edge")
     p.add_argument("--report", help="JSON-lines output path (default stdout)")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--module", default="all", choices=GRADCHECK_MODULES)
 
     sub.add_parser("selftest", help="run the built-in oracle suite")
@@ -146,11 +168,10 @@ def cmd_erf(args) -> int:
     scene = voxelize_vfe(cloud, cfg.voxelizer, net.vfe_w, net.vfe_b)
     stack = functools.partial(net.backbone3d, bn_mode="eval", depth=args.stage)
     if args.query:
-        parts = [int(v) for v in args.query.split(",")]
-        if len(parts) != 3:
+        if len(args.query) != 3:
             raise InvalidSpec("--query must be 'x,y,z'")
         # erf_gradient_map raises InactiveQuery when the stack output lacks it
-        query = VoxelCoord(0, tuple(parts))
+        query = VoxelCoord(0, args.query)
     elif args.seed is not None:
         # the draw needs the output's active count: one untaped forward
         query = select_query(stack(scene), seed=args.seed)
@@ -166,14 +187,9 @@ def cmd_erf(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    n_list = [int(v) for v in args.n_list.split(",") if v]
-    if not n_list:
-        raise InvalidSpec("--n-list is empty")
-    kernels = tuple(int(v) for v in args.kernels.split(","))
-    dilations = tuple(int(v) for v in args.dilations.split(","))
-    config = SFMConfig(channels=16, kernels=kernels, dilations=dilations)
+    config = SFMConfig(channels=16, kernels=args.kernels, dilations=args.dilations)
     reports, slope = scaling_experiment(
-        args.mixer, n_list, args.density, args.seed,
+        args.mixer, list(args.n_list), args.density, args.seed,
         config=config, window_edge=args.window,
     )
     lines = [r.to_json() for r in reports]

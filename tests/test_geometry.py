@@ -16,6 +16,7 @@ from focalvox.conv import SparseConvLayer, regular_conv_down, subm_conv
 from focalvox.points import PointCloud
 from focalvox.sfm import SFMConfig, sfm_block, sfm_pair_count, srb_block
 from focalvox.sparse import (
+    SMALL_GEMM_ENTRIES,
     KernelSpec,
     SparseTensor,
     build_rulebook_regular,
@@ -145,6 +146,124 @@ class TestExecutorMatchesPerOffsetReference:
         for g, ref in zip(got, want):
             assert g.dtype == ref.dtype and g.shape == ref.shape
             assert g.tobytes() == ref.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scene=scenes,
+        kind=st.sampled_from(["submanifold", "regular"]),
+        k=st.sampled_from([1, 3, 5]),
+        d=st.integers(1, 4),
+        channels=st.tuples(st.sampled_from([1, 2, 5, 16, 32]), st.sampled_from([1, 3, 16, 32])),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        with_weights=st.booleans(),
+        zeroed=st.sampled_from(["none", "all", "all but one", "half"]),
+        zero=st.sampled_from([0.0, -0.0]),
+    )
+    def test_zeroed_cotangent_rows_same_bytes(
+        self, scene, kind, k, d, channels, dtype, with_weights, zeroed, zero
+    ):
+        """Cotangents with dead rows take the live-row product; the bytes
+        are those of the all-pairs reference."""
+        t = scene_from(scene)
+        if kind == "submanifold":
+            rb = build_rulebook_submanifold(t, KernelSpec.same(k, d, dims=t.dims))
+        else:
+            spec = KernelSpec((k,) * t.dims, (d,) * t.dims, (2,) * t.dims, (d,) * t.dims)
+            rb = build_rulebook_regular(t, spec, regular_out_shape(t.spatial_shape, spec))
+        rng = np.random.default_rng(scene["seed"])
+        c_in, c_out = channels
+        x = rng.standard_normal((t.n_active, c_in)).astype(dtype)
+        w = rng.standard_normal((len(rb.offsets), c_in, c_out)).astype(dtype)
+        cot = rng.standard_normal((rb.n_out, c_out)).astype(dtype)
+        n = rb.n_out
+        dead = {
+            "none": [],
+            "all": np.arange(n),
+            "all but one": np.delete(np.arange(n), rng.integers(n)) if n else [],
+            "half": rng.permutation(n)[: n // 2],
+        }[zeroed]
+        cot[dead] = zero
+
+        want = reference_gather_scatter_vjp(x, rb, w, cot)[:2]
+        if with_weights:
+            got = gather_scatter_vjp(x, rb, w, cot)
+        else:
+            shape_only = np.broadcast_to(np.zeros((), dtype), x.shape)
+            got = gather_scatter_vjp(shape_only, rb, w, cot, with_weights=False)
+            assert got[1] is None
+            got, want = got[:1], want[:1]
+        for g, ref in zip(got, want):
+            assert g.dtype == ref.dtype and g.shape == ref.shape
+            assert g.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_in, c_out", [
+        (16, 16), (16, 32), (32, 16), (32, 32), (64, 64), (64, 128), (128, 64), (128, 128),
+    ])
+    def test_live_rows_on_both_sides_of_the_small_offset_guard(self, c_in, c_out, dtype):
+        """Offsets with more pairs than the guard form the live-row product,
+        the others the all-pairs one; both give the reference's bytes, for
+        one live row, a few, half and all but one."""
+        rng = np.random.default_rng(c_in + c_out)
+        t = random_sparse(rng, (10, 10, 10), 0.5, 1)
+        rb = build_rulebook_submanifold(t, KernelSpec.same(5, 3, dims=3))
+        guard = SMALL_GEMM_ENTRIES // c_in + 1
+        counts = sorted(p.shape[0] for p in rb.pairs)
+        assert counts[0] <= guard < counts[-2]  # both sides, the center aside
+        x = rng.standard_normal((t.n_active, c_in)).astype(dtype)
+        w = rng.standard_normal((len(rb.offsets), c_in, c_out)).astype(dtype)
+        full = rng.standard_normal((rb.n_out, c_out)).astype(dtype)
+        n = rb.n_out
+        for live in ([0], [n - 1], [1, 7, 40], rng.permutation(n)[: n // 2],
+                     rng.permutation(n)[1:]):
+            cot = np.zeros_like(full)
+            cot[live] = full[live]
+            want = reference_gather_scatter_vjp(x, rb, w, cot)
+            for with_weights in (True, False):
+                gx, gw = gather_scatter_vjp(x, rb, w, cot, with_weights=with_weights)
+                assert gx.tobytes() == want[0].tobytes()
+                if with_weights:
+                    assert gw.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("c_in", [1, 1250])
+    def test_no_product_of_one_row_or_one_column(self, c_in):
+        """numpy runs a one-row or one-column product as gemv, whose row
+        bits depend on the row count: a one-column gradient keeps the
+        all-pairs product, and a lone live row is padded past one row."""
+        rng = np.random.default_rng(c_in)
+        t = random_sparse(rng, (14, 14, 14), 0.6, 1)
+        rb = build_rulebook_submanifold(t, KernelSpec.same(1, dims=3))
+        assert rb.n_out > SMALL_GEMM_ENTRIES + 5
+        x = rng.standard_normal((t.n_active, c_in)).astype(np.float32)
+        w = rng.standard_normal((1, c_in, 16)).astype(np.float32)
+        full = rng.standard_normal((rb.n_out, 16)).astype(np.float32)
+        n = rb.n_out
+        # dropping the last rows moves the product's tail rows (gemv's row
+        # bits depend on where the row count ends)
+        for live in ([5], rng.permutation(n)[: n // 2], *(np.arange(n - j) for j in range(1, 5))):
+            cot = np.zeros_like(full)
+            cot[live] = full[live]
+            want = reference_gather_scatter_vjp(x, rb, w, cot)[0]
+            got = gather_scatter_vjp(x, rb, w, cot, with_weights=False)[0]
+            assert got.tobytes() == want.tobytes()
+
+    def test_nan_rows_are_live_and_non_finite_weights_keep_every_pair(self):
+        rng = np.random.default_rng(12)
+        t = random_sparse(rng, (10, 10, 10), 0.5, 1)
+        rb = build_rulebook_submanifold(t, KernelSpec.same(3, 1, dims=3))
+        x = rng.standard_normal((t.n_active, 16)).astype(np.float32)
+        w = rng.standard_normal((27, 16, 16)).astype(np.float32)
+        cot = np.zeros((rb.n_out, 16), np.float32)
+        cot[3, 5] = np.nan  # a row whose first entry is zero
+        cot[9] = 1.0
+        inf_w = w.copy()
+        inf_w[4, 2, 7] = np.inf  # a dead row times this weight is NaN
+        for weights in (w, inf_w):
+            with np.errstate(invalid="ignore"):
+                want = reference_gather_scatter_vjp(x, rb, weights, cot)[0]
+                got = gather_scatter_vjp(x, rb, weights, cot, with_weights=False)[0]
+            assert np.isnan(got).any()
+            assert np.array_equal(got, want, equal_nan=True)
 
     def test_identity_offset_is_the_submanifold_center(self):
         t = random_sparse(np.random.default_rng(8), (5, 5, 5), 0.4, 1, batches=2)

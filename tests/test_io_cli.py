@@ -325,6 +325,25 @@ def scene_files(tmp_path):
     return points_path, config_path
 
 
+# numbers that fail to parse, and negative seeds (numpy rejects them)
+BAD_NUMBERS = [
+    (["bench", "--mixer", "sfm", "--n-list", "100,x"], "--n-list"),
+    (["bench", "--mixer", "sfm", "--n-list", "100", "--kernels", "3,y"], "--kernels"),
+    (["bench", "--mixer", "sfm", "--n-list", "100", "--dilations", "1,y"], "--dilations"),
+    (["bench", "--mixer", "sfm", "--n-list", "100", "--seed", "-1"], "--seed"),
+    (["erf", "--points", "p.csv", "--config", "c.json", "--init-seed", "1",
+      "--query", "1,2,q", "--out-pgm", "e.pgm"], "--query"),
+    (["erf", "--points", "p.csv", "--config", "c.json", "--init-seed", "1",
+      "--seed", "-7", "--out-pgm", "e.pgm"], "--seed"),
+    (["erf", "--points", "p.csv", "--config", "c.json", "--init-seed", "-1",
+      "--seed", "7", "--out-pgm", "e.pgm"], "--init-seed"),
+    (["forward", "--points", "p.csv", "--config", "c.json", "--init-seed", "-3",
+      "--dump", "d.csv"], "--init-seed"),
+    (["gradcheck", "--seed", "-1"], "--seed"),
+    (["gradcheck", "--seed", "x"], "--seed"),
+]
+
+
 class TestCli:
     def test_selftest_exit_zero(self, capsys):
         assert main(["selftest"]) == 0
@@ -468,6 +487,13 @@ class TestCli:
     def test_usage_error_exit_one(self, capsys):
         assert main(["voxelize"]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", BAD_NUMBERS, ids=[
+        f"{argv[0]} {flag}={argv[argv.index(flag) + 1]}" for argv, flag in BAD_NUMBERS
+    ])
+    def test_bad_number_is_a_usage_error_naming_the_flag(self, capsys, argv, flag):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: ")
 
     def test_unknown_subcommand_exit_one(self):
         assert main(["explode"]) == 1

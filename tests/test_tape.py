@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from focalvox import ops
-from focalvox.backbone import SfmNet, downsample, init_network, preset, run_stage, sfmnet_forward
+from focalvox.backbone import SfmNet, init_network, preset, run_stage, sfmnet_forward
 from focalvox.conv import SparseConvLayer, subm_conv
 from focalvox.errors import ShapeMismatch, TapeConsumed
 from focalvox.points import PointCloud, voxelize_vfe
@@ -205,7 +205,10 @@ def input_only_matches_default(fn, x0, cotangent, params):
     assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes()
 
 
-def test_input_only_tape_on_the_tiny_erf_stack_eval_mode():
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_input_only_tape_on_the_tiny_erf_stack_eval_mode(depth):
+    """The ERF probe's one-voxel backprop: sparse cotangents through every
+    conv width of the tiny backbone (16 to 128 channels)."""
     cfg = preset("tiny")
     store = init_network(cfg)
     net = SfmNet(cfg, store)
@@ -214,9 +217,7 @@ def test_input_only_tape_on_the_tiny_erf_stack_eval_mode():
     scene = voxelize_vfe(PointCloud(pts), cfg.voxelizer, net.vfe_w, net.vfe_b)
 
     def stack(x):
-        t = run_stage(scene.with_features(x), cfg.stages[0], net.stages[0], bn_mode="eval")
-        t = downsample(t, net.downs[0], bn_mode="eval")
-        t = run_stage(t, cfg.stages[1], net.stages[1], bn_mode="eval")
+        t = net.backbone3d(scene.with_features(x), bn_mode="eval", depth=depth)
         return ops.row_l2(t.features, 0)
 
     params = [store.tensor(name) for name in store.param_names()]
