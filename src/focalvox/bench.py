@@ -224,6 +224,8 @@ def scaling_experiment(
         raise InvalidSpec(f"unknown mixer kind {kind!r}")
     if not 0 < density <= 1:
         raise InvalidSpec("density must be in (0, 1]")
+    if min(n_list, default=1) < 1:
+        raise InvalidSpec(f"voxel counts must be at least 1, got {min(n_list)}")
     if kind == "sfm" and config is None:
         config = SFMConfig(channels=16, kernels=(3, 3), dilations=(1, 3))
     reports = []

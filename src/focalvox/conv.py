@@ -26,7 +26,7 @@ from .sparse import (
     gather_scatter_vjp,
     regular_out_shape,
 )
-from .tape import Tensor, active_tape
+from .tape import Tensor, emit
 
 
 @dataclass
@@ -69,24 +69,20 @@ def _apply_rulebook(
     out_data = gather_scatter_matmul(
         x.data, rulebook, weight.data, None if bias is None else bias.data
     )
-    tape = active_tape(x, weight, bias)
-    out = Tensor(out_data, tape)
-    if tape is not None:
-        wd = weight.data
-        need_w = tape.needs(weight)
-        need_b = bias is not None and tape.needs(bias)
+
+    def vjp_of(needs):
+        wd, need_w, need_b = weight.data, needs[1], needs[2]
         # without a weight gradient the VJP reads only the features' shape
         # and dtype, which a zero-strided view carries without the data
         xd = x.data if need_w else np.broadcast_to(np.zeros((), x.data.dtype), x.data.shape)
-        inputs = (x, weight) if bias is None else (x, weight, bias)
 
         def vjp(cot):
             gx, gw = gather_scatter_vjp(xd, rulebook, wd, cot, with_weights=need_w)
-            if bias is None:
-                return gx, gw
             return gx, gw, (cot.sum(axis=0).astype(xd.dtype) if need_b else None)
 
-        tape.record(f"conv_{rulebook.kind}", out, inputs, vjp)
+        return vjp
+
+    out = emit(f"conv_{rulebook.kind}", out_data, (x, weight, bias), vjp_of)
     return SparseTensor(out_geometry, out)
 
 

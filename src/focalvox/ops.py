@@ -1,7 +1,9 @@
 """Dense per-voxel primitives with vector-Jacobian products.
 
 Every function takes and returns :class:`~focalvox.tape.Tensor` values and
-records itself on the tape carried by its inputs (if any).  Computation
+makes its output through :func:`~focalvox.tape.emit`, which records the op
+on the tape its inputs carry (if any) and only then asks the op for its VJP,
+with a "gets a gradient" flag per input.  Computation
 preserves the dtype of its operands, so the same code runs in float32 for
 the runtime path and float64 for gradient checking.
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyBatch, ShapeMismatch
-from .tape import Tensor, active_tape
+from .tape import Tensor, emit
 
 _INV_SQRT2 = np.float64(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = np.float64(1.0 / np.sqrt(2.0 * np.pi))
@@ -112,23 +114,18 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
     data = x.data @ weight.data
     if bias is not None:
         data = data + bias.data
-    tape = active_tape(x, weight, bias)
-    out = Tensor(data, tape)
-    if tape is not None:
+
+    def vjp_of(needs):
         wd = weight.data
-        xd = x.data if tape.needs(weight) else None
-        need_b = bias is not None and tape.needs(bias)
-        inputs = (x, weight) if bias is None else (x, weight, bias)
+        xd = x.data if needs[1] else None
 
         def vjp(cot):
-            gx = cot @ wd.T
             gw = None if xd is None else xd.T @ cot
-            if bias is None:
-                return gx, gw
-            return gx, gw, cot.sum(axis=0) if need_b else None
+            return cot @ wd.T, gw, cot.sum(axis=0) if needs[2] else None
 
-        tape.record("linear", out, inputs, vjp)
-    return out
+        return vjp
+
+    return emit("linear", data, (x, weight, bias), vjp_of)
 
 
 def _affine_grads(cot, xhat, need_gain: bool, need_bias: bool):
@@ -140,6 +137,20 @@ def _affine_grads(cot, xhat, need_gain: bool, need_bias: bool):
     )
 
 
+def _norm_vjp(gd, xhat, inv_std, axis: int, needs):
+    """VJP of ``xhat * gain + bias`` where ``xhat`` normalizes the input
+    along ``axis`` with statistics of that same input."""
+
+    def vjp(cot):
+        g = cot * gd
+        m1 = g.mean(axis=axis, keepdims=True)
+        m2 = (g * xhat).mean(axis=axis, keepdims=True)
+        gx = inv_std * (g - m1 - xhat * m2)
+        return gx, *_affine_grads(cot, xhat, *needs[1:])
+
+    return vjp
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row normalization over the channel dimension, then affine."""
     mean = x.data.mean(axis=1, keepdims=True)
@@ -147,23 +158,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = (centered * centered).mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + np.asarray(NORM_EPS, dtype=x.data.dtype))
     xhat = centered * inv_std
-    data = xhat * gain.data + bias.data
-    tape = active_tape(x, gain, bias)
-    out = Tensor(data, tape)
-    if tape is not None:
-        gd = gain.data
-        needs = tape.needs(gain), tape.needs(bias)
-
-        def vjp(cot):
-            # d/dxhat, then the standard normalization backward per row
-            g = cot * gd
-            m1 = g.mean(axis=1, keepdims=True)
-            m2 = (g * xhat).mean(axis=1, keepdims=True)
-            gx = inv_std * (g - m1 - xhat * m2)
-            return gx, *_affine_grads(cot, xhat, *needs)
-
-        tape.record("layer_norm", out, (x, gain, bias), vjp)
-    return out
+    return emit(
+        "layer_norm", xhat * gain.data + bias.data, (x, gain, bias),
+        lambda needs: _norm_vjp(gain.data, xhat, inv_std, 1, needs),
+    )
 
 
 def batch_norm_active(
@@ -185,7 +183,6 @@ def batch_norm_active(
         raise ValueError(f"unknown batch norm mode {mode!r}")
     n = x.data.shape[0]
     eps_t = np.asarray(NORM_EPS, dtype=x.data.dtype)
-    tape = active_tape(x, gain, bias)
     if mode == "train":
         if n == 0:
             raise EmptyBatch("batch norm train mode needs at least one row")
@@ -200,28 +197,16 @@ def batch_norm_active(
         inv_std = 1.0 / np.sqrt(running_var.astype(x.data.dtype) + eps_t)
         xhat = (x.data - running_mean.astype(x.data.dtype)) * inv_std
         new_mean, new_var = running_mean, running_var
-    out = Tensor(xhat * gain.data + bias.data, tape)
-    if tape is not None:
+
+    def vjp_of(needs):
         gd = gain.data
-        needs = tape.needs(gain), tape.needs(bias)
-
         if mode == "train":
+            return _norm_vjp(gd, xhat, inv_std, 0, needs)
+        # the input gradient does not read xhat; only the gain's does
+        saved = xhat if needs[1] else None
+        return lambda cot: (cot * gd * inv_std, *_affine_grads(cot, saved, *needs[1:]))
 
-            def vjp(cot):
-                g = cot * gd
-                m1 = g.mean(axis=0)
-                m2 = (g * xhat).mean(axis=0)
-                gx = inv_std * (g - m1 - xhat * m2)
-                return gx, *_affine_grads(cot, xhat, *needs)
-
-        else:
-            # the input gradient does not read xhat; only the gain's does
-            saved = xhat if needs[0] else None
-
-            def vjp(cot):
-                return cot * gd * inv_std, *_affine_grads(cot, saved, *needs)
-
-        tape.record("batch_norm", out, (x, gain, bias), vjp)
+    out = emit("batch_norm", xhat * gain.data + bias.data, (x, gain, bias), vjp_of)
     return out, new_mean, new_var
 
 
@@ -229,77 +214,54 @@ def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF gelu, ``x * Phi(x)`` via the error function."""
     xd = x.data
     phi = 0.5 * (1.0 + _erf(xd * xd.dtype.type(_INV_SQRT2)))
-    out = Tensor(xd * phi, x.tape)
-    if x.tape is not None:
 
-        def vjp(cot):
-            pdf = np.exp(-0.5 * xd * xd) * xd.dtype.type(_INV_SQRT2PI)
-            return (cot * (phi + xd * pdf),)
+    def vjp(cot):
+        pdf = np.exp(-0.5 * xd * xd) * xd.dtype.type(_INV_SQRT2PI)
+        return (cot * (phi + xd * pdf),)
 
-        x.tape.record("gelu", out, (x,), vjp)
-    return out
+    return emit("gelu", xd * phi, (x,), lambda needs: vjp)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     pos = x.data >= 0
     z = np.exp(np.where(pos, -x.data, x.data))
     data = np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z)).astype(x.data.dtype)
-    out = Tensor(data, x.tape)
-    if x.tape is not None:
-
-        def vjp(cot):
-            return (cot * data * (1.0 - data),)
-
-        x.tape.record("sigmoid", out, (x,), vjp)
-    return out
+    return emit("sigmoid", data, (x,), lambda needs: lambda cot: (cot * data * (1.0 - data),))
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0), x.tape)
-    if x.tape is not None:
+    def vjp_of(needs):
         mask = x.data > 0
+        return lambda cot: (cot * mask,)
 
-        def vjp(cot):
-            return (cot * mask,)
-
-        x.tape.record("relu", out, (x,), vjp)
-    return out
+    return emit("relu", np.maximum(x.data, 0), (x,), vjp_of)
 
 
 def add(x: Tensor, y: Tensor) -> Tensor:
     """Elementwise sum of equal-shape tensors (residual connections)."""
     if x.data.shape != y.data.shape:
         raise ShapeMismatch(f"add: {x.data.shape} vs {y.data.shape}")
-    out = Tensor(x.data + y.data, active_tape(x, y))
-    if out.tape is not None:
-        out.tape.record("add", out, (x, y), lambda cot: (cot, cot))
-    return out
+    return emit("add", x.data + y.data, (x, y), lambda needs: lambda cot: (cot, cot))
 
 
 def multiply(x: Tensor, y: Tensor) -> Tensor:
     """Elementwise product of equal-shape tensors."""
     if x.data.shape != y.data.shape:
         raise ShapeMismatch(f"multiply: {x.data.shape} vs {y.data.shape}")
-    out = Tensor(x.data * y.data, active_tape(x, y))
-    if out.tape is not None:
-        xd, yd = x.data, y.data
-        out.tape.record("multiply", out, (x, y), lambda cot: (cot * yd, cot * xd))
-    return out
+    xd, yd = x.data, y.data
+    return emit("multiply", xd * yd, (x, y), lambda needs: lambda cot: (cot * yd, cot * xd))
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     """Column slice ``x[:, start:stop]`` as its own tape node."""
-    out = Tensor(x.data[:, start:stop].copy(), x.tape)
-    if x.tape is not None:
-        shape = x.data.shape
+    shape = x.data.shape
 
-        def vjp(cot):
-            g = np.zeros(shape, dtype=cot.dtype)
-            g[:, start:stop] = cot
-            return (g,)
+    def vjp(cot):
+        g = np.zeros(shape, dtype=cot.dtype)
+        g[:, start:stop] = cot
+        return (g,)
 
-        x.tape.record("slice_cols", out, (x,), vjp)
-    return out
+    return emit("slice_cols", x.data[:, start:stop].copy(), (x,), lambda needs: vjp)
 
 
 def weighted_level_sum(levels: list[Tensor], gates: Tensor) -> Tensor:
@@ -317,9 +279,8 @@ def weighted_level_sum(levels: list[Tensor], gates: Tensor) -> Tensor:
     acc = np.zeros_like(levels[0].data)
     for l, f in enumerate(levels):
         acc += f.data * gates.data[:, l : l + 1]
-    tape = active_tape(gates, *levels)
-    out = Tensor(acc, tape)
-    if tape is not None:
+
+    def vjp_of(needs):
         level_data = [f.data for f in levels]
         gate_data = gates.data
 
@@ -330,8 +291,9 @@ def weighted_level_sum(levels: list[Tensor], gates: Tensor) -> Tensor:
             )
             return (*grads, ggate)
 
-        tape.record("weighted_level_sum", out, (*levels, gates), vjp)
-    return out
+        return vjp
+
+    return emit("weighted_level_sum", acc, (*levels, gates), vjp_of)
 
 
 def scatter_rows_sum(x: Tensor, groups: np.ndarray, n_groups: int) -> Tensor:
@@ -344,57 +306,43 @@ def scatter_rows_sum(x: Tensor, groups: np.ndarray, n_groups: int) -> Tensor:
         raise ShapeMismatch("one group id per row required")
     out_data = np.zeros((n_groups, x.data.shape[1]), dtype=x.data.dtype)
     np.add.at(out_data, groups, x.data)
-    out = Tensor(out_data, x.tape)
-    if x.tape is not None:
-        x.tape.record("scatter_rows_sum", out, (x,), lambda cot: (cot[groups],))
-    return out
+    return emit("scatter_rows_sum", out_data, (x,), lambda needs: lambda cot: (cot[groups],))
 
 
 def gather_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     """Select rows (with possible repetition); VJP scatter-adds back."""
-    out = Tensor(x.data[rows], x.tape)
-    if x.tape is not None:
-        shape = x.data.shape
+    shape = x.data.shape
 
-        def vjp(cot):
-            g = np.zeros(shape, dtype=cot.dtype)
-            np.add.at(g, rows, cot)
-            return (g,)
+    def vjp(cot):
+        g = np.zeros(shape, dtype=cot.dtype)
+        np.add.at(g, rows, cot)
+        return (g,)
 
-        x.tape.record("gather_rows", out, (x,), vjp)
-    return out
+    return emit("gather_rows", x.data[rows], (x,), lambda needs: vjp)
 
 
 def row_l2(x: Tensor, row: int) -> Tensor:
     """L2 norm of one row as a scalar tensor."""
-    v = x.data[row]
+    v, shape, dtype = x.data[row], x.data.shape, x.data.dtype
     s = np.sqrt(np.sum(v * v))
-    out = Tensor(np.asarray(s, dtype=x.data.dtype), x.tape)
-    if x.tape is not None:
-        shape = x.data.shape
 
-        def vjp(cot):
-            g = np.zeros(shape, dtype=x.data.dtype)
-            if s > 0:
-                g[row] = cot * (v / s)
-            return (g,)
+    def vjp(cot):
+        g = np.zeros(shape, dtype=dtype)
+        if s > 0:
+            g[row] = cot * (v / s)
+        return (g,)
 
-        x.tape.record("row_l2", out, (x,), vjp)
-    return out
+    return emit("row_l2", np.asarray(s, dtype=dtype), (x,), lambda needs: vjp)
 
 
 def mean_all(x: Tensor) -> Tensor:
     """Mean over every element, as a scalar tensor."""
-    out = Tensor(np.asarray(x.data.mean(), dtype=x.data.dtype), x.tape)
-    if x.tape is not None:
-        shape = x.data.shape
-        size = x.data.size
+    shape, size, dtype = x.data.shape, x.data.size, x.data.dtype
 
-        def vjp(cot):
-            return (np.full(shape, cot / size, dtype=x.data.dtype),)
+    def vjp(cot):
+        return (np.full(shape, cot / size, dtype=dtype),)
 
-        x.tape.record("mean_all", out, (x,), vjp)
-    return out
+    return emit("mean_all", np.asarray(x.data.mean(), dtype=dtype), (x,), lambda needs: vjp)
 
 
 def mlp_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

@@ -1,10 +1,11 @@
 """Reverse-mode gradient tape.
 
 The engine records forward operations on a :class:`GradTape` as a Wengert
-list.  Replaying the list in strict reverse order with per-node
-vector-Jacobian products yields gradients for every leaf tensor the
-computation touched; leaves the computation never reached simply have no
-entry in the gradient map.
+list.  Every op makes its output through :func:`emit`, which appends the
+op's node only when the op's inputs carry a tape.  Replaying the list in
+strict reverse order with per-node vector-Jacobian products yields
+gradients for every leaf tensor the computation touched; leaves the
+computation never reached simply have no entry in the gradient map.
 
 A tape is single-writer and single-replay: one forward pass, then one
 backward pass.  The replay frees each cotangent once its consumer has run
@@ -79,8 +80,8 @@ class GradTape:
 
     ``params`` says whether untaped leaves (parameters, constants) are
     differentiated.  With ``params=False`` only tensors attached to this
-    tape are: ops ask :meth:`needs` at record time and keep no state for an
-    input that needs no gradient.
+    tape are: :func:`emit` asks :meth:`needs` once per input, and an op
+    keeps no state for an input that needs no gradient.
     """
 
     def __init__(self, params: bool = True):
@@ -94,17 +95,6 @@ class GradTape:
     def needs(self, t: Tensor) -> bool:
         """Whether ``t`` gets a gradient from this tape."""
         return t.tape is self or (t.tape is None and self.params)
-
-    def record(self, name: str, output: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
-        """Append one node.
-
-        ``vjp`` maps the cotangent of ``output`` to a tuple of cotangents,
-        one per input (None for inputs that receive no gradient).  Inputs
-        that need no gradient get no uid, so the replay drops whatever the
-        VJP returns for them.
-        """
-        in_uids = tuple(t.uid if self.needs(t) else None for t in inputs)
-        self._nodes.append(_Node(name, output.uid, in_uids, vjp))
 
     def node_names(self) -> list[str]:
         return [n.name for n in self._nodes]
@@ -164,6 +154,27 @@ def active_tape(*tensors: Tensor | None) -> GradTape | None:
         elif tape is not t.tape:
             raise ShapeMismatch("operands recorded on different tapes")
     return tape
+
+
+def emit(name: str, data, inputs: tuple[Tensor | None, ...], vjp_of) -> Tensor:
+    """Make an op's output tensor and, under a tape, append the op's node.
+
+    ``inputs`` are the op's operands, with None for an absent optional one
+    (a layer without bias).  Only when they carry a tape is
+    ``vjp_of(needs)`` called, with one flag per input saying whether that
+    input gets a gradient (:meth:`GradTape.needs`), so an untaped op builds
+    no VJP state.  It returns the VJP: a map from the output's cotangent to
+    a tuple of cotangents, one per input (None for inputs that get none).
+    Inputs that need no gradient get no uid, so the replay drops whatever
+    the VJP returns for them.
+    """
+    tape = active_tape(*inputs)
+    out = Tensor(data, tape)
+    if tape is not None:
+        needs = tuple(t is not None and tape.needs(t) for t in inputs)
+        in_uids = tuple(t.uid if need else None for t, need in zip(inputs, needs))
+        tape._nodes.append(_Node(name, out.uid, in_uids, vjp_of(needs)))
+    return out
 
 
 def grad_of(grads: dict[int, np.ndarray], tensor: Tensor) -> np.ndarray | None:

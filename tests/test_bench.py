@@ -13,6 +13,7 @@ from focalvox.bench import (
     window_neighbor_rows,
     window_occupancy,
 )
+from focalvox.cli import main
 from focalvox.errors import DegenerateFit, InvalidSpec
 from focalvox.sfm import SFMConfig
 from focalvox.tape import Tensor
@@ -163,6 +164,15 @@ class TestScaling:
     def test_constant_n_degenerate(self):
         with pytest.raises(DegenerateFit):
             scaling_experiment("sfm", [1000, 1000, 1000], density=0.05, seed=2)
+
+    @pytest.mark.parametrize("kind", ["sfm", "local-attention"])
+    @pytest.mark.parametrize("text, bad", [("0,5", 0), ("-3,5", -3)], ids=["zero", "negative"])
+    def test_count_below_one_rejected(self, kind, text, bad, capsys):
+        message = f"voxel counts must be at least 1, got {bad}"
+        with pytest.raises(InvalidSpec, match=f"^{message}$"):
+            scaling_experiment(kind, [bad, 5], density=0.1, seed=0)
+        assert main(["bench", "--mixer", kind, f"--n-list={text}"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_counts_reproducible(self):
         cfg = SFMConfig(channels=4, kernels=(3,), dilations=(1,))

@@ -10,7 +10,7 @@ from focalvox.errors import ShapeMismatch, TapeConsumed
 from focalvox.points import PointCloud, voxelize_vfe
 from focalvox.sfm import SfmBlockParams, SrbParams, sfm_block
 from focalvox.sparse import KernelSpec
-from focalvox.tape import GradTape, Tensor, active_tape, grad_of
+from focalvox.tape import GradTape, Tensor, active_tape, emit, grad_of
 from helpers import keep_all_replay, random_sparse
 
 
@@ -173,6 +173,29 @@ def test_needs_follows_the_tape_mode():
     assert default.needs(Tensor(np.ones(2), default))
     assert inputs_only.needs(Tensor(np.ones(2), inputs_only))
     assert not inputs_only.needs(Tensor(np.ones(2), default))
+
+
+def test_emit_without_a_tape_builds_no_vjp():
+    def vjp_of(needs):
+        raise AssertionError("vjp_of called without a tape")
+
+    out = emit("probe", np.ones(2), (Tensor(np.ones(2)), None), vjp_of)
+    assert out.tape is None
+    np.testing.assert_array_equal(out.data, np.ones(2))
+
+
+def test_emit_passes_one_needs_flag_per_input():
+    for tape, expected in ((GradTape(params=False), (True, False)), (GradTape(), (True, True))):
+        seen = []
+
+        def vjp_of(needs):
+            seen.append(needs)
+            return lambda cot: (cot, cot)
+
+        x, param = Tensor(np.ones(2), tape), Tensor(np.ones(2))
+        out = emit("probe", np.ones(2), (x, param), vjp_of)
+        assert out.tape is tape and tape.node_names() == ["probe"]
+        assert seen == [expected]
 
 
 def test_input_only_replay_drops_untaped_leaves():
