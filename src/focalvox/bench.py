@@ -226,6 +226,8 @@ def scaling_experiment(
         raise InvalidSpec("density must be in (0, 1]")
     if min(n_list, default=1) < 1:
         raise InvalidSpec(f"voxel counts must be at least 1, got {min(n_list)}")
+    if kind == "local-attention" and (window_edge % 2 == 0 or window_edge < 1):
+        raise InvalidSpec("window edge must be odd and positive")
     if kind == "sfm" and config is None:
         config = SFMConfig(channels=16, kernels=(3, 3), dilations=(1, 3))
     reports = []

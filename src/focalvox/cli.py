@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 import numpy as np
@@ -45,6 +46,9 @@ def _seed(text: str) -> int:
     if value is None or value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return value
+
+
+_LIST_FLAGS = ("--n-list", "--query", "--kernels", "--dilations")  # parsed by _int_list
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -239,6 +243,10 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
+        argv = list(sys.argv[1:] if argv is None else argv)
+        for i in reversed(range(len(argv) - 1)):  # argparse reads "-3,5" as an option
+            if argv[i] in _LIST_FLAGS and re.match(r"-\d", argv[i + 1]):
+                argv[i : i + 2] = ["=".join(argv[i : i + 2])]
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
     except _UsageError as exc:

@@ -46,7 +46,7 @@ _Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
 # |x| from which erf rounds to exactly 1: the first such float32, and for
 # float64 a bound where erfc(6) ~ 2.2e-17 is below half an ulp of 1
 _SATURATE = {np.dtype(np.float32): 3.919205904006958, np.dtype(np.float64): 6.0}
-_ERF_BLOCK = 1 << 15  # elements per block; keeps the float64 scratch in cache
+_ERF_BLOCK = 1 << 14  # elements per block: 4 float64 scratch rows of it, in cache
 
 
 def _polevl(x: np.ndarray, coefs, out: np.ndarray, monic: bool = False) -> np.ndarray:
@@ -91,12 +91,13 @@ def _erf(x: np.ndarray) -> np.ndarray:
             y *= s
             y /= _polevl(z, _U, u, monic=True)
             if big.size:
-                sb = s[big]
-                ab = np.abs(sb)
-                e = np.exp(-(ab * ab))
-                e *= _polevl(ab, _P, np.empty_like(ab))
-                e /= _polevl(ab, _Q, np.empty_like(ab), monic=True)
-                y[big] = np.copysign(1.0 - e, sb)
+                ab, e, p = (r[: big.size] for r in (z, u, s))  # rows free now
+                np.abs(np.take(s, big, out=ab), out=ab)
+                np.exp(np.negative(np.multiply(ab, ab, out=e), out=e), out=e)
+                e *= _polevl(ab, _P, p)
+                e /= _polevl(ab, _Q, p, monic=True)
+                # T and U are positive, so y[big] already has the sign of x
+                y[big] = np.copysign(np.subtract(1.0, e, out=e), np.take(y, big, out=ab), out=e)
             out[start : start + _ERF_BLOCK] = y
     return out.reshape(x.shape)
 
@@ -113,7 +114,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
         raise ShapeMismatch("linear: bias length != output channels")
     data = x.data @ weight.data
     if bias is not None:
-        data = data + bias.data
+        data += bias.data
 
     def vjp_of(needs):
         wd = weight.data

@@ -386,9 +386,9 @@ def build_rulebook_submanifold(t: SparseTensor, spec: KernelSpec) -> Rulebook:
 
     For the center-relative offset ``o``, pair (i, j) exists iff
     ``coords[i] == coords[j] - o * dilation`` and both sites are active.
-    The center offset therefore pairs every row with itself.  Every
-    offset's in-grid targets are looked up in one search of the active
-    set's index.
+    The center offset therefore pairs every row with itself.  The
+    in-grid targets are searched in the index one offset plane (one value
+    of the first kernel axis) at a time, which bounds the scratch.
     """
     if not spec.is_unit_stride:
         raise InvalidSpec("submanifold convolution requires stride 1")
@@ -403,15 +403,18 @@ def build_rulebook_submanifold(t: SparseTensor, spec: KernelSpec) -> Rulebook:
         target = coords[None, :, 1 + d] - shift[:, None]
         masks.append((target >= 0) & (target < shape[d]))
         key_shift = (key_shift[:, None] * shape[d] + shift[None, :]).reshape(-1)
-    offset_ids, out_rows = _candidates(masks)
-    # inside the grid, key(coords[j] - shift) == key(coords[j]) - key(shift)
-    queries = flat_keys(coords, shape)[out_rows] - key_shift[offset_ids]
-    in_rows = t.geometry.index.find(queries)
-    hit = in_rows >= 0
-    offsets = centered_offsets(spec.kernel)
+    keys, n = flat_keys(coords, shape), key_shift.size // spec.kernel[0]
+    pairs = []
+    for a in range(spec.kernel[0]):
+        offset_ids, out_rows = _candidates([masks[0][a : a + 1], *masks[1:]])
+        # inside the grid, key(coords[j] - shift) == key(coords[j]) - key(shift)
+        in_rows = t.geometry.index.find(keys[out_rows] - key_shift[a * n :][offset_ids])
+        hit = in_rows >= 0
+        pairs += _split_pairs(n, offset_ids[hit], in_rows[hit], out_rows[hit])
+        del offset_ids, out_rows, in_rows, hit  # before the next plane's candidates
     return Rulebook(
-        offsets=tuple(offsets),
-        pairs=_split_pairs(len(offsets), offset_ids[hit], in_rows[hit], out_rows[hit]),
+        offsets=tuple(centered_offsets(spec.kernel)),
+        pairs=pairs,
         out_coords=coords,
         kind="submanifold",
     )

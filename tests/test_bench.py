@@ -174,6 +174,15 @@ class TestScaling:
         assert main(["bench", "--mixer", kind, f"--n-list={text}"]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("edge", [0, -3, 4])
+    def test_window_edge_checked_before_the_grid_is_sized(self, edge, capsys):
+        message = "window edge must be odd and positive"
+        with pytest.raises(InvalidSpec, match=f"^{message}$"):
+            scaling_experiment("local-attention", [4, 8], 0.25, seed=0, window_edge=edge)
+        argv = ["bench", "--mixer", "local-attention", "--n-list", "4,8", "--window", str(edge)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_counts_reproducible(self):
         cfg = SFMConfig(channels=4, kernels=(3,), dilations=(1,))
         r1, s1 = scaling_experiment("sfm", [500, 1000], density=0.1, seed=3, config=cfg)

@@ -3,6 +3,7 @@ executor against their per-offset references, flat-key uniques, and the
 per-active-set rulebook cache."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -75,6 +76,47 @@ class TestMapSearchMatchesPerOffsetReference:
         rb = build_rulebook_submanifold(t, spec)
         assert_same_rulebook(rb, per_offset_rulebook_submanifold(t, spec))
         assert rb.out_coords is t.coords
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scene=scenes,
+        kernel=st.lists(st.sampled_from([1, 3, 5]), min_size=3, max_size=3),
+        dilation=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+    )
+    def test_submanifold_per_axis_kernels(self, scene, kernel, dilation):
+        t = scene_from(scene)
+        spec = KernelSpec.same(kernel[: t.dims], dilation[: t.dims])
+        assert_same_rulebook(
+            build_rulebook_submanifold(t, spec), per_offset_rulebook_submanifold(t, spec)
+        )
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    @pytest.mark.parametrize("kernel", [(1, 3, 5), (5, 1, 3)])
+    def test_submanifold_non_cubic_kernel(self, dims, kernel):
+        rng = np.random.default_rng(dims)
+        t = random_sparse(rng, (11, 9, 13)[:dims], 0.3, 1, batches=2)
+        spec = KernelSpec.same(kernel[:dims], (2, 1, 3)[:dims])
+        assert_same_rulebook(
+            build_rulebook_submanifold(t, spec), per_offset_rulebook_submanifold(t, spec)
+        )
+
+    def test_submanifold_scratch_holds_one_offset_plane(self):
+        """The search runs one plane of 9 offsets at a time and frees it
+        before the next.  Above the returned rulebook, that holds 15.7
+        bytes per (voxel, offset) candidate on this scene; searching all 27
+        offsets at once held 44.3 (3.6 MB), and keeping one plane's arrays
+        alive while the next was searched held 18.6."""
+        t = random_sparse(np.random.default_rng(7), (24, 24, 24), 0.22, 1)
+        assert 2_900 < t.n_active < 3_200
+        spec = KernelSpec.same(3, 1, dims=3)
+        tracemalloc.start()
+        try:
+            rb = build_rulebook_submanifold(t, spec)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rb.total_pairs > t.n_active
+        assert peak - held < 17 * t.n_active * spec.volume
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -495,5 +495,25 @@ class TestCli:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: ")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-list", "-3,5"), ("--kernels", "-3,3"), ("--dilations", "-1,3"),
+        ("--query", "-1,2,3"),
+    ])
+    def test_negative_list_value_after_a_space(self, scene_files, tmp_path, capsys,
+                                               flag, value):
+        points, config = scene_files
+        if flag == "--query":
+            argv = ["erf", "--points", str(points), "--config", str(config),
+                    "--init-seed", "1", "--out-pgm", str(tmp_path / "e.pgm")]
+        else:
+            argv = ["bench", "--mixer", "sfm"] + (["--n-list", "100,200"] * (flag != "--n-list"))
+        assert main([*argv, f"{flag}={value}"]) == 1
+        joined = capsys.readouterr()
+        assert main([*argv, flag, value]) == 1
+        assert capsys.readouterr() == joined
+        assert joined.out == "" and joined.err.startswith("error: ")
+        if flag == "--n-list":
+            assert joined.err == "error: voxel counts must be at least 1, got -3\n"
+
     def test_unknown_subcommand_exit_one(self):
         assert main(["explode"]) == 1
