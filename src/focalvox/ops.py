@@ -12,6 +12,7 @@ The exact gelu's ``erf`` is a numpy port of the Cephes ``ndtr.c`` erf
 float64 and rounds once, so float32 results equal SciPy's bit for bit; in
 float64 they are equal for |x| <= 1 and within 1 ulp beyond, where numpy's
 SIMD ``exp`` can round the last bit differently from the C library's.
+``gelu`` runs it in place on ``x / sqrt 2`` and keeps one slope array.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _polevl(x: np.ndarray, coefs, out: np.ndarray, monic: bool = False) -> np.nd
     return out
 
 
-def _erf(x: np.ndarray) -> np.ndarray:
+def _erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Cephes ``erf``, evaluated in float64 and rounded once to ``x.dtype``.
 
     ``x`` is first clamped to the dtype's saturation point, where erf
@@ -74,9 +75,10 @@ def _erf(x: np.ndarray) -> np.ndarray:
     ``copysign``.
     Underflow is ignored: it only flags the rounding of a tiny result
     (erf(x) ~ 1.128 x), and SciPy's ufunc does not raise it either.
+    ``out`` must be C-contiguous (``ValueError`` if not) and may be ``x``.
     """
     flat = x.ravel()
-    out = np.empty_like(flat)
+    dst = np.reshape(np.empty(x.shape, x.dtype) if out is None else out, -1, copy=False)
     saturate = _SATURATE[x.dtype]
     scratch = np.empty((4, min(flat.size, _ERF_BLOCK)))
     with np.errstate(under="ignore"):
@@ -98,8 +100,8 @@ def _erf(x: np.ndarray) -> np.ndarray:
                 e /= _polevl(ab, _Q, p, monic=True)
                 # T and U are positive, so y[big] already has the sign of x
                 y[big] = np.copysign(np.subtract(1.0, e, out=e), np.take(y, big, out=ab), out=e)
-            out[start : start + _ERF_BLOCK] = y
-    return out.reshape(x.shape)
+            dst[start : start + _ERF_BLOCK] = y
+    return dst.reshape(x.shape)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
@@ -212,15 +214,23 @@ def batch_norm_active(
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-CDF gelu, ``x * Phi(x)`` via the error function."""
+    """Exact Gaussian-CDF gelu, ``x * Phi(x)`` via the error function; a taped
+    node keeps one array, the slope ``Phi + x pdf(x)``, formed at record time."""
     xd = x.data
-    phi = 0.5 * (1.0 + _erf(xd * xd.dtype.type(_INV_SQRT2)))
+    phi = np.multiply(xd, xd.dtype.type(_INV_SQRT2), order="C")  # as erf returns it
+    phi = _erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
 
-    def vjp(cot):
-        pdf = np.exp(-0.5 * xd * xd) * xd.dtype.type(_INV_SQRT2PI)
-        return (cot * (phi + xd * pdf),)
+    def vjp_of(needs):
+        slope = np.multiply(xd, -0.5, order="C")  # exp(-0.5 x x) / sqrt(2 pi) * x + Phi
+        np.exp(np.multiply(slope, xd, out=slope), out=slope)
+        slope *= xd.dtype.type(_INV_SQRT2PI)
+        slope *= xd
+        slope += phi
+        return lambda cot: (cot * slope,)
 
-    return emit("gelu", xd * phi, (x,), lambda needs: vjp)
+    return emit("gelu", xd * phi, (x,), vjp_of)
 
 
 def sigmoid(x: Tensor) -> Tensor:

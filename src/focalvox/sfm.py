@@ -42,7 +42,7 @@ class SFMConfig:
         if len(self.kernels) != len(self.dilations) or not self.kernels:
             raise InvalidSpec("kernels and dilations must be equal-length, non-empty")
         if any(k < 1 or k % 2 == 0 for k in self.kernels):
-            raise InvalidSpec(f"kernel sizes must be odd: {self.kernels}")
+            raise InvalidSpec(f"kernel sizes must be odd and positive: {self.kernels}")
         if any(d < 1 for d in self.dilations):
             raise InvalidSpec(f"dilations must be positive: {self.dilations}")
         hidden = self.mlp_ratio * self.channels

@@ -183,6 +183,11 @@ class TestScaling:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_negative_kernel_named_as_not_positive(self, capsys):
+        argv = ["bench", "--mixer", "sfm", "--n-list", "100,200", "--kernels", "-3,3"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: kernel sizes must be odd and positive: (-3, 3)\n")
+
     def test_counts_reproducible(self):
         cfg = SFMConfig(channels=4, kernels=(3,), dilations=(1,))
         r1, s1 = scaling_experiment("sfm", [500, 1000], density=0.1, seed=3, config=cfg)

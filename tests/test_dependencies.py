@@ -20,10 +20,10 @@ from focalvox.points import PointCloud
 
 erf_calls = 0
 port = ops._erf
-def counted(x):
+def counted(*args, **kwargs):
     global erf_calls
     erf_calls += 1
-    return port(x)
+    return port(*args, **kwargs)
 ops._erf = counted
 
 rng = np.random.default_rng(0)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from focalvox import ops
 from focalvox.errors import EmptyBatch, ShapeMismatch
-from focalvox.tape import Tensor
+from focalvox.tape import GradTape, Tensor
 from helpers import rel_err
 
 
@@ -239,6 +241,111 @@ class TestErf:
         # numpy's SIMD exp, not libm's, is the only source of the last bit
         ulps = np.abs(got.view(np.int64) - want.view(np.int64))
         assert ulps.max() <= 1
+
+
+class TestErfOut:
+    """``_erf(x, out=x)`` overwrites its input with the bits ``_erf(x)`` returns."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [
+        (ops._ERF_BLOCK - 1,), (ops._ERF_BLOCK,), (ops._ERF_BLOCK + 1,), (129, 257),
+    ], ids=["block-1", "block", "block+1", "2d"])
+    def test_out_may_alias_input(self, dtype, shape):
+        x = np.random.default_rng(3).uniform(-5, 5, shape).astype(dtype)
+        x.reshape(-1)[[0, -1]] = 2.5  # past 1 at both ends of the input
+        want = ops._erf(x)
+        got = ops._erf(x, out=x)
+        assert np.shares_memory(got, x)
+        assert_same_bits(x, want)
+
+    def test_out_must_be_c_contiguous(self):
+        # a reshaped copy of a column-ordered out would take the result
+        x = np.asfortranarray(np.ones((8, 4), np.float32))
+        with pytest.raises(ValueError):
+            ops._erf(x, out=x)
+        assert (x == 1).all()
+
+
+def direct_gelu(xd):
+    """Gelu and its slope written out with one temporary per step, the
+    order ``ops.gelu`` keeps: ``Phi = 0.5 (1 + erf(x / sqrt 2))``, output
+    ``x Phi``, slope ``Phi + x (exp(-0.5 x x) / sqrt(2 pi))``."""
+    phi = 0.5 * (1.0 + ops._erf(xd * xd.dtype.type(ops._INV_SQRT2)))
+    pdf = np.exp(-0.5 * xd * xd) * xd.dtype.type(ops._INV_SQRT2PI)
+    return xd * phi, phi + xd * pdf
+
+
+class TestLeanGelu:
+    """Gelu's bytes are those of the direct formula, while a taped node keeps
+    one array and an untaped call no scaled copy of its input."""
+
+    SPECIAL = [0.0, -0.0, 1e-30, -1e-30, 1.0, -1.0, 3.92, -3.92, 10.0, -10.0]
+
+    @staticmethod
+    def seeded():
+        return np.random.default_rng(11).standard_normal((4096, 64)).astype(np.float32)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_and_vjp_bytes_match_direct_formula(self, dtype):
+        rng = np.random.default_rng(12)
+        xd = np.concatenate([3 * rng.standard_normal(5000), self.SPECIAL]).astype(dtype)
+        cot = rng.standard_normal(xd.shape).astype(dtype)
+        want_y, want_slope = direct_gelu(xd)
+        tape = GradTape()
+        x = Tensor(xd.copy(), tape)
+        y = ops.gelu(x)
+        assert_same_bits(y.data, want_y)
+        assert_same_bits(tape.gradients(y, cot)[x.uid], cot * want_slope)
+        assert_same_bits(ops.gelu(Tensor(xd)).data, want_y)
+
+    @pytest.mark.parametrize("layout", [
+        lambda a: np.ascontiguousarray(a.T).T,  # transposed
+        np.asfortranarray,
+        lambda a: np.repeat(a, 2, axis=1)[:, ::2],  # strided
+    ], ids=["transposed", "fortran", "strided"])
+    def test_any_input_layout(self, layout):
+        xd = layout(self.seeded())
+        assert not xd.flags.c_contiguous
+        cot = np.random.default_rng(13).standard_normal(xd.shape).astype(np.float32)
+        want_y, want_slope = direct_gelu(xd)
+        tape = GradTape()
+        x = Tensor(xd, tape)
+        y = ops.gelu(x)
+        grad = tape.gradients(y, cot)[x.uid]
+        want_grad = cot * want_slope
+        assert_same_bits(y.data, want_y)
+        assert_same_bits(grad, want_grad)
+        assert y.data.strides == want_y.strides  # Phi is C-ordered in both
+        assert_same_bits(ops.gelu(Tensor(xd)).data, want_y)
+
+    def test_taped_node_keeps_one_input_sized_array(self):
+        data, tape = self.seeded(), GradTape()
+        nbytes = data.nbytes
+        tracemalloc.start()
+        try:
+            x = Tensor(data.copy(), tape)  # traced, so that freeing it shows
+            y = ops.gelu(x)
+            del x  # the caller's drop: only the node can still hold arrays
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1
+        # the slope alone; keeping the input and Phi would be two arrays
+        assert held - y.data.nbytes < 1.5 * nbytes
+
+    def test_untaped_peak_holds_no_scaled_copy(self):
+        x = Tensor(self.seeded())
+        nbytes = x.data.nbytes
+        tracemalloc.start()
+        try:
+            y = ops.gelu(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Phi and the output; a scaled copy of x next to erf's output and
+        # its float64 scratch reads about 2.6 input sizes
+        assert y.data.nbytes == nbytes
+        assert peak < 2.25 * nbytes
 
 
 class TestMlp:

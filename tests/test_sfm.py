@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,13 @@ class TestConfig:
     def test_even_kernel(self):
         with pytest.raises(InvalidSpec):
             SFMConfig(channels=4, kernels=(4,), dilations=(1,))
+
+    @pytest.mark.parametrize("kernels", [(-3, 3), (0,), (3, -1)])
+    def test_nonpositive_kernel(self, kernels):
+        # -3 and -1 are odd: the message names both requirements
+        message = re.escape(f"kernel sizes must be odd and positive: {kernels}")
+        with pytest.raises(InvalidSpec, match=f"^{message}$"):
+            SFMConfig(channels=4, kernels=kernels, dilations=(1,) * len(kernels))
 
     def test_fractional_hidden(self):
         with pytest.raises(InvalidSpec):
