@@ -314,15 +314,18 @@ class SparseTensor:
 class Rulebook:
     """Execution plan for one sparse convolution.
 
-    ``pairs[m]`` is an int32 array of shape (P, 2) with columns
+    ``pairs[m]`` is a read-only int32 array of shape (P, 2) with columns
     (input_row, output_row), sorted ascending by output_row; no output row
     repeats within one offset.  ``offsets[m]`` is the m-th kernel offset in
     row-major enumeration order: center-relative for submanifold
     rulebooks, raw 0..k-1 for regular ones.  The center offset of a
     submanifold rulebook (see :attr:`identity_offset`) pairs every row
-    with itself.  A regular rulebook also holds
-    its output ``Geometry``, whose coords are ``out_coords``; a
-    submanifold rulebook's output geometry is its input's.
+    with itself.  Blocks need not be C-contiguous or own their memory: in a
+    submanifold rulebook the center block is a broadcast view and each
+    offset after the center views its mirror with the columns swapped.
+    A regular rulebook also holds its output ``Geometry``, whose coords
+    are ``out_coords``; a submanifold rulebook's output geometry is its
+    input's.
     """
 
     offsets: tuple[tuple[int, ...], ...]
@@ -373,10 +376,12 @@ def _digit(offset_ids: np.ndarray, kernel: tuple[int, ...], d: int) -> np.ndarra
 
 
 def _split_pairs(n_offsets: int, offset_ids, in_rows, out_rows) -> list[np.ndarray]:
-    """Per-offset int32 (input_row, output_row) blocks; ``offset_ids`` ascend."""
+    """Per-offset read-only int32 (input_row, output_row) blocks, views of
+    one array; ``offset_ids`` ascend."""
     pairs = np.empty((offset_ids.size, 2), dtype=np.int32)
     pairs[:, 0] = in_rows
     pairs[:, 1] = out_rows
+    pairs.flags.writeable = False
     bounds = np.cumsum(np.bincount(offset_ids, minlength=n_offsets))[:-1]
     return np.split(pairs, bounds)
 
@@ -385,10 +390,15 @@ def build_rulebook_submanifold(t: SparseTensor, spec: KernelSpec) -> Rulebook:
     """Rulebook whose output active set equals the input active set.
 
     For the center-relative offset ``o``, pair (i, j) exists iff
-    ``coords[i] == coords[j] - o * dilation`` and both sites are active.
-    The center offset therefore pairs every row with itself.  The
-    in-grid targets are searched in the index one offset plane (one value
-    of the first kernel axis) at a time, which bounds the scratch.
+    ``coords[i] == coords[j] - o * dilation`` and both sites are active,
+    so offset ``-o`` holds exactly the pairs (j, i).  Only the offsets
+    before the center are searched, in the index one offset plane (one
+    value of the first kernel axis) at a time, which bounds the scratch.
+    The center block is a read-only identity view (every row paired with
+    itself) and each later offset is the column-swapped view of its
+    mirror: with the rows in key order, ``i`` ascends with ``j``, so the
+    swapped pairs are already sorted by output row.  Otherwise a mirrored
+    block is a sorted copy.
     """
     if not spec.is_unit_stride:
         raise InvalidSpec("submanifold convolution requires stride 1")
@@ -404,14 +414,27 @@ def build_rulebook_submanifold(t: SparseTensor, spec: KernelSpec) -> Rulebook:
         masks.append((target >= 0) & (target < shape[d]))
         key_shift = (key_shift[:, None] * shape[d] + shift[None, :]).reshape(-1)
     keys, n = flat_keys(coords, shape), key_shift.size // spec.kernel[0]
+    center = key_shift.size // 2
     pairs = []
-    for a in range(spec.kernel[0]):
+    for a in range(-(-center // n)):  # the planes with offsets before the center
         offset_ids, out_rows = _candidates([masks[0][a : a + 1], *masks[1:]])
+        n_before = min(n, center - a * n)  # this plane's offsets before the center
+        stop = np.searchsorted(offset_ids, n_before)
+        offset_ids, out_rows = offset_ids[:stop], out_rows[:stop]
         # inside the grid, key(coords[j] - shift) == key(coords[j]) - key(shift)
         in_rows = t.geometry.index.find(keys[out_rows] - key_shift[a * n :][offset_ids])
         hit = in_rows >= 0
-        pairs += _split_pairs(n, offset_ids[hit], in_rows[hit], out_rows[hit])
+        pairs += _split_pairs(n_before, offset_ids[hit], in_rows[hit], out_rows[hit])
         del offset_ids, out_rows, in_rows, hit  # before the next plane's candidates
+    rows = np.arange(t.n_active, dtype=np.int32)
+    pairs.append(np.broadcast_to(rows[:, None], (rows.size, 2)))
+    key_ordered = bool((keys[1:] > keys[:-1]).all())
+    for block in reversed(pairs[:center]):  # offset K-1-o mirrors offset o
+        mirror = block[:, ::-1]
+        if not key_ordered:
+            mirror = np.take(mirror, np.argsort(mirror[:, 1]), axis=0)
+            mirror.flags.writeable = False
+        pairs.append(mirror)
     return Rulebook(
         offsets=tuple(centered_offsets(spec.kernel)),
         pairs=pairs,
@@ -476,6 +499,10 @@ def build_rulebook_regular(
     )
 
 
+# float64 entries per scatter block of the forward executor (256 KB)
+SCATTER_ENTRIES = 1 << 15
+
+
 def gather_scatter_matmul(
     features: np.ndarray,
     rulebook: Rulebook,
@@ -488,8 +515,10 @@ def gather_scatter_matmul(
     offset order, each as soon as it is computed (then cast back to the
     input dtype), which bounds summation-order error and fixes the result
     bit for bit.  Within one offset no two pairs share an output row, so
-    the scatter is collision-free.  The identity offset of a submanifold
-    rulebook needs neither gather nor scatter.
+    the scatter is collision-free, and it runs in blocks of at most
+    ``SCATTER_ENTRIES`` product entries, which bounds its float64 gather
+    and sum of the touched rows with the same bits.  The identity offset
+    of a submanifold rulebook needs neither gather nor scatter.
     """
     weights = np.asarray(weights)
     k = len(rulebook.offsets)
@@ -508,6 +537,7 @@ def gather_scatter_matmul(
     acc = np.zeros((m, c_out), dtype=np.float64)
     if bias is not None:
         acc += np.asarray(bias, dtype=np.float64)
+    rows = max(1, SCATTER_ENTRIES // max(c_out, 1))
     center = rulebook.identity_offset
     for o in range(k):
         if o == center:
@@ -516,7 +546,9 @@ def gather_scatter_matmul(
             continue
         p = rulebook.pairs[o]
         if p.shape[0]:
-            acc[p[:, 1]] += np.take(features, p[:, 0], axis=0) @ weights[o]
+            y = np.take(features, p[:, 0], axis=0) @ weights[o]
+            for a in range(0, p.shape[0], rows):
+                acc[p[a : a + rows, 1]] += y[a : a + rows]
     return acc.astype(features.dtype, copy=False)
 
 

@@ -118,6 +118,43 @@ class TestMapSearchMatchesPerOffsetReference:
         assert rb.total_pairs > t.n_active
         assert peak - held < 17 * t.n_active * spec.volume
 
+    def test_submanifold_keeps_four_bytes_per_pair(self):
+        """Only the offsets before the center are stored: the center block
+        views one int32 row range and each later block views its mirror.
+        On this scene the built rulebook holds 4.4 bytes per pair (4.0 in
+        pair data, the rest in array headers); storing every block held
+        8.4."""
+        t = random_sparse(np.random.default_rng(7), (24, 24, 24), 0.22, 1)
+        spec = KernelSpec.same(3, 1, dims=3)
+        tracemalloc.start()
+        try:
+            rb = build_rulebook_submanifold(t, spec)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 5 * rb.total_pairs
+        center = rb.identity_offset
+        last = len(rb.offsets) - 1
+        for o in range(center + 1, len(rb.offsets)):
+            assert np.shares_memory(rb.pairs[o], rb.pairs[last - o])
+
+    @pytest.mark.parametrize("kind", ["submanifold", "regular"])
+    def test_pair_blocks_are_read_only(self, kind):
+        """Blocks share memory with their mirrors and with every user of
+        the cached rulebook, so none of them can be written."""
+        rng = np.random.default_rng(11)
+        t = random_sparse(rng, (9, 9, 9), 0.3, 1, batches=2)
+        for coords in (t.coords, rng.permutation(t.coords)):
+            s = SparseTensor(coords, t.features, t.spatial_shape)
+            if kind == "submanifold":
+                rb = build_rulebook_submanifold(s, KernelSpec.same(3, 2, dims=3))
+            else:
+                spec = KernelSpec.downsample(3)
+                rb = build_rulebook_regular(s, spec, regular_out_shape(s.spatial_shape, spec))
+            for p in rb.pairs:
+                with pytest.raises(ValueError):
+                    p[:1] = 0
+
     @settings(max_examples=150, deadline=None)
     @given(
         scene=scenes,

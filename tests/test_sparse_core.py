@@ -6,12 +6,21 @@ from hypothesis import strategies as st
 from focalvox.errors import DuplicateCoordinate, InvalidSpec, ShapeMismatch
 from focalvox.sparse import (
     KernelSpec,
+    SparseTensor,
     build_rulebook_regular,
     build_rulebook_submanifold,
+    flat_keys,
     gather_scatter_matmul,
     regular_out_shape,
 )
-from helpers import dense_regular_oracle, dense_subm_oracle, random_sparse, rel_err, sparse_from_coords
+from helpers import (
+    dense_regular_oracle,
+    dense_subm_oracle,
+    per_offset_rulebook_submanifold,
+    random_sparse,
+    rel_err,
+    sparse_from_coords,
+)
 
 
 def subm_spec(kernel, dilation=1, dims=3):
@@ -125,6 +134,44 @@ class TestSubmanifoldRulebook:
         for pairs in rb.pairs:
             keys = pairs[:, 1] * (t.n_active + 1) + pairs[:, 0]
             assert np.all(np.diff(keys) > 0)
+
+
+def permuted_sparse(dims, seed):
+    """A two-batch scene whose rows are not in key order, so each block
+    after the center is a sorted copy of its mirror, not a view."""
+    rng = np.random.default_rng(seed)
+    t = random_sparse(rng, (11, 9, 13)[:dims], 0.3, 1, batches=2)
+    t = SparseTensor(rng.permutation(t.coords), t.features, t.spatial_shape)
+    keys = flat_keys(t.coords, t.spatial_shape)
+    assert (np.diff(keys) < 0).any()
+    return t
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+@pytest.mark.parametrize("kernel", [(1, 3, 5), (5, 1, 3)])
+@pytest.mark.parametrize("dilation", [(1, 1, 1), (2, 1, 3)])
+class TestSubmanifoldRulebookPermutedRows:
+    def test_pairs_sorted(self, dims, kernel, dilation):
+        t = permuted_sparse(dims, 5)
+        spec = KernelSpec.same(kernel[:dims], dilation[:dims])
+        rb = build_rulebook_submanifold(t, spec)
+        _, want, _ = per_offset_rulebook_submanifold(t, spec)
+        for pairs, ref in zip(rb.pairs, want, strict=True):
+            keys = pairs[:, 1].astype(np.int64) * (t.n_active + 1) + pairs[:, 0]
+            assert np.all(np.diff(keys) > 0)
+            assert pairs.dtype == np.int32 and np.array_equal(pairs, ref)
+
+    def test_offset_symmetry(self, dims, kernel, dilation):
+        t = permuted_sparse(dims, 4)
+        spec = KernelSpec.same(kernel[:dims], dilation[:dims])
+        rb = build_rulebook_submanifold(t, spec)
+        _, want, _ = per_offset_rulebook_submanifold(t, spec)
+        by_off = dict(zip(rb.offsets, rb.pairs))
+        for off, pairs, ref in zip(rb.offsets, rb.pairs, want, strict=True):
+            assert np.array_equal(pairs, ref)
+            neg = tuple(-o for o in off)
+            mirrored = {(int(j), int(i)) for i, j in pairs}
+            assert mirrored == {(int(i), int(j)) for i, j in by_off[neg]}
 
 
 class TestRegularRulebook:
