@@ -281,10 +281,15 @@ def sfmnet_forward(
 ):
     """One full pass: voxelize, 3-D stages with downsamples, BEV
     compression, 2-D stage, probe.  Returns (BEV sparse tensor, per-cell
-    probe logits)."""
+    probe logits).
+
+    No local holds an array past its last reader: the voxelized tensor
+    goes straight into ``backbone3d``, so, untaped, the stage-1 features,
+    geometry and rulebooks die at the first downsample."""
     net = SfmNet(config, store)
-    t = voxelize_vfe(cloud, config.voxelizer, net.vfe_w, net.vfe_b, tape=tape)
-    bev = bev_compress(net.backbone3d(t, bn_mode=bn_mode), net.bev)
+    bev = bev_compress(net.backbone3d(
+        voxelize_vfe(cloud, config.voxelizer, net.vfe_w, net.vfe_b, tape=tape), bn_mode=bn_mode
+    ), net.bev)
     bev = run_stage(bev, config.backbone2d, net.stage2d, bn_mode=bn_mode)
     return bev, ops.linear(bev.features, net.probe_w, net.probe_b)
 

@@ -164,10 +164,16 @@ def window_occupancy(t: SparseTensor, window_edge: int) -> np.ndarray:
 
 def sfm_bytes_model(n: int, config: SFMConfig, pair_total: int) -> int:
     """Analytic peak-intermediate estimate in bytes (float32 activations,
-    int32 rulebook pairs)."""
+    int32 rulebook pairs).
+
+    The activation term is the taped bound, where every level stays alive
+    until the gated sum is differentiated; an untaped pass folds each level
+    into the sum as it is made.  A rulebook stores 4 bytes per counted
+    pair: only the offsets before the center, about half the pairs, hold
+    int32 (in, out) rows; the center and the offsets after it are views."""
     c, levels = config.channels, config.levels
     activations = 4 * n * (2 * c + levels) + 4 * n * c * (levels + 1)
-    rulebook = 8 * pair_total
+    rulebook = 4 * pair_total
     return int(activations + rulebook)
 
 

@@ -12,15 +12,18 @@ The exact gelu's ``erf`` is a numpy port of the Cephes ``ndtr.c`` erf
 float64 and rounds once, so float32 results equal SciPy's bit for bit; in
 float64 they are equal for |x| <= 1 and within 1 ulp beyond, where numpy's
 SIMD ``exp`` can round the last bit differently from the C library's.
-``gelu`` runs it in place on ``x / sqrt 2`` and keeps one slope array.
+``gelu`` runs it in place on ``x / sqrt 2``, writes its output into Phi's
+buffer and keeps one slope array.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from .errors import EmptyBatch, ShapeMismatch
-from .tape import Tensor, emit
+from .tape import Tensor, active_tape, emit
 
 _INV_SQRT2 = np.float64(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = np.float64(1.0 / np.sqrt(2.0 * np.pi))
@@ -214,23 +217,23 @@ def batch_norm_active(
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-CDF gelu, ``x * Phi(x)`` via the error function; a taped
-    node keeps one array, the slope ``Phi + x pdf(x)``, formed at record time."""
+    """Exact Gaussian-CDF gelu, ``x * Phi(x)`` via the error function, written
+    into Phi's buffer; a taped node keeps one array, the slope
+    ``Phi + x pdf(x)``, formed from Phi before the product overwrites it."""
     xd = x.data
-    phi = np.multiply(xd, xd.dtype.type(_INV_SQRT2), order="C")  # as erf returns it
-    phi = _erf(phi, out=phi)
+    phi = np.multiply(xd, xd.dtype.type(_INV_SQRT2), order="C")
+    _erf(phi, out=phi)  # phi is C-ordered, so erf lands in its buffer, not in a view
     phi += 1.0
     phi *= 0.5
-
-    def vjp_of(needs):
+    slope = None
+    if x.tape is not None:  # emit will record a node
         slope = np.multiply(xd, -0.5, order="C")  # exp(-0.5 x x) / sqrt(2 pi) * x + Phi
         np.exp(np.multiply(slope, xd, out=slope), out=slope)
         slope *= xd.dtype.type(_INV_SQRT2PI)
         slope *= xd
         slope += phi
-        return lambda cot: (cot * slope,)
-
-    return emit("gelu", xd * phi, (x,), vjp_of)
+    phi *= xd  # Phi x has the bits of x Phi
+    return emit("gelu", phi, (x,), lambda needs: lambda cot: (cot * slope,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -275,36 +278,49 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return emit("slice_cols", x.data[:, start:stop].copy(), (x,), lambda needs: vjp)
 
 
-def weighted_level_sum(levels: list[Tensor], gates: Tensor) -> Tensor:
-    """``sum_l levels[l] * gates[:, l]`` with a scalar gate per (row, level)."""
-    n_levels = len(levels)
-    if gates.data.shape[1] != n_levels:
-        raise ShapeMismatch(
-            f"{gates.data.shape[1]} gate columns for {n_levels} levels"
-        )
+def weighted_level_sum(levels: Iterable[Tensor], gates: Tensor) -> Tensor:
+    """``sum_l levels[l] * gates[:, l]`` with a scalar gate per (row, level).
+
+    ``levels`` may be any iterable, a generator included.  Each level is
+    added into the sum, in level order, as it arrives, and is kept only
+    when a tape needs it, so an untaped fold over a generator holds one
+    level at a time.
+    """
+    gate_data = gates.data
+    n_levels = gate_data.shape[1]
+    acc, kept, n = None, [], 0
     for f in levels:
-        if f.data.shape != levels[0].data.shape:
+        if n == n_levels:
+            raise ShapeMismatch(f"{n_levels} gate columns for more than {n_levels} levels")
+        if acc is None:
+            if f.data.shape[0] != gate_data.shape[0]:
+                raise ShapeMismatch("gate rows != feature rows")
+            acc = np.zeros_like(f.data)
+        elif f.data.shape != acc.shape:
             raise ShapeMismatch("level feature shapes differ")
-        if f.data.shape[0] != gates.data.shape[0]:
-            raise ShapeMismatch("gate rows != feature rows")
-    acc = np.zeros_like(levels[0].data)
-    for l, f in enumerate(levels):
-        acc += f.data * gates.data[:, l : l + 1]
+        acc += f.data * gate_data[:, n : n + 1]
+        if active_tape(f, gates) is not None:
+            if len(kept) < n:
+                raise ShapeMismatch(f"level {n} carries a tape, earlier levels do not")
+            kept.append(f)
+        n += 1
+        del f  # untaped, the producer now holds the last reference
+    if acc is None or n != n_levels:
+        raise ShapeMismatch(f"{n_levels} gate columns for {n} levels")
 
     def vjp_of(needs):
-        level_data = [f.data for f in levels]
-        gate_data = gates.data
+        level_data = [f.data for f in kept]
 
         def vjp(cot):
-            grads = [cot * gate_data[:, l : l + 1] for l in range(n_levels)]
+            grads = [cot * gate_data[:, l : l + 1] for l in range(n)]
             ggate = np.stack(
-                [(cot * level_data[l]).sum(axis=1) for l in range(n_levels)], axis=1
+                [(cot * level_data[l]).sum(axis=1) for l in range(n)], axis=1
             )
             return (*grads, ggate)
 
         return vjp
 
-    return emit("weighted_level_sum", acc, (*levels, gates), vjp_of)
+    return emit("weighted_level_sum", acc, (*kept, gates), vjp_of)
 
 
 def scatter_rows_sum(x: Tensor, groups: np.ndarray, n_groups: int) -> Tensor:

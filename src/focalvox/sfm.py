@@ -136,29 +136,31 @@ def input_projection(
     return queries, base, gates
 
 
-def context_levels(
-    t: SparseTensor, config: SFMConfig, level_convs: list[SparseConvLayer]
-) -> list[SparseTensor]:
-    """Hierarchical focal features: level l is gelu(conv_l(level l-1)).
-
-    All levels share the input's active set (submanifold property)."""
-    if len(level_convs) != config.levels:
-        raise ShapeMismatch(f"need {config.levels} level convs, got {len(level_convs)}")
-    out = []
-    cur = t
+def _focal_levels(cur: SparseTensor, level_convs: list[SparseConvLayer]):
+    """Yield each level's features; the generator's own reference to the
+    previous level (the input first) goes when the next conv returns."""
     for conv in level_convs:
         cur = subm_conv(cur, conv)
         cur = cur.with_features(ops.gelu(cur.features))
-        out.append(cur)
-    return out
+        yield cur.features
 
 
-def aggregate_context(
-    level_features: list[Tensor], gates: Tensor, h_w: Tensor, h_b: Tensor
+def context_levels(
+    t: SparseTensor, config: SFMConfig, level_convs: list[SparseConvLayer], gates: Tensor
 ) -> Tensor:
-    """Gate-weighted sum over levels, projected back to query space."""
-    mixed = ops.weighted_level_sum(level_features, gates)
-    return ops.linear(mixed, h_w, h_b)
+    """Gate-weighted sum of the hierarchical focal features:
+    ``sum_l gates[:, l-1] * level l`` over l = 1..L, where level l is
+    gelu(conv_l(level l-1)) and level 0 is ``t``.
+
+    All levels share the input's active set (submanifold property).  The
+    level convs run in this call, each level is folded into the sum as it
+    is made, and, untaped, a level dies once the next one is made: neither
+    this call nor the fold keeps ``t`` or a finished level."""
+    if len(level_convs) != config.levels:
+        raise ShapeMismatch(f"need {config.levels} level convs, got {len(level_convs)}")
+    levels = _focal_levels(t, level_convs)
+    del t
+    return ops.weighted_level_sum(levels, gates)
 
 
 def modulate(queries: Tensor, context: Tensor) -> Tensor:
@@ -167,13 +169,18 @@ def modulate(queries: Tensor, context: Tensor) -> Tensor:
 
 
 def sfm_module(t: SparseTensor, config: SFMConfig, params: SfmModuleParams) -> SparseTensor:
-    """Full mixer: project, extract context levels, gate, modulate."""
-    queries, base, gates = input_projection(
+    """Full mixer: project, fold the gated context levels, project the sum
+    back to query space, modulate.
+
+    The base context is passed on as a temporary, so that no local here
+    holds it while the levels run: untaped, it dies after level 1."""
+    projected = list(input_projection(
         t.features, params.in_proj_w, params.in_proj_b, config.channels, config.levels
-    )
-    levels = context_levels(t.with_features(base), config, params.level_convs)
-    context = aggregate_context(
-        [lv.features for lv in levels], gates, params.h_w, params.h_b
+    ))
+    queries, gates = projected[0], projected[2]
+    context = ops.linear(
+        context_levels(t.with_features(projected.pop(1)), config, params.level_convs, gates),
+        params.h_w, params.h_b,
     )
     return t.with_features(modulate(queries, context))
 
@@ -185,6 +192,7 @@ def sfm_block(t: SparseTensor, config: SFMConfig, params: SfmBlockParams) -> Spa
     """
     z = sfm_module(t, config, params.module)
     y1 = ops.add(ops.layer_norm(z.features, params.ln1_gain, params.ln1_bias), t.features)
+    del z  # the mixer output is not held through the MLP
     mlp = ops.mlp_block(y1, params.mlp_w1, params.mlp_b1, params.mlp_w2, params.mlp_b2)
     y = ops.add(ops.layer_norm(mlp, params.ln2_gain, params.ln2_bias), y1)
     return t.with_features(y)

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -268,6 +269,32 @@ class TestEndToEnd:
         bev, logits = sfmnet_forward(synthetic_cloud(300, seed=11), cfg, store)
         assert bev.features.data.dtype == np.float64
         assert logits.data.dtype == np.float64
+
+
+class TestActivationLifetimes:
+    def test_untaped_forward_drops_voxelized_input_before_bev(self, monkeypatch):
+        """No local of ``sfmnet_forward`` holds the voxelized tensor, so its
+        geometry (with the stage-1 rulebooks) dies at the first downsample."""
+        import focalvox.backbone as fb
+
+        refs, alive_at_bev = [], []
+        voxelize, compress = fb.voxelize_vfe, fb.bev_compress
+
+        def voxelize_vfe(*args, **kwargs):
+            out = voxelize(*args, **kwargs)
+            refs.append((weakref.ref(out.geometry), weakref.ref(out.features.data)))
+            return out
+
+        def bev_compress(t, params):
+            alive_at_bev.append([r() is not None for pair in refs for r in pair])
+            return compress(t, params)
+
+        monkeypatch.setattr(fb, "voxelize_vfe", voxelize_vfe)
+        monkeypatch.setattr(fb, "bev_compress", bev_compress)
+        cfg = preset("tiny")
+        bev, _ = sfmnet_forward(synthetic_cloud(600, seed=5), cfg, init_network(cfg))
+        assert bev.n_active > 0
+        assert alive_at_bev == [[False, False]]
 
 
 class TestPresetsAndCounts:

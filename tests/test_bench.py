@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from focalvox.bench import (
     init_attention_params,
     local_attention_reference,
     scaling_experiment,
+    sfm_bytes_model,
     uniform_scene,
     window_neighbor_rows,
     window_occupancy,
@@ -16,6 +18,7 @@ from focalvox.bench import (
 from focalvox.cli import main
 from focalvox.errors import DegenerateFit, InvalidSpec
 from focalvox.sfm import SFMConfig
+from focalvox.sparse import KernelSpec, build_rulebook_submanifold
 from focalvox.tape import Tensor
 from helpers import random_sparse, rel_err, sparse_from_coords
 
@@ -131,6 +134,26 @@ class TestCounting:
 
         assert global_attention_pairs(4) == 16
         assert global_attention_pairs(1000) == 1_000_000
+
+
+class TestBytesModel:
+    def test_rulebook_term_is_the_stored_pair_bytes(self):
+        """The model charges 4 bytes per pair, what a built rulebook keeps:
+        on the scene of ``test_submanifold_keeps_four_bytes_per_pair`` it
+        holds 4.4 bytes per pair, 4.0 of it pair data."""
+        t = random_sparse(np.random.default_rng(7), (24, 24, 24), 0.22, 1)
+        spec = KernelSpec.same(3, 1, dims=3)
+        tracemalloc.start()
+        try:
+            rb = build_rulebook_submanifold(t, spec)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        cfg = SFMConfig(channels=1, kernels=(3,), dilations=(1,))
+        n = t.n_active
+        term = sfm_bytes_model(n, cfg, rb.total_pairs) - sfm_bytes_model(n, cfg, 0)
+        assert term == 4 * rb.total_pairs
+        assert term <= held <= 1.25 * term
 
 
 class TestUniformScene:

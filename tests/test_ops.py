@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -347,6 +348,23 @@ class TestLeanGelu:
         assert y.data.nbytes == nbytes
         assert peak < 2.25 * nbytes
 
+    def test_untaped_call_holds_only_its_output(self):
+        """The output is written into Phi's buffer: at its peak an untaped
+        gelu holds that one array and erf's float64 scratch (1.5 input
+        sizes here); a separate product next to Phi reads 2.0."""
+        x = Tensor(self.seeded())
+        nbytes = x.data.nbytes
+        scratch = 4 * 8 * min(x.data.size, ops._ERF_BLOCK)
+        tracemalloc.start()
+        try:
+            y = ops.gelu(x)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert y.data.nbytes == nbytes and y.data.base is None
+        assert held - nbytes < 0.01 * nbytes
+        assert peak - scratch < 1.1 * nbytes
+
 
 class TestMlp:
     def _params(self, rng, c, ratio):
@@ -413,3 +431,104 @@ class TestStructuralOps:
         x = T([[3.0, 4.0], [0.0, 0.0]])
         assert ops.row_l2(x, 0).data == 5.0
         assert ops.row_l2(x, 1).data == 0.0
+
+
+def list_level_sum(levels, gates):
+    """The gated sum over a list of levels: ``acc = zeros; acc += f * g``."""
+    acc = np.zeros_like(levels[0])
+    for l, f in enumerate(levels):
+        acc += f * gates[:, l : l + 1]
+    return acc
+
+
+class TestFoldedLevelSum:
+    """``weighted_level_sum`` folds levels as they arrive: the bytes of the
+    list formula, and an untaped fold over a generator keeps no level."""
+
+    @staticmethod
+    def seeded(dtype):
+        rng = np.random.default_rng(21)
+        levels, gates, cot = (rng.standard_normal(shape).astype(dtype)
+                              for shape in ((4, 37, 5), (37, 4), (37, 5)))
+        return list(levels), gates, cot
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tape_kind", ["untaped", "default", "input-only"])
+    def test_bits_of_list_formula(self, dtype, tape_kind):
+        levels, gates, cot = self.seeded(dtype)
+        tape = {"untaped": None, "default": GradTape(),
+                "input-only": GradTape(params=False)}[tape_kind]
+        inputs = [Tensor(f, tape) for f in levels]
+        g = Tensor(gates)  # an untaped leaf: a parameter-like gate
+        out = ops.weighted_level_sum((t for t in inputs), g)
+        assert_same_bits(out.data, list_level_sum(levels, gates))
+        assert_same_bits(ops.weighted_level_sum(inputs, g).data, out.data)
+        if tape is None:
+            return
+        grads = tape.gradients(out, cot)
+        for l, t in enumerate(inputs):
+            assert_same_bits(grads[t.uid], cot * gates[:, l : l + 1])
+        want_gate = np.stack([(cot * f).sum(axis=1) for f in levels], axis=1)
+        if tape.params:
+            assert_same_bits(grads[g.uid], want_gate)
+        else:
+            assert g.uid not in grads
+
+    def test_untaped_generator_keeps_no_level(self):
+        levels, gates, _ = self.seeded(np.float32)
+        refs, alive_at_next = [], []
+
+        def produce():
+            for f in levels:
+                alive_at_next.append(any(r() is not None for r in refs))
+                data = f.copy()
+                refs.append(weakref.ref(data))
+                yield Tensor(data)
+                del data
+
+        out = ops.weighted_level_sum(produce(), Tensor(gates))
+        assert_same_bits(out.data, list_level_sum(levels, gates))
+        assert not any(alive_at_next)  # a level is gone before the next is made
+        assert [r() for r in refs] == [None] * len(levels)
+
+    def test_taped_fold_keeps_every_level(self):
+        levels, gates, _ = self.seeded(np.float32)
+        tape, refs = GradTape(), []
+
+        def produce():
+            for f in levels:
+                data = f.copy()
+                refs.append(weakref.ref(data))
+                yield Tensor(data, tape)
+
+        out = ops.weighted_level_sum(produce(), Tensor(gates))
+        assert len(tape) == 1 and out.tape is tape
+        assert all(r() is not None for r in refs)
+
+    def test_counts_and_shapes_checked_as_levels_arrive(self):
+        levels, gates, _ = self.seeded(np.float64)
+        made = []
+
+        def produce(shapes):
+            for shape in shapes:
+                made.append(shape)
+                yield Tensor(np.zeros(shape))
+
+        with pytest.raises(ShapeMismatch, match="more than 4 levels"):
+            ops.weighted_level_sum(produce([(37, 5)] * 6), Tensor(gates))
+        assert len(made) == 5  # stopped at the first level without a gate
+        with pytest.raises(ShapeMismatch, match="4 gate columns for 3 levels"):
+            ops.weighted_level_sum(produce([(37, 5)] * 3), Tensor(gates))
+        with pytest.raises(ShapeMismatch, match="shapes differ"):
+            ops.weighted_level_sum(produce([(37, 5), (37, 4)]), Tensor(gates))
+        with pytest.raises(ShapeMismatch, match="gate rows"):
+            ops.weighted_level_sum(produce([(36, 5)]), Tensor(gates))
+        with pytest.raises(ShapeMismatch, match="for 0 levels"):
+            ops.weighted_level_sum(iter(()), Tensor(gates))
+
+    def test_taped_level_after_dropped_ones_raises(self):
+        levels, gates, _ = self.seeded(np.float64)
+        tape = GradTape()
+        inputs = [Tensor(levels[0]), Tensor(levels[1], tape)]
+        with pytest.raises(ShapeMismatch, match="level 1 carries a tape"):
+            ops.weighted_level_sum(iter(inputs), Tensor(gates[:, :2]))

@@ -12,7 +12,6 @@ from focalvox.sfm import (
     SFMConfig,
     SfmBlockParams,
     SfmModuleParams,
-    aggregate_context,
     context_levels,
     effective_receptive_field,
     erf_meters,
@@ -35,6 +34,24 @@ from helpers import random_sparse, rel_err, sparse_from_coords
 def np_gelu(x):
     from scipy.special import erf
     return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def each_level(t, config, level_convs):
+    """Every level ``context_levels`` makes, read out one at a time through
+    one-hot gates: selecting level l adds it to zeros and the other levels
+    times 0.0, which gives its bits (up to the sign of a zero)."""
+    out = []
+    for l in range(config.levels):
+        gates = np.zeros((t.n_active, config.levels), dtype=t.features.data.dtype)
+        gates[:, l] = 1.0
+        out.append(context_levels(t, config, level_convs, Tensor(gates)).data)
+    return out
+
+
+def aggregate(levels, gates, h_w, h_b):
+    """Gate-weighted level sum projected back to query space, as
+    ``sfm_module`` composes it."""
+    return ops.linear(ops.weighted_level_sum(levels, gates), h_w, h_b)
 
 
 def module_params(rng, config, dims, dtype=np.float64):
@@ -182,12 +199,12 @@ class TestContextLevels:
         cfg = SFMConfig(channels=3, kernels=(3, 3), dilations=(1, 2))
         params = module_params(rng, cfg, dims=3)
         t = sparse_from_coords([(0, 4, 4, 4)], (9, 9, 9), 3, rng=rng, dtype=np.float64)
-        levels = context_levels(t, cfg, params.level_convs)
+        levels = each_level(t, cfg, params.level_convs)
         x = t.features.data
         for lv, conv in zip(levels, params.level_convs):
             center = conv.spec.volume // 2
             x = np_gelu(x @ conv.weight.data[center] + conv.bias.data)
-            np.testing.assert_allclose(lv.features.data, x, rtol=1e-12)
+            np.testing.assert_allclose(lv, x, rtol=1e-12)
 
     def test_identity_center_kernel(self):
         cfg = SFMConfig(channels=2, kernels=(3,), dilations=(1,))
@@ -198,8 +215,8 @@ class TestContextLevels:
         )
         rng = np.random.default_rng(2)
         t = random_sparse(rng, (5, 5, 5), 0.3, 2, dtype=np.float64)
-        levels = context_levels(t, cfg, [conv])
-        np.testing.assert_allclose(levels[0].features.data, np_gelu(t.features.data))
+        levels = each_level(t, cfg, [conv])
+        np.testing.assert_allclose(levels[0], np_gelu(t.features.data))
 
     def test_two_voxel_hand_composition(self):
         rng = np.random.default_rng(3)
@@ -208,7 +225,7 @@ class TestContextLevels:
         t = sparse_from_coords(
             [(0, 2, 2, 2), (0, 2, 2, 3)], (6, 6, 6), 2, rng=rng, dtype=np.float64
         )
-        levels = context_levels(t, cfg, params.level_convs)
+        levels = each_level(t, cfg, params.level_convs)
         # hand-compose: neighbors at +z/-z offsets plus the center
         x = t.features.data
         offsets = centered_offsets((3, 3, 3))
@@ -222,7 +239,7 @@ class TestContextLevels:
             out[0] = x[0] @ w[center] + x[1] @ w[minus_z] + conv.bias.data
             out[1] = x[1] @ w[center] + x[0] @ w[plus_z] + conv.bias.data
             x = np_gelu(out)
-            np.testing.assert_allclose(lv.features.data, x, rtol=1e-10)
+            np.testing.assert_allclose(lv, x, rtol=1e-10)
 
 
 class TestAggregateModulate:
@@ -230,14 +247,14 @@ class TestAggregateModulate:
         rng = np.random.default_rng(4)
         f1 = Tensor(rng.standard_normal((5, 3)))
         gates = Tensor(np.ones((5, 1)))
-        ctx = aggregate_context([f1], gates, Tensor(np.eye(3)), Tensor(np.zeros(3)))
+        ctx = aggregate([f1], gates, Tensor(np.eye(3)), Tensor(np.zeros(3)))
         np.testing.assert_allclose(ctx.data, f1.data)
 
     def test_zero_gates_give_h_bias(self):
         rng = np.random.default_rng(5)
         f1 = Tensor(rng.standard_normal((4, 3)))
         h_b = rng.standard_normal(3)
-        ctx = aggregate_context(
+        ctx = aggregate(
             [f1], Tensor(np.zeros((4, 1))), Tensor(rng.standard_normal((3, 3))), Tensor(h_b)
         )
         np.testing.assert_allclose(ctx.data, np.tile(h_b, (4, 1)))
@@ -248,7 +265,7 @@ class TestAggregateModulate:
         gates = Tensor(rng.standard_normal((6, 3)))
         h_w = rng.standard_normal((4, 4))
         h_b = rng.standard_normal(4)
-        ctx = aggregate_context(levels, gates, Tensor(h_w), Tensor(h_b))
+        ctx = aggregate(levels, gates, Tensor(h_w), Tensor(h_b))
         expected = np.zeros((6, 4))
         for r in range(6):
             mix = np.zeros(4)
@@ -308,12 +325,16 @@ class TestSfmModule:
         q, base, gates = input_projection(
             t.features, params.in_proj_w, params.in_proj_b, 4, 2
         )
-        levels = context_levels(t.with_features(base), cfg, params.level_convs)
-        ctx = aggregate_context(
-            [lv.features for lv in levels], gates, params.h_w, params.h_b
-        )
-        expected = modulate(q, ctx)
+        mixed = context_levels(t.with_features(base), cfg, params.level_convs, gates)
+        expected = modulate(q, ops.linear(mixed, params.h_w, params.h_b))
         np.testing.assert_array_equal(out.features.data, expected.data)
+        # the fold equals the list of levels made step by step, then summed
+        cur, levels = t.with_features(base), []
+        for conv in params.level_convs:
+            cur = subm_conv(cur, conv)
+            cur = cur.with_features(ops.gelu(cur.features))
+            levels.append(cur.features)
+        np.testing.assert_array_equal(mixed.data, ops.weighted_level_sum(levels, gates).data)
 
     def test_sparsity_preserved(self):
         rng = np.random.default_rng(11)
