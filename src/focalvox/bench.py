@@ -6,12 +6,15 @@ active voxels.  Local attention pays query-key plus attention-value work
 quadratic in each window's occupancy.  Both quantities are counted exactly
 here, and a naive local-attention reference is executable for small scenes
 so the count model can be cross-checked against instrumented execution.
+``scaling_experiment`` reports every run of either mixer the same way: one
+``BenchReport`` and one point of the log-log fit, per voxel or per window.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -20,7 +23,7 @@ import numpy as np
 from . import ops
 from .errors import DegenerateFit, InvalidSpec, ShapeMismatch
 from .sfm import SFMConfig, effective_receptive_field, sfm_pair_count
-from .sparse import SparseTensor, _unflatten
+from .sparse import SparseTensor, _unflatten, check_key_space
 from .tape import Tensor
 
 MIXER_KINDS = ("sfm", "local-attention")
@@ -122,13 +125,6 @@ def count_interactions(kind: str, scene: SparseTensor, config) -> int:
     raise InvalidSpec(f"unknown mixer kind {kind!r}; choose from {MIXER_KINDS}")
 
 
-def global_attention_pairs(n_active: int) -> int:
-    """Analytic count model for unwindowed attention: every query attends
-    to every key, n^2 pairs per stage.  Deliberately never executed; at
-    scene scale the dense logits alone exhaust memory."""
-    return int(n_active) * int(n_active)
-
-
 def window_occupancy(t: SparseTensor, window_edge: int) -> np.ndarray:
     """n_w(q): active-voxel count in each voxel's centered window.
 
@@ -188,7 +184,8 @@ def uniform_scene(
     n_active: int, grid_shape: tuple[int, ...], seed: int, channels: int = 1
 ) -> SparseTensor:
     """Exactly n distinct active cells drawn uniformly over the grid."""
-    volume = int(np.prod(grid_shape))
+    check_key_space(1, grid_shape)
+    volume = math.prod(grid_shape)
     if n_active > volume:
         raise InvalidSpec(f"cannot place {n_active} voxels in {volume} cells")
     rng = np.random.default_rng(seed)
@@ -224,7 +221,8 @@ def scaling_experiment(
     log(total pairs) against log(N) and lands near 1.  local-attention:
     the window partition is fixed and occupancy grows with N; the fit is
     log(pairs per window) against log(mean window occupancy) and lands
-    near 2.  Returns (reports, slope).
+    near 2.  ``wall_ns`` times the counting and the bytes model.  Returns
+    (reports, slope).
     """
     if kind not in MIXER_KINDS:
         raise InvalidSpec(f"unknown mixer kind {kind!r}")
@@ -236,46 +234,23 @@ def scaling_experiment(
         raise InvalidSpec("window edge must be odd and positive")
     if kind == "sfm" and config is None:
         config = SFMConfig(channels=16, kernels=(3, 3), dilations=(1, 3))
-    reports = []
-    xs, ys = [], []
+    reports, xs, ys = [], [], []
     for i, n in enumerate(n_list):
         if kind == "sfm":
             edge = max(4, int(round((n / density) ** (1.0 / 3.0))))
             scene = uniform_scene(n, (edge, edge, edge), seed + i, config.channels)
             start = time.perf_counter_ns()
             detail = sfm_pair_count(scene, config)
-            wall = time.perf_counter_ns() - start
-            pairs = detail["total"]
-            reports.append(
-                BenchReport(
-                    kind="sfm",
-                    n_active=scene.n_active,
-                    edge_voxels=effective_receptive_field(config),
-                    interaction_pairs=pairs,
-                    bytes_model=sfm_bytes_model(scene.n_active, config, detail["conv_pairs"]),
-                    wall_ns=wall,
-                )
-            )
-            xs.append(float(scene.n_active))
-            ys.append(float(pairs))
+            pairs, extent, units = detail["total"], effective_receptive_field(config), 1
+            bytes_model = sfm_bytes_model(scene.n_active, config, detail["conv_pairs"])
         else:
-            grid_edge = window_edge * windows_per_axis
-            scene = uniform_scene(n, (grid_edge,) * 3, seed + i)
+            scene = uniform_scene(n, (window_edge * windows_per_axis,) * 3, seed + i)
             start = time.perf_counter_ns()
             occupancy = window_occupancy(scene, window_edge)
-            pairs = int(2 * occupancy.sum())
-            wall = time.perf_counter_ns() - start
-            reports.append(
-                BenchReport(
-                    kind="local-attention",
-                    n_active=scene.n_active,
-                    edge_voxels=window_edge,
-                    interaction_pairs=pairs,
-                    bytes_model=attention_bytes_model(scene.n_active, 1, occupancy),
-                    wall_ns=wall,
-                )
-            )
-            n_windows = windows_per_axis**3
-            xs.append(scene.n_active / n_windows)
-            ys.append(pairs / n_windows)
+            pairs, extent, units = int(2 * occupancy.sum()), window_edge, windows_per_axis**3
+            bytes_model = attention_bytes_model(scene.n_active, 1, occupancy)
+        wall = time.perf_counter_ns() - start
+        reports.append(BenchReport(kind, scene.n_active, extent, pairs, bytes_model, wall))
+        xs.append(scene.n_active / units)
+        ys.append(pairs / units)
     return reports, _fit_slope(xs, ys)

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .backbone import SfmNet, init_network, network_template, sfmnet_forward
-from .bench import scaling_experiment
+from .bench import MIXER_KINDS, scaling_experiment
 from .config import load_config
 from .erf import emit_pgm, erf_gradient_map, select_query
 from .errors import FocalvoxError, InvalidSpec, IoError
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-csv")
 
     p = sub.add_parser("bench", help="interaction-count scaling experiment")
-    p.add_argument("--mixer", required=True, choices=("sfm", "local-attention"))
+    p.add_argument("--mixer", required=True, choices=MIXER_KINDS)
     p.add_argument("--n-list", type=_int_list, required=True,
                    help="comma-separated voxel counts")
     p.add_argument("--density", type=float, default=0.05)
@@ -209,25 +209,22 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    checks = gradcheck_suite(args.seed, args.module)
+def _report(checks, noun: str) -> int:
+    """Print each (name, passed, detail) check and the tally; 1 if any failed."""
     failed = 0
     for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failed += 0 if ok else 1
-    print(f"{len(checks) - failed}/{len(checks)} gradient checks passed")
+        print(f"{'PASS' if ok else 'FAIL'} {name}{': ' + detail if detail else ''}")
+        failed += not ok
+    print(f"{len(checks) - failed}/{len(checks)} {noun} passed")
     return 0 if failed == 0 else 1
+
+
+def cmd_gradcheck(args) -> int:
+    return _report(gradcheck_suite(args.seed, args.module), "gradient checks")
 
 
 def cmd_selftest(args) -> int:
-    checks = oracle_suite()
-    failed = 0
-    for name, ok, detail in checks:
-        suffix = f": {detail}" if detail else ""
-        print(f"{'PASS' if ok else 'FAIL'} {name}{suffix}")
-        failed += 0 if ok else 1
-    print(f"{len(checks) - failed}/{len(checks)} checks passed")
-    return 0 if failed == 0 else 1
+    return _report(oracle_suite(), "checks")
 
 
 _HANDLERS = {

@@ -16,7 +16,7 @@ import numpy as np
 from . import ops
 from .errors import EmptyScene, InvalidSpec, IoError, ParseError
 from .params import ParamSource
-from .sparse import SparseTensor, unique_coords
+from .sparse import SparseTensor, check_key_space, unique_coords
 from .tape import GradTape, Tensor
 
 VFE_RAW_FEATURES = 4  # dx, dy, dz, intensity
@@ -117,6 +117,7 @@ class VoxelizerConfig:
                 raise InvalidSpec(
                     f"range ({lo}, {hi}) is not an integral number of {size} voxels"
                 )
+        check_key_space(1, self.grid_shape)
 
     @property
     def grid_shape(self) -> tuple[int, int, int]:

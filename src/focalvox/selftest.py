@@ -1,9 +1,9 @@
 """Built-in verification suites for the command line.
 
-``gradcheck_suite`` runs finite-difference checks per module group;
-``oracle_suite`` runs a quick cross-section of the dual-route checks
-(dense-conv equivalence, receptive-field table, round trips).  Both return
-(name, passed, detail) triples so the CLI can print one line per check.
+``gradcheck_suite`` runs finite-difference checks from a case table of
+one generator per module group; ``oracle_suite`` runs a quick dual-route
+cross-section (dense-conv equivalence, receptive-field table, round
+trips).  Both return (name, passed, detail) triples for the CLI report.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ from .sparse import (
 )
 from .weights import load_weights, serialize_weights, parse_weights
 
-PRIMITIVE_TOL = 1e-6
-COMPOSITE_TOL = 1e-4
-
-GRADCHECK_MODULES = ("all", "conv", "sfm", "block")
+# (tolerance, sampled input coordinates) per kind of check
+PRIMITIVE = (1e-6, 64)
+COMPOSITE = (1e-4, 48)
 
 
 def _random_scene(rng, shape, density, channels):
@@ -53,115 +52,80 @@ def _random_scene(rng, shape, density, channels):
     return SparseTensor(coords, feats, shape)
 
 
+def _params64(layout, seed: int, *args):
+    """``layout``'s float32 draws from ``seed`` in a fresh store, bound as float64."""
+    store = ParamStore()
+    layout(Initializer(store, seed), *args)
+    return layout(ParamReader(store.as_dtype(np.float64)), *args)
+
+
+def _on(scene, run):
+    """Check function ``ts -> run(t, *ts[1:]).features``, ``t`` = ``ts[0]`` on the scene."""
+    return lambda ts: run(SparseTensor(scene.geometry, ts[0]), *ts[1:]).features
+
+
+def _draw(rng, *shapes):
+    return [rng.standard_normal(shape) for shape in shapes]
+
+
+# Each group yields the checks of one case as (name, fn, inputs, tol,
+# max_coords); a case's inputs are drawn from ``rng`` as it is yielded.
+
+def _primitive_cases(rng, seed):
+    def batch_norm(ts):
+        return ops.batch_norm_active(*ts, np.zeros(4), np.ones(4), mode="train")[0]
+
+    yield "linear", lambda ts: ops.linear(*ts), _draw(rng, (5, 3), (3, 4), 4), *PRIMITIVE
+    yield "layer_norm", lambda ts: ops.layer_norm(*ts), _draw(rng, (6, 5), 5, 5), *PRIMITIVE
+    yield "batch_norm", batch_norm, _draw(rng, (8, 4), 4, 4), *PRIMITIVE
+    yield "gelu", lambda ts: ops.gelu(*ts), _draw(rng, (6, 6)), *PRIMITIVE
+
+
+def _conv_cases(rng, seed):
+    scene = _random_scene(rng, (5, 5, 5), 0.4, 3)
+    subm = KernelSpec.same(3, int(rng.integers(1, 3)), dims=3)
+    for name, conv, spec in (("subm_conv", subm_conv, subm),
+                             ("regular_conv", regular_conv_down, KernelSpec.downsample(3))):
+        run = _on(scene, lambda t, w, b, conv=conv, spec=spec: conv(t, SparseConvLayer(spec, w, b)))
+        yield name, run, [scene.features.data, *_draw(rng, (27, 3, 2), 2)], *PRIMITIVE
+
+
+def _sfm_cases(rng, seed):
+    cfg = SFMConfig(channels=3, kernels=(3, 3), dilations=(1, 2))
+    params = _params64(sfm_module_params, seed, "m", cfg, 3)
+    scene = _random_scene(rng, (6, 6, 6), 0.12, 3)
+    run = _on(scene, lambda t: sfm_module(t, cfg, params))
+    yield "sfm_module", run, [scene.features.data], *COMPOSITE
+
+
+def _block_cases(rng, seed):
+    cfg = SFMConfig(channels=3, kernels=(3,), dilations=(1,))
+    params = _params64(sfm_block_params, seed, "b", cfg, 3)
+    scene = _random_scene(rng, (5, 5, 5), 0.2, 3)
+    run = _on(scene, lambda t: sfm_block(t, cfg, params))
+    yield "sfm_block", run, [scene.features.data], *COMPOSITE
+    srb = _params64(srb_params, seed, "s", 3, 3)
+    run = _on(scene, lambda t: srb_block(t, srb, bn_mode="eval"))
+    yield "srb", run, [scene.features.data], *COMPOSITE
+
+
+_GROUPS = dict(all=_primitive_cases, conv=_conv_cases, sfm=_sfm_cases, block=_block_cases)
+GRADCHECK_MODULES = tuple(_GROUPS)
+
+
 def gradcheck_suite(seed: int, module: str = "all", cases: int = 3):
+    """``cases`` seeded cases of each check in ``module``'s group; ``all``
+    runs the primitive ops and then every other group."""
     if module not in GRADCHECK_MODULES:
         raise ValueError(f"unknown gradcheck module {module!r}")
     rng = np.random.default_rng(seed)
     checks = []
-
-    def record(name, err, tol):
-        checks.append((name, err < tol, f"max rel err {err:.3e} (tol {tol:.0e})"))
-
-    if module == "all":
+    for group in GRADCHECK_MODULES if module == "all" else (module,):
         for case in range(cases):
-            x = rng.standard_normal((5, 3))
-            w = rng.standard_normal((3, 4))
-            b = rng.standard_normal(4)
-            err = vjp_check(lambda ts: ops.linear(*ts), [x, w, b], seed=seed + case)
-            record(f"linear[{case}]", err, PRIMITIVE_TOL)
-            x = rng.standard_normal((6, 5))
-            err = vjp_check(
-                lambda ts: ops.layer_norm(ts[0], ts[1], ts[2]),
-                [x, rng.standard_normal(5), rng.standard_normal(5)],
-                seed=seed + case,
-            )
-            record(f"layer_norm[{case}]", err, PRIMITIVE_TOL)
-            x = rng.standard_normal((8, 4))
-            err = vjp_check(
-                lambda ts: ops.batch_norm_active(
-                    ts[0], ts[1], ts[2], np.zeros(4), np.ones(4), mode="train"
-                )[0],
-                [x, rng.standard_normal(4), rng.standard_normal(4)],
-                seed=seed + case,
-            )
-            record(f"batch_norm[{case}]", err, PRIMITIVE_TOL)
-            err = vjp_check(
-                lambda ts: ops.gelu(ts[0]), [rng.standard_normal((6, 6))], seed=seed + case
-            )
-            record(f"gelu[{case}]", err, PRIMITIVE_TOL)
-
-    if module in ("all", "conv"):
-        for case in range(cases):
-            scene = _random_scene(rng, (5, 5, 5), 0.4, 3)
-            spec = KernelSpec.same(3, int(rng.integers(1, 3)), dims=3)
-
-            def subm_fn(ts, scene=scene, spec=spec):
-                t = SparseTensor(scene.geometry, ts[0])
-                layer = SparseConvLayer(spec, ts[1], ts[2])
-                return subm_conv(t, layer).features
-
-            err = vjp_check(
-                subm_fn,
-                [scene.features.data, rng.standard_normal((27, 3, 2)), rng.standard_normal(2)],
-                seed=seed + case,
-            )
-            record(f"subm_conv[{case}]", err, PRIMITIVE_TOL)
-
-            down = KernelSpec.downsample(3)
-
-            def reg_fn(ts, scene=scene, down=down):
-                t = SparseTensor(scene.geometry, ts[0])
-                layer = SparseConvLayer(down, ts[1], ts[2])
-                return regular_conv_down(t, layer).features
-
-            err = vjp_check(
-                reg_fn,
-                [scene.features.data, rng.standard_normal((27, 3, 2)), rng.standard_normal(2)],
-                seed=seed + case,
-            )
-            record(f"regular_conv[{case}]", err, PRIMITIVE_TOL)
-
-    if module in ("all", "sfm"):
-        cfg = SFMConfig(channels=3, kernels=(3, 3), dilations=(1, 2))
-        for case in range(cases):
-            store = ParamStore()
-            sfm_module_params(Initializer(store, seed + case), "m", cfg, 3)
-            params = sfm_module_params(ParamReader(store.as_dtype(np.float64)), "m", cfg, 3)
-            scene = _random_scene(rng, (6, 6, 6), 0.12, 3)
-
-            def fn(ts, scene=scene, params=params):
-                t = SparseTensor(scene.geometry, ts[0])
-                return sfm_module(t, cfg, params).features
-
-            err = vjp_check(fn, [scene.features.data], seed=seed + case, max_coords=48)
-            record(f"sfm_module[{case}]", err, COMPOSITE_TOL)
-
-    if module in ("all", "block"):
-        cfg = SFMConfig(channels=3, kernels=(3,), dilations=(1,))
-        for case in range(cases):
-            store = ParamStore()
-            sfm_block_params(Initializer(store, seed + case), "b", cfg, 3)
-            params = sfm_block_params(ParamReader(store.as_dtype(np.float64)), "b", cfg, 3)
-            scene = _random_scene(rng, (5, 5, 5), 0.2, 3)
-
-            def block_fn(ts, scene=scene, params=params):
-                t = SparseTensor(scene.geometry, ts[0])
-                return sfm_block(t, cfg, params).features
-
-            err = vjp_check(block_fn, [scene.features.data], seed=seed + case, max_coords=48)
-            record(f"sfm_block[{case}]", err, COMPOSITE_TOL)
-
-            store = ParamStore()
-            srb_params(Initializer(store, seed + case), "s", 3, 3)
-            srb = srb_params(ParamReader(store.as_dtype(np.float64)), "s", 3, 3)
-
-            def srb_fn(ts, scene=scene, srb=srb):
-                t = SparseTensor(scene.geometry, ts[0])
-                return srb_block(t, srb, bn_mode="eval").features
-
-            err = vjp_check(srb_fn, [scene.features.data], seed=seed + case, max_coords=48)
-            record(f"srb[{case}]", err, COMPOSITE_TOL)
-
+            for name, fn, inputs, tol, max_coords in _GROUPS[group](rng, seed + case):
+                err = vjp_check(fn, inputs, seed=seed + case, max_coords=max_coords)
+                checks.append(
+                    (f"{name}[{case}]", err < tol, f"max rel err {err:.3e} (tol {tol:.0e})"))
     return checks
 
 

@@ -15,6 +15,7 @@ its rulebooks), and every tensor on that active set shares it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -105,11 +106,19 @@ def raw_offsets(kernel: tuple[int, ...]) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(k) for k in kernel)))
 
 
+def check_key_space(n_batch: int, spatial_shape: tuple[int, ...]) -> None:
+    """Raise InvalidSpec unless keys ``0 .. n_batch * prod(shape) - 1`` fit int64."""
+    cells = n_batch * math.prod(spatial_shape)
+    if cells > 2**63:
+        raise InvalidSpec(f"{n_batch} batch(es) of a {tuple(spatial_shape)} grid hold "
+                          f"{cells} cells, more than int64 keys can address (2**63)")
+
+
 def flat_keys(coords: np.ndarray, spatial_shape: tuple[int, ...]) -> np.ndarray:
     """Row-major int64 key of each ``[batch, i0, ...]`` row.
 
-    For rows inside the grid, key order is lexicographic (batch, ijk)
-    order, so sorting keys sorts coordinates.
+    For rows inside a grid that passes :func:`check_key_space`, key order
+    is lexicographic (batch, ijk) order, so sorting keys sorts coordinates.
     """
     keys = coords[:, 0].astype(np.int64)
     for d, extent in enumerate(spatial_shape):
@@ -155,6 +164,8 @@ class CoordIndex:
             )
         self._sorted_keys = sorted_keys
         self._rows = order.astype(np.int64)
+        # the largest key's batch: a query above it is absent, and its key could wrap
+        self._max_batch = int(sorted_keys[-1]) // math.prod(spatial_shape) if keys.size else -1
 
     @property
     def n(self) -> int:
@@ -172,7 +183,8 @@ class CoordIndex:
         """Row index per query coordinate; -1 where absent or out of grid."""
         result = np.full(coords.shape[0], -1, dtype=np.int64)
         shape = np.asarray(self.spatial_shape, dtype=np.int64)
-        valid = (coords[:, 0] >= 0) & (coords[:, 1:] >= 0).all(axis=1)
+        valid = (coords[:, 0] >= 0) & (coords[:, 0] <= self._max_batch)
+        valid &= (coords[:, 1:] >= 0).all(axis=1)
         valid &= (coords[:, 1:] < shape).all(axis=1)
         if valid.any():
             result[valid] = self.find(flat_keys(coords[valid], self.spatial_shape))
@@ -194,10 +206,11 @@ class Geometry:
     array it views are read-only; any other input is copied once and the
     copy frozen, so nothing derived from the coordinates can go stale.
     The coordinate index is built here, so a repeated coordinate raises
-    DuplicateCoordinate when the geometry is made.  The rulebook cache (see
-    :meth:`rulebook`) lives exactly as long as the geometry, keyed by
-    ``KernelSpec`` for submanifold rulebooks and by ``(KernelSpec,
-    out_shape)`` for regular ones.
+    DuplicateCoordinate when the geometry is made, and a grid too large for
+    int64 keys (see :func:`check_key_space`) raises InvalidSpec.  The
+    rulebook cache (see :meth:`rulebook`) lives exactly as long as the
+    geometry, keyed by ``KernelSpec`` for submanifold rulebooks and by
+    ``(KernelSpec, out_shape)`` for regular ones.
     """
 
     def __init__(self, coords, spatial_shape: tuple[int, ...]):
@@ -208,6 +221,7 @@ class Geometry:
                 f"coords shape {coords.shape} does not match spatial rank "
                 f"{len(self.spatial_shape)}"
             )
+        check_key_space(int(coords[:, 0].max(initial=0)) + 1, self.spatial_shape)
         if coords.shape[0]:
             if coords[:, 0].min(initial=0) < 0:
                 raise InvalidSpec("batch indices must be non-negative")

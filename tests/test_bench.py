@@ -129,12 +129,6 @@ class TestCounting:
         with pytest.raises(InvalidSpec):
             count_interactions("global", t, None)
 
-    def test_global_attention_analytic_model(self):
-        from focalvox.bench import global_attention_pairs
-
-        assert global_attention_pairs(4) == 16
-        assert global_attention_pairs(1000) == 1_000_000
-
 
 class TestBytesModel:
     def test_rulebook_term_is_the_stored_pair_bytes(self):
@@ -166,6 +160,10 @@ class TestUniformScene:
     def test_overfull_grid_rejected(self):
         with pytest.raises(InvalidSpec):
             uniform_scene(100, (4, 4, 4), seed=0)
+
+    def test_grid_beyond_int64_keys_rejected(self):
+        with pytest.raises(InvalidSpec, match=r"hold 73786976294838206464 cells"):
+            uniform_scene(1, (2**22,) * 3, seed=0)
 
 
 class TestScaling:
@@ -204,6 +202,19 @@ class TestScaling:
             scaling_experiment("local-attention", [4, 8], 0.25, seed=0, window_edge=edge)
         argv = ["bench", "--mixer", "local-attention", "--n-list", "4,8", "--window", str(edge)]
         assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    # grids whose volume wraps int64: the sfm edge grows as (n / density) ** (1/3),
+    # the attention grid is window * 4 voxels on a side
+    @pytest.mark.parametrize("mixer, flags, shape, cells", [
+        ("sfm", ["--n-list", "8,16", "--density", "1e-19"], 4308869, 79999978830804998909),
+        ("local-attention", ["--n-list", "4,8", "--window", "1000001"], 4000004,
+         64000192000192000064),
+    ], ids=["sfm", "local-attention"])
+    def test_grid_beyond_int64_keys_exit_one(self, mixer, flags, shape, cells, capsys):
+        assert main(["bench", "--mixer", mixer, *flags]) == 1
+        message = (f"1 batch(es) of a {(shape,) * 3} grid hold {cells} cells, "
+                   "more than int64 keys can address (2**63)")
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_negative_kernel_named_as_not_positive(self, capsys):

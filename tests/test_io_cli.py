@@ -16,13 +16,21 @@ from focalvox.errors import (
     BadMagic,
     ConfigError,
     EmptyScene,
+    InvalidSpec,
     ParseError,
     ShapeMismatch,
     TruncatedPayload,
     VersionMismatch,
 )
 from focalvox.params import ParamStore
-from focalvox.points import PointCloud, load_points, voxelize_raw, voxelize_vfe, write_bin
+from focalvox.points import (
+    PointCloud,
+    VoxelizerConfig,
+    load_points,
+    voxelize_raw,
+    voxelize_vfe,
+    write_bin,
+)
 from focalvox.tape import Tensor
 from focalvox.weights import load_weights, parse_weights, save_weights, serialize_weights
 from helpers import rel_err
@@ -136,6 +144,11 @@ class TestVoxelize:
         keys = [tuple(c) for c in coords1]
         assert keys == sorted(keys)
 
+    def test_grid_beyond_int64_keys_rejected(self):
+        # its keys would wrap: voxels (0, 0, 0) and (184467, 4407370, 9551616) would share key 0
+        with pytest.raises(InvalidSpec, match=r"hold 1000000000000000000000 cells"):
+            VoxelizerConfig((1e-6,) * 3, (0,) * 3, (10,) * 3)
+
     def test_out_of_range_dropped_and_empty_raises(self):
         cfg = self.cfg()
         with pytest.raises(EmptyScene):
@@ -248,6 +261,7 @@ BAD_VALUES = [
     (("stages", 2, "kernels"), [3, 4], r"stages\[2\]: kernel sizes must be odd"),
     (("stages", 0, "n_srb"), -1, r"stages\[0\]: block counts must be non-negative"),
     (("voxelizer", "voxel_size"), [0.1, 0.1], r"voxelizer: .* three values"),
+    (("voxelizer", "voxel_size"), [1e-6] * 3, r"voxelizer: 1 batch\(es\) .* cells, more than int64"),
 ]
 
 
@@ -514,6 +528,20 @@ class TestCli:
         assert joined.out == "" and joined.err.startswith("error: ")
         if flag == "--n-list":
             assert joined.err == "error: voxel counts must be at least 1, got -3\n"
+
+    def test_voxelizer_grid_beyond_int64_keys_exit_one(self, scene_files, tmp_path, capsys):
+        points, _ = scene_files
+        config = tmp_path / "huge.json"
+        config.write_text(tiny_config_with(("voxelizer",), {
+            "voxel_size": [1e-6] * 3, "range_min": [0.0] * 3, "range_max": [10.0] * 3}))
+        argv = ["voxelize", "--points", str(points), "--config", str(config),
+                "--out", str(tmp_path / "v.csv")]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: voxelizer: 1 batch(es) of a (10000000, 10000000, 10000000) grid "
+                       "hold 1000000000000000000000 cells, more than int64 keys can address (2**63)\n")
+        assert not (tmp_path / "v.csv").exists()
 
     def test_unknown_subcommand_exit_one(self):
         assert main(["explode"]) == 1

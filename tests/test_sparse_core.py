@@ -64,6 +64,28 @@ class TestCoordIndex:
         assert idx.lookup((0, 4, 1, 1)) is None
 
 
+class TestKeySpace:
+    """Flat keys are int64, so a grid may hold n_batch * prod(shape) <= 2**63 cells."""
+
+    def test_grid_beyond_int64_keys_rejected(self):
+        with pytest.raises(InvalidSpec, match=r"hold 73786976294838206464 cells"):
+            SparseTensor(np.zeros((1, 4), dtype=np.int64), np.ones((1, 1)), (2**22,) * 3)
+
+    def test_batches_count_toward_the_key_space(self):
+        SparseTensor(np.zeros((1, 4), dtype=np.int64), np.ones((1, 1)), (2**21,) * 3)
+        with pytest.raises(InvalidSpec, match=r"^2 batch\(es\) of a \(2097152, 2097152, 2097152\)"):
+            SparseTensor(np.array([[1, 0, 0, 0]]), np.ones((1, 1)), (2**21,) * 3)
+
+    def test_query_above_the_largest_batch_absent(self):
+        # on a 2**63-cell grid the key of batch 2 wraps onto batch 0
+        t = SparseTensor(np.zeros((1, 4), dtype=np.int64), np.ones((1, 1)), (2**21,) * 3)
+        idx = t.geometry.index
+        assert idx.lookup((0, 0, 0, 0)) == 0
+        assert idx.lookup((1, 0, 0, 0)) is None
+        assert idx.lookup((2, 0, 0, 0)) is None
+        assert idx.lookup_many(np.array([[2, 0, 0, 0], [0, 0, 0, 0]])).tolist() == [-1, 0]
+
+
 class TestKernelSpec:
     def test_even_kernel_rejected(self):
         with pytest.raises(InvalidSpec):
