@@ -23,7 +23,8 @@ import numpy as np
 from . import ops
 from .errors import DegenerateFit, InvalidSpec, ShapeMismatch
 from .sfm import SFMConfig, effective_receptive_field, sfm_pair_count
-from .sparse import SparseTensor, _unflatten, check_key_space
+from .sparse import (KernelSpec, SparseTensor, _unflatten, build_rulebook_submanifold,
+                     check_key_space)
 from .tape import Tensor
 
 MIXER_KINDS = ("sfm", "local-attention")
@@ -64,19 +65,21 @@ class BenchReport:
 
 
 def window_neighbor_rows(t: SparseTensor, window_edge: int) -> list[np.ndarray]:
-    """Active rows inside each voxel's centered Chebyshev window."""
+    """Active rows inside each voxel's centered Chebyshev window, in window
+    offset order.
+
+    Read from the geometry's cached submanifold rulebook of the window
+    (kernel ``window_edge``, dilation 1): its pair (i, j) at offset o says
+    that row j sits at ``coords[i] + o``.
+    """
     if window_edge % 2 == 0 or window_edge < 1:
         raise InvalidSpec("window edge must be odd and positive")
-    index = t.geometry.index
-    radius = (window_edge - 1) // 2
-    dims = t.dims
-    hits = []
-    for off in itertools.product(range(-radius, radius + 1), repeat=dims):
-        targets = t.coords.copy()
-        targets[:, 1:] += np.asarray(off, dtype=np.int64)
-        hits.append(index.lookup_many(targets))
-    stacked = np.stack(hits, axis=1)  # (N, window volume)
-    return [row[row >= 0] for row in stacked]
+    spec = KernelSpec.same(window_edge, 1, dims=t.dims)
+    rb = t.geometry.rulebook(spec, lambda: build_rulebook_submanifold(t, spec))
+    table = np.full((t.n_active, len(rb.offsets)), -1, dtype=np.int64)
+    for m, p in enumerate(rb.pairs):
+        table[p[:, 0], m] = p[:, 1]
+    return [row[row >= 0] for row in table]
 
 
 def local_attention_reference(
@@ -107,29 +110,12 @@ def local_attention_reference(
     return t.with_features(Tensor(out.astype(x.data.dtype)))
 
 
-def count_interactions(kind: str, scene: SparseTensor, config) -> int:
-    """Exact interaction-pair count for one mixer application.
-
-    sfm: rulebook pairs across all levels plus N*L gate products plus N
-    modulation products.  local-attention: 2 * sum_q n_w(q), one n_w(q)
-    factor for query-key and one for attention-value work.
-    """
-    if kind == "sfm":
-        if not isinstance(config, SFMConfig):
-            raise InvalidSpec("sfm counting needs an SFMConfig")
-        return sfm_pair_count(scene, config)["total"]
-    if kind == "local-attention":
-        window_edge = int(config)
-        occupancy = window_occupancy(scene, window_edge)
-        return int(2 * occupancy.sum())
-    raise InvalidSpec(f"unknown mixer kind {kind!r}; choose from {MIXER_KINDS}")
-
-
 def window_occupancy(t: SparseTensor, window_edge: int) -> np.ndarray:
     """n_w(q): active-voxel count in each voxel's centered window.
 
     Computed from a dense summed-area table per batch, so it is exact and
-    independent of any attention execution path.
+    independent of any attention execution path.  A grid whose table cannot
+    be allocated raises InvalidSpec naming its cell count.
     """
     if window_edge % 2 == 0 or window_edge < 1:
         raise InvalidSpec("window edge must be odd and positive")
@@ -140,13 +126,17 @@ def window_occupancy(t: SparseTensor, window_edge: int) -> np.ndarray:
         return counts
     for b in np.unique(t.coords[:, 0]):
         rows = np.nonzero(t.coords[:, 0] == b)[0]
-        occ = np.zeros(t.spatial_shape, dtype=np.int64)
-        occ[tuple(t.coords[rows, 1 + d] for d in range(dims))] = 1
-        table = occ
-        for axis in range(dims):
-            table = table.cumsum(axis=axis)
-        padded = np.zeros(tuple(s + 1 for s in table.shape), dtype=np.int64)
-        padded[(slice(1, None),) * dims] = table
+        try:
+            occ = np.zeros(t.spatial_shape, dtype=np.int64)
+            occ[tuple(t.coords[rows, 1 + d] for d in range(dims))] = 1
+            table = occ
+            for axis in range(dims):
+                table = table.cumsum(axis=axis)
+            padded = np.zeros(tuple(s + 1 for s in table.shape), dtype=np.int64)
+            padded[(slice(1, None),) * dims] = table
+        except MemoryError:
+            raise InvalidSpec(f"the dense occupancy table of a {t.spatial_shape} grid "
+                              f"({math.prod(t.spatial_shape)} cells) cannot be allocated") from None
         pos = t.coords[rows, 1:]
         lo = np.maximum(pos - radius, 0)
         hi = np.minimum(pos + radius + 1, np.asarray(t.spatial_shape))
@@ -180,10 +170,9 @@ def attention_bytes_model(n: int, channels: int, occupancy: np.ndarray) -> int:
     return int(qkv + 4 * densest * densest + 8 * int(occupancy.sum()))
 
 
-def uniform_scene(
-    n_active: int, grid_shape: tuple[int, ...], seed: int, channels: int = 1
-) -> SparseTensor:
-    """Exactly n distinct active cells drawn uniformly over the grid."""
+def uniform_scene(n_active: int, grid_shape: tuple[int, ...], seed: int) -> SparseTensor:
+    """Exactly n distinct active cells drawn uniformly over the grid, with
+    one zero feature each: counting reads only the geometry."""
     check_key_space(1, grid_shape)
     volume = math.prod(grid_shape)
     if n_active > volume:
@@ -192,8 +181,7 @@ def uniform_scene(
     flat = rng.choice(volume, size=n_active, replace=False)
     flat.sort()
     coords = _unflatten(flat, grid_shape)  # batch 0: every key is below the volume
-    feats = rng.standard_normal((n_active, channels)).astype(np.float32)
-    return SparseTensor(coords, feats, grid_shape)
+    return SparseTensor(coords, np.zeros((n_active, 1), np.float32), grid_shape)
 
 
 def _fit_slope(xs: list[float], ys: list[float]) -> float:
@@ -238,7 +226,7 @@ def scaling_experiment(
     for i, n in enumerate(n_list):
         if kind == "sfm":
             edge = max(4, int(round((n / density) ** (1.0 / 3.0))))
-            scene = uniform_scene(n, (edge, edge, edge), seed + i, config.channels)
+            scene = uniform_scene(n, (edge, edge, edge), seed + i)
             start = time.perf_counter_ns()
             detail = sfm_pair_count(scene, config)
             pairs, extent, units = detail["total"], effective_receptive_field(config), 1

@@ -110,8 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _format_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
+def _dump_rows(path, t, names, values) -> None:
+    """CSV with one row per voxel of ``t``: its coordinates, then that
+    row of ``values``, under the header ``b,x,y[,z],`` + ``names``."""
+    lines = [",".join(("b", *"xyz"[: t.dims], *names))]
+    for coord, row in zip(t.coords, values):
+        lines.append(",".join((*(str(int(v)) for v in coord), *(repr(float(v)) for v in row))))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _load_net(args):
@@ -132,11 +137,7 @@ def cmd_voxelize(args) -> int:
     vfe_w, vfe_b = vfe_params(init, cfg.stages[0].channels)
     cloud = load_points(args.points, args.format)
     t = voxelize_vfe(cloud, cfg.voxelizer, vfe_w, vfe_b)
-    lines = ["b,x,y,z," + ",".join(f"f{i}" for i in range(t.channels))]
-    for row in range(t.n_active):
-        b, x, y, z = (int(v) for v in t.coords[row])
-        lines.append(f"{b},{x},{y},{z}," + _format_row(t.features.data[row]))
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    _dump_rows(args.out, t, [f"f{i}" for i in range(t.channels)], t.features.data)
     print(f"wrote {t.n_active} voxels to {args.out}")
     return 0
 
@@ -145,22 +146,9 @@ def cmd_forward(args) -> int:
     cfg, store = _load_net(args)
     cloud = load_points(args.points, args.format)
     bev, logits = sfmnet_forward(cloud, cfg, store)
-    header = (
-        "b,x,y,"
-        + ",".join(f"f{i}" for i in range(bev.channels))
-        + ","
-        + ",".join(f"logit{i}" for i in range(logits.data.shape[1]))
-    )
-    lines = [header]
-    for row in range(bev.n_active):
-        b, x, y = (int(v) for v in bev.coords[row])
-        lines.append(
-            f"{b},{x},{y},"
-            + _format_row(bev.features.data[row])
-            + ","
-            + _format_row(logits.data[row])
-        )
-    atomic_write_text(args.dump, "\n".join(lines) + "\n")
+    names = [f"f{i}" for i in range(bev.channels)]
+    names += [f"logit{i}" for i in range(logits.data.shape[1])]
+    _dump_rows(args.dump, bev, names, np.hstack((bev.features.data, logits.data)))
     print(f"wrote {bev.n_active} BEV cells to {args.dump}")
     return 0
 

@@ -31,9 +31,6 @@ class VoxelCoord(NamedTuple):
     batch: int
     ijk: tuple[int, ...]
 
-    def as_row(self) -> np.ndarray:
-        return np.asarray((self.batch, *self.ijk), dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -64,10 +61,7 @@ class KernelSpec:
 
     @property
     def volume(self) -> int:
-        v = 1
-        for k in self.kernel:
-            v *= k
-        return v
+        return math.prod(self.kernel)
 
     @property
     def is_unit_stride(self) -> bool:
@@ -192,10 +186,8 @@ class CoordIndex:
 
     def lookup(self, coord) -> int | None:
         if isinstance(coord, VoxelCoord):
-            row = coord.as_row()
-        else:
-            row = np.asarray(coord, dtype=np.int64)
-        hit = self.lookup_many(row.reshape(1, -1))[0]
+            coord = (coord.batch, *coord.ijk)
+        hit = self.lookup_many(np.asarray(coord, dtype=np.int64).reshape(1, -1))[0]
         return None if hit < 0 else int(hit)
 
 
@@ -347,7 +339,6 @@ class Rulebook:
     out_coords: np.ndarray
     kind: str = "submanifold"
     out_geometry: Geometry | None = field(default=None, repr=False)
-    _total: int = field(default=-1, repr=False)
 
     @property
     def n_out(self) -> int:
@@ -361,9 +352,7 @@ class Rulebook:
 
     @property
     def total_pairs(self) -> int:
-        if self._total < 0:
-            self._total = int(sum(p.shape[0] for p in self.pairs))
-        return self._total
+        return sum(p.shape[0] for p in self.pairs)
 
 
 def _candidates(masks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -379,14 +368,6 @@ def _candidates(masks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     for m in masks:
         valid = (valid[:, None, :] & m[None, :, :]).reshape(valid.shape[0] * m.shape[0], n)
     return np.nonzero(valid)
-
-
-def _digit(offset_ids: np.ndarray, kernel: tuple[int, ...], d: int) -> np.ndarray:
-    """Per-dim component index of row-major offset numbers."""
-    inner = 1
-    for k in kernel[d + 1:]:
-        inner *= k
-    return offset_ids // inner % kernel[d]
 
 
 def _split_pairs(n_offsets: int, offset_ids, in_rows, out_rows) -> list[np.ndarray]:
@@ -496,8 +477,9 @@ def build_rulebook_regular(
         out_ijk.append(j)
     offset_ids, in_rows = _candidates(masks)
     keys = coords[in_rows, 0]
-    for d in range(t.dims):
-        keys = keys * out_shape[d] + out_ijk[d][_digit(offset_ids, spec.kernel, d), in_rows]
+    # the d-th digit of a row-major offset number is its component along axis d
+    for d, digit in enumerate(np.unravel_index(offset_ids, spec.kernel)):
+        keys = keys * out_shape[d] + out_ijk[d][digit, in_rows]
     out_keys, out_rows = np.unique(keys, return_inverse=True)
     order = np.argsort(offset_ids * out_keys.size + out_rows)  # by offset, then output row
     out_coords = _unflatten(out_keys, out_shape)
@@ -513,8 +495,36 @@ def build_rulebook_regular(
     )
 
 
-# float64 entries per scatter block of the forward executor (256 KB)
+# float64 entries per scatter block of either executor (256 KB)
 SCATTER_ENTRIES = 1 << 15
+
+
+def _offset_rows(rulebook: Rulebook, o: int):
+    """``(in_rows, out_rows)`` of offset ``o``; ``(None, None)`` for the
+    identity offset, meaning every row, in order."""
+    return (None, None) if o == rulebook.identity_offset else tuple(rulebook.pairs[o].T)
+
+
+def _take_rows(a: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """``a[rows]`` as a new C-ordered block; all of ``a`` for None, copied
+    only if it is not C-ordered: a product with the whole block then has
+    the bits of one with a gathered copy."""
+    return np.ascontiguousarray(a) if rows is None else np.take(a, rows, axis=0)
+
+
+def _scatter_add(acc: np.ndarray, rows: np.ndarray | None, y: np.ndarray) -> None:
+    """``acc[rows] += y[:rows.size]`` in row blocks of at most
+    ``SCATTER_ENTRIES`` entries, which bounds the float64 gather and sum of
+    the touched rows; ``acc += y`` for None.  ``rows`` holds no repeat, so
+    the blocks give the bits of one whole scatter.  Rows of ``y`` past
+    ``rows.size`` (a padded product) are not read."""
+    if rows is None:
+        acc += y
+        return
+    step = max(1, SCATTER_ENTRIES // max(acc.shape[1], 1))
+    for a in range(0, rows.size, step):
+        block = rows[a : a + step]
+        acc[block] += y[a : a + block.size]
 
 
 def gather_scatter_matmul(
@@ -529,10 +539,8 @@ def gather_scatter_matmul(
     offset order, each as soon as it is computed (then cast back to the
     input dtype), which bounds summation-order error and fixes the result
     bit for bit.  Within one offset no two pairs share an output row, so
-    the scatter is collision-free, and it runs in blocks of at most
-    ``SCATTER_ENTRIES`` product entries, which bounds its float64 gather
-    and sum of the touched rows with the same bits.  The identity offset
-    of a submanifold rulebook needs neither gather nor scatter.
+    the scatter is collision-free (see :func:`_scatter_add`).  The identity
+    offset of a submanifold rulebook needs neither gather nor scatter.
     """
     weights = np.asarray(weights)
     k = len(rulebook.offsets)
@@ -547,22 +555,12 @@ def gather_scatter_matmul(
     c_out = weights.shape[2]
     if bias is not None and np.asarray(bias).shape != (c_out,):
         raise ShapeMismatch("bias length != output channels")
-    m = rulebook.n_out
-    acc = np.zeros((m, c_out), dtype=np.float64)
+    acc = np.zeros((rulebook.n_out, c_out), dtype=np.float64)
     if bias is not None:
         acc += np.asarray(bias, dtype=np.float64)
-    rows = max(1, SCATTER_ENTRIES // max(c_out, 1))
-    center = rulebook.identity_offset
     for o in range(k):
-        if o == center:
-            # C order, as a gathered copy has, so the product's bits match
-            acc += np.ascontiguousarray(features) @ weights[o]
-            continue
-        p = rulebook.pairs[o]
-        if p.shape[0]:
-            y = np.take(features, p[:, 0], axis=0) @ weights[o]
-            for a in range(0, p.shape[0], rows):
-                acc[p[a : a + rows, 1]] += y[a : a + rows]
+        in_rows, out_rows = _offset_rows(rulebook, o)
+        _scatter_add(acc, out_rows, _take_rows(features, in_rows) @ weights[o])
     return acc.astype(features.dtype, copy=False)
 
 
@@ -571,12 +569,6 @@ def gather_scatter_matmul(
 # this many entries and the inner dimension is 32 or more; that kernel's row
 # bits depend on the row count, the blocked kernel's do not
 SMALL_GEMM_ENTRIES = 1200
-
-
-def _take_rows(a: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-    """``a[rows]`` as a new C-ordered block; all of ``a`` for None, copied
-    only if it is not C-ordered."""
-    return np.ascontiguousarray(a) if rows is None else np.take(a, rows, axis=0)
 
 
 def _live_rows(cotangent: np.ndarray) -> np.ndarray | None:
@@ -638,40 +630,25 @@ def gather_scatter_vjp(
     if live is not None and not np.isfinite(weights).all():
         live = None
     min_rows = max(2, SMALL_GEMM_ENTRIES // max(c_in, 1) + 1)
-    center = rulebook.identity_offset
     for o in range(k):
-        if o == center:
-            in_rows = out_rows = None
-            n_pairs = rulebook.n_out
-        else:
-            in_rows, out_rows = rulebook.pairs[o].T
-            n_pairs = out_rows.size
-            if n_pairs == 0:
-                continue
+        in_rows, out_rows = _offset_rows(rulebook, o)
         cot_rows = None
         if with_weights:
             cot_rows = _take_rows(cotangent, out_rows)
-            x = _take_rows(features, in_rows)
-            grad_weights[o] = x.T @ cot_rows
-            del x
-        if live is None or n_pairs <= min_rows:
+            grad_weights[o] = _take_rows(features, in_rows).T @ cot_rows
+        if live is None or rulebook.pairs[o].shape[0] <= min_rows:
             if cot_rows is None:
                 cot_rows = _take_rows(cotangent, out_rows)
-            gx = cot_rows @ weights[o].T
             targets = in_rows
         else:
             hit = np.flatnonzero(live if out_rows is None else live[out_rows])
             if hit.size == 0:
                 continue
             rows = hit if hit.size >= min_rows else np.resize(hit, min_rows)
-            if out_rows is not None:
-                rows = out_rows[rows]
-            gx = np.take(cotangent, rows, axis=0) @ weights[o].T
-            gx = gx[: hit.size]
+            cot_rows = _take_rows(cotangent, rows if out_rows is None else out_rows[rows])
             targets = hit if in_rows is None else in_rows[hit]
-        del cot_rows  # hold one offset's gathers at a time
-        if targets is None:
-            grad_features += gx
-        else:
-            grad_features[targets] += gx
+        gx = cot_rows @ weights[o].T
+        del cot_rows  # free each offset's gathers and product before the next's
+        _scatter_add(grad_features, targets, gx)
+        del gx
     return grad_features.astype(features.dtype, copy=False), grad_weights

@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,6 @@ import pytest
 
 from focalvox.bench import (
     BenchReport,
-    count_interactions,
     init_attention_params,
     local_attention_reference,
     scaling_experiment,
@@ -17,7 +18,7 @@ from focalvox.bench import (
 )
 from focalvox.cli import main
 from focalvox.errors import DegenerateFit, InvalidSpec
-from focalvox.sfm import SFMConfig
+from focalvox.sfm import SFMConfig, sfm_pair_count
 from focalvox.sparse import KernelSpec, build_rulebook_submanifold
 from focalvox.tape import Tensor
 from helpers import random_sparse, rel_err, sparse_from_coords
@@ -91,7 +92,7 @@ class TestCounting:
         t = sparse_from_coords([(0, 2, 2, 2)], (5, 5, 5), 4)
         cfg = SFMConfig(channels=4, kernels=(3, 3), dilations=(1, 1))
         # two center rulebook pairs + two gate products + one modulation
-        assert count_interactions("sfm", t, cfg) == 5
+        assert sfm_pair_count(t, cfg)["total"] == 5
 
     def test_four_mutually_visible_tokens(self):
         coords = [(0, 2, 2, 2), (0, 2, 2, 3), (0, 2, 3, 2), (0, 3, 2, 2)]
@@ -99,7 +100,7 @@ class TestCounting:
         occupancy = window_occupancy(t, 3)
         assert occupancy.tolist() == [4, 4, 4, 4]
         # query-key alone is n^2 = 16; attention-value doubles it
-        assert count_interactions("local-attention", t, 3) == 32
+        assert 2 * occupancy.sum() == 32
 
     @pytest.mark.parametrize(
         "shape, window",
@@ -112,22 +113,38 @@ class TestCounting:
         occupancy = window_occupancy(t, window)
         neighbor_lists = window_neighbor_rows(t, window)
         assert occupancy.tolist() == [len(n) for n in neighbor_lists]
-        assert count_interactions("local-attention", t, window) == 2 * sum(
-            len(n) for n in neighbor_lists
-        )
+
+    @pytest.mark.parametrize(
+        "shape, window",
+        [((6, 7, 5), 3), ((7, 6), 3), ((8, 9), 5)],
+        ids=["3d-w3", "2d-w3", "2d-w5"],
+    )
+    def test_window_rows_match_brute_force_in_offset_order(self, shape, window):
+        """On shuffled rows in two batches, each voxel's window rows are the
+        active cells at ``coords + offset``, offsets enumerated row-major
+        from ``-radius``, and the window rulebook stays in the cache."""
+        rng = np.random.default_rng(11)
+        base = random_sparse(rng, shape, 0.35, 1, batches=2)
+        coords = base.coords[rng.permutation(base.n_active)]
+        t = sparse_from_coords(coords, shape, 1)
+        assert (np.diff(t.coords[:, 0]) < 0).any()  # rows not in key order
+        row_of = {tuple(c): i for i, c in enumerate(t.coords.tolist())}
+        radius = (window - 1) // 2
+        offsets = list(itertools.product(range(-radius, radius + 1), repeat=len(shape)))
+        got = window_neighbor_rows(t, window)
+        for (b, *ijk), rows in zip(t.coords.tolist(), got, strict=True):
+            cells = ((b, *(c + o for c, o in zip(ijk, off))) for off in offsets)
+            assert rows.tolist() == [row_of[c] for c in cells if c in row_of]
+        spec = KernelSpec.same(window, 1, dims=len(shape))
+        t.geometry.rulebook(spec, lambda: pytest.fail("window rulebook not cached"))
 
     def test_sfm_count_bound(self):
         rng = np.random.default_rng(6)
         cfg = SFMConfig(channels=3, kernels=(3, 3), dilations=(1, 2))
         t = random_sparse(rng, (9, 9, 9), 0.25, 3)
         n = t.n_active
-        total = count_interactions("sfm", t, cfg)
+        total = sfm_pair_count(t, cfg)["total"]
         assert total <= n * sum(k**3 for k in cfg.kernels) + n * (cfg.levels + 1)
-
-    def test_unknown_kind(self):
-        t = sparse_from_coords([(0, 0, 0, 0)], (2, 2, 2), 1)
-        with pytest.raises(InvalidSpec):
-            count_interactions("global", t, None)
 
 
 class TestBytesModel:
@@ -215,6 +232,18 @@ class TestScaling:
         assert main(["bench", "--mixer", mixer, *flags]) == 1
         message = (f"1 batch(es) of a {(shape,) * 3} grid hold {cells} cells, "
                    "more than int64 keys can address (2**63)")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_occupancy_table_beyond_memory_exit_one(self, capsys):
+        """The grid fits int64 keys, but its dense occupancy table (455 PiB)
+        lies beyond the address space, so the allocation fails at once."""
+        t = uniform_scene(4, (400004,) * 3, seed=0)
+        message = ("the dense occupancy table of a (400004, 400004, 400004) grid "
+                   "(64001920019200064 cells) cannot be allocated")
+        with pytest.raises(InvalidSpec, match=rf"^{re.escape(message)}$"):
+            window_occupancy(t, 3)
+        argv = ["bench", "--mixer", "local-attention", "--n-list", "4,8", "--window", "100001"]
+        assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_negative_kernel_named_as_not_positive(self, capsys):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focalvox.conv as fc
+import focalvox.sparse as fsp
 from focalvox.backbone import SfmNet, downsample, init_network, preset, sfmnet_forward
 from focalvox.conv import SparseConvLayer, regular_conv_down, subm_conv
 from focalvox.points import PointCloud
@@ -343,6 +344,38 @@ class TestExecutorMatchesPerOffsetReference:
                 got = gather_scatter_vjp(x, rb, weights, cot, with_weights=False)[0]
             assert np.isnan(got).any()
             assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("kind", ["submanifold", "regular"])
+    def test_small_scatter_blocks_same_bytes(self, kind, monkeypatch):
+        """With 64-entry scatter blocks an offset spans many blocks; the
+        forward, the all-pairs VJP and the live-row VJP (whose product is
+        padded) keep the reference's bytes."""
+        monkeypatch.setattr(fsp, "SCATTER_ENTRIES", 64)
+        rng = np.random.default_rng(13)
+        t = random_sparse(rng, (16, 16, 16), 0.5, 1, batches=2)
+        if kind == "submanifold":
+            rb = build_rulebook_submanifold(t, KernelSpec.same(3, 2, dims=3))
+        else:
+            spec = KernelSpec.downsample(3)
+            rb = build_rulebook_regular(t, spec, regular_out_shape(t.spatial_shape, spec))
+        c_in, c_out = 16, 24
+        min_rows = SMALL_GEMM_ENTRIES // c_in + 1
+        assert max(p.shape[0] for p in rb.pairs) > max(min_rows, 64 // c_in, 64 // c_out)
+        x = rng.standard_normal((t.n_active, c_in)).astype(np.float32)
+        w = rng.standard_normal((len(rb.offsets), c_in, c_out)).astype(np.float32)
+        b = rng.standard_normal(c_out).astype(np.float32)
+        out = gather_scatter_matmul(x, rb, w, b)
+        assert out.tobytes() == reference_gather_scatter_matmul(x, rb, w, b).tobytes()
+        full = rng.standard_normal((rb.n_out, c_out)).astype(np.float32)
+        some_live = np.zeros_like(full)
+        some_live[::7] = full[::7]  # a few live rows per offset: padded products
+        for cot in (full, some_live):
+            want = reference_gather_scatter_vjp(x, rb, w, cot)
+            for with_weights in (True, False):
+                gx, gw = gather_scatter_vjp(x, rb, w, cot, with_weights=with_weights)
+                assert gx.tobytes() == want[0].tobytes()
+                if with_weights:
+                    assert gw.tobytes() == want[1].tobytes()
 
     def test_identity_offset_is_the_submanifold_center(self):
         t = random_sparse(np.random.default_rng(8), (5, 5, 5), 0.4, 1, batches=2)
