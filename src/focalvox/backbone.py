@@ -14,7 +14,7 @@ from . import ops
 from .conv import SparseConvLayer, regular_conv_down
 from .errors import InvalidSpec, ShapeMismatch
 from .params import Initializer, LayoutTemplate, ParamReader, ParamSource, ParamStore
-from .points import VFE_RAW_FEATURES, PointCloud, VoxelizerConfig, vfe_params, voxelize_vfe
+from .points import PointCloud, VoxelizerConfig, vfe_params, voxelize_vfe
 from .sfm import (
     BatchNormParams,
     SFMConfig,
@@ -24,7 +24,6 @@ from .sfm import (
     batch_norm_params,
     sfm_block,
     sfm_block_params,
-    sfm_module_param_count,
     srb_block,
     srb_params,
 )
@@ -49,20 +48,12 @@ class StageConfig:
     def __post_init__(self):
         if self.n_sfm < 0 or self.n_srb < 0:
             raise InvalidSpec("block counts must be non-negative")
-        if self.total_blocks < 1:
+        if self.n_sfm + self.n_srb < 1:
             raise InvalidSpec("a stage needs at least one block")
 
     @property
     def channels(self) -> int:
         return self.sfm.channels
-
-    @property
-    def total_srb(self) -> int:
-        return self.n_srb * self.n_sfm if self.n_sfm > 0 else self.n_srb
-
-    @property
-    def total_blocks(self) -> int:
-        return self.n_sfm + self.total_srb
 
 
 @dataclass(frozen=True)
@@ -82,6 +73,8 @@ class NetworkConfig:
             raise InvalidSpec("exactly four 3-D stages required")
         if min(self.voxelizer.grid_shape) < 1:
             raise InvalidSpec("voxelizer grid is empty")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
 
 
 PRESET_NAMES = ("tiny", "argoverse2-like", "waymo-like")
@@ -162,6 +155,12 @@ def network_template(cfg: NetworkConfig) -> ParamStore:
     """Every tensor of the layout, in the config's precision, with no
     random draws: the names and shapes a weights file is loaded into."""
     return SfmNet(cfg, LayoutTemplate(ParamStore(), dtype=cfg.precision.dtype)).store
+
+
+def param_count(cfg: NetworkConfig) -> int:
+    """Exact trainable scalar count: that of the declared layout
+    (:func:`network_template`), buffers excluded."""
+    return network_template(cfg).scalar_count()
 
 
 @dataclass
@@ -292,42 +291,3 @@ def sfmnet_forward(
     ), net.bev)
     bev = run_stage(bev, config.backbone2d, net.stage2d, bn_mode=bn_mode)
     return bev, ops.linear(bev.features, net.probe_w, net.probe_b)
-
-
-# ---------------------------------------------------------------------------
-# parameter accounting
-
-
-def _srb_param_count(channels: int, dims: int) -> int:
-    volume = 3**dims
-    return 2 * (volume * channels * channels) + 2 * (2 * channels)
-
-
-def _sfm_block_param_count(cfg: SFMConfig, dims: int) -> int:
-    c, hidden = cfg.channels, cfg.mlp_hidden
-    total = sfm_module_param_count(cfg, dims)
-    total += 2 * (2 * c)  # two layer norms
-    total += c * hidden + hidden + hidden * c + c  # mlp
-    return total
-
-
-def _stage_param_count(cfg: StageConfig, dims: int) -> int:
-    return cfg.n_sfm * _sfm_block_param_count(cfg.sfm, dims) + cfg.total_srb * _srb_param_count(
-        cfg.channels, dims
-    )
-
-
-def param_count(cfg: NetworkConfig) -> int:
-    """Exact trainable scalar count, by closed-form audit per layer.
-
-    Cross-checked in tests against enumerating an initialized ParamStore.
-    """
-    c1, c4, c_bev = cfg.stages[0].channels, cfg.stages[3].channels, cfg.backbone2d.channels
-    total = VFE_RAW_FEATURES * c1 + c1
-    total += sum(_stage_param_count(s, dims=3) for s in cfg.stages)
-    for s_in, s_out in zip(cfg.stages, cfg.stages[1:]):  # downsamples
-        total += 27 * s_in.channels * s_out.channels + 2 * s_out.channels
-    total += c4 * c_bev + c_bev + 2 * c_bev
-    total += _stage_param_count(cfg.backbone2d, dims=2)
-    total += c_bev * PROBE_LOGITS + PROBE_LOGITS
-    return total

@@ -64,6 +64,11 @@ class BenchReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
+def _check_window(window_edge: int) -> None:
+    if window_edge % 2 == 0 or window_edge < 1:
+        raise InvalidSpec("window edge must be odd and positive")
+
+
 def window_neighbor_rows(t: SparseTensor, window_edge: int) -> list[np.ndarray]:
     """Active rows inside each voxel's centered Chebyshev window, in window
     offset order.
@@ -72,8 +77,7 @@ def window_neighbor_rows(t: SparseTensor, window_edge: int) -> list[np.ndarray]:
     (kernel ``window_edge``, dilation 1): its pair (i, j) at offset o says
     that row j sits at ``coords[i] + o``.
     """
-    if window_edge % 2 == 0 or window_edge < 1:
-        raise InvalidSpec("window edge must be odd and positive")
+    _check_window(window_edge)
     spec = KernelSpec.same(window_edge, 1, dims=t.dims)
     rb = t.geometry.rulebook(spec, lambda: build_rulebook_submanifold(t, spec))
     table = np.full((t.n_active, len(rb.offsets)), -1, dtype=np.int64)
@@ -117,8 +121,7 @@ def window_occupancy(t: SparseTensor, window_edge: int) -> np.ndarray:
     independent of any attention execution path.  A grid whose table cannot
     be allocated raises InvalidSpec naming its cell count.
     """
-    if window_edge % 2 == 0 or window_edge < 1:
-        raise InvalidSpec("window edge must be odd and positive")
+    _check_window(window_edge)
     radius = (window_edge - 1) // 2
     dims = t.dims
     counts = np.zeros(t.n_active, dtype=np.int64)
@@ -218,8 +221,8 @@ def scaling_experiment(
         raise InvalidSpec("density must be in (0, 1]")
     if min(n_list, default=1) < 1:
         raise InvalidSpec(f"voxel counts must be at least 1, got {min(n_list)}")
-    if kind == "local-attention" and (window_edge % 2 == 0 or window_edge < 1):
-        raise InvalidSpec("window edge must be odd and positive")
+    if kind == "local-attention":
+        _check_window(window_edge)
     if kind == "sfm" and config is None:
         config = SFMConfig(channels=16, kernels=(3, 3), dilations=(1, 3))
     reports, xs, ys = [], [], []

@@ -52,10 +52,6 @@ class SparseConvLayer:
     def in_channels(self) -> int:
         return self.weight.data.shape[1]
 
-    @property
-    def out_channels(self) -> int:
-        return self.weight.data.shape[2]
-
 
 def _apply_rulebook(
     t: SparseTensor, layer: SparseConvLayer, rulebook: Rulebook, out_geometry: Geometry

@@ -111,14 +111,21 @@ class Initializer:
 
     def weight(self, name: str, shape: tuple[int, ...], fan_in: int) -> Tensor:
         bound = 1.0 / np.sqrt(fan_in)
-        data = self.rng.uniform(-bound, bound, size=shape).astype(self.dtype)
-        return self.store.add(name, data)
+        return self._add(name, shape, lambda: self.rng.uniform(-bound, bound, size=shape))
 
     def zeros(self, name: str, shape: tuple[int, ...]) -> Tensor:
-        return self.store.add(name, np.zeros(shape, dtype=self.dtype))
+        return self._add(name, shape, lambda: np.zeros(shape, dtype=self.dtype))
 
     def ones(self, name: str, shape: tuple[int, ...]) -> Tensor:
-        return self.store.add(name, np.ones(shape, dtype=self.dtype))
+        return self._add(name, shape, lambda: np.ones(shape, dtype=self.dtype))
+
+    def _add(self, name: str, shape: tuple[int, ...], make) -> Tensor:
+        """Store ``make()`` under ``name``; InvalidSpec if numpy cannot allocate it."""
+        try:
+            data = make().astype(self.dtype, copy=False)
+        except (ValueError, MemoryError) as exc:
+            raise InvalidSpec(f"{name}: cannot allocate shape {tuple(shape)}") from exc
+        return self.store.add(name, data)
 
 
 class LayoutTemplate(Initializer):

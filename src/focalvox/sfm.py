@@ -13,13 +13,14 @@ as in focal modulation, with no squashing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import ops
 from .conv import SparseConvLayer, subm_conv
 from .errors import InvalidSpec, ShapeMismatch
 from .params import ParamSource
-from .sparse import KernelSpec, SparseTensor, build_rulebook_submanifold
+from .sparse import KernelSpec, SparseTensor, build_rulebook_submanifold, check_kernels
 from .tape import Tensor
 
 
@@ -41,12 +42,12 @@ class SFMConfig:
             raise InvalidSpec(f"mlp_ratio must be positive, got {self.mlp_ratio}")
         if len(self.kernels) != len(self.dilations) or not self.kernels:
             raise InvalidSpec("kernels and dilations must be equal-length, non-empty")
-        if any(k < 1 or k % 2 == 0 for k in self.kernels):
-            raise InvalidSpec(f"kernel sizes must be odd and positive: {self.kernels}")
-        if any(d < 1 for d in self.dilations):
-            raise InvalidSpec(f"dilations must be positive: {self.dilations}")
-        hidden = self.mlp_ratio * self.channels
-        if hidden != int(hidden) or int(hidden) < 1:
+        check_kernels(self.kernels, self.dilations)
+        try:
+            hidden = float(self.mlp_ratio * self.channels)
+        except OverflowError:  # a width beyond float range
+            hidden = math.inf
+        if not hidden.is_integer():  # positive by the checks above
             raise InvalidSpec(
                 f"mlp_ratio * channels must be a positive integer, got {hidden}"
             )
@@ -275,16 +276,6 @@ def srb_params(p: ParamSource, prefix: str, channels: int, dims: int) -> SrbPara
         return SparseConvLayer(spec, weight), batch_norm_params(p, f"{prefix}.bn{stage}", channels)
 
     return SrbParams(*conv_bn(1), *conv_bn(2))
-
-
-def sfm_module_param_count(config: SFMConfig, dims: int) -> int:
-    """Closed-form trainable scalar count of one mixer module."""
-    c, levels = config.channels, config.levels
-    total = c * (2 * c + levels) + (2 * c + levels)  # fused projection
-    for k in config.kernels:
-        total += (k**dims) * c * c + c  # level conv + bias
-    total += c * c + c  # h projection
-    return total
 
 
 def sfm_pair_count(t: SparseTensor, config: SFMConfig) -> dict[str, int]:

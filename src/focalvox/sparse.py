@@ -32,6 +32,15 @@ class VoxelCoord(NamedTuple):
     ijk: tuple[int, ...]
 
 
+def check_kernels(kernel: tuple[int, ...], dilation: tuple[int, ...]) -> None:
+    """Raise InvalidSpec unless every kernel size is odd and positive and
+    every dilation positive."""
+    if any(k < 1 or k % 2 == 0 for k in kernel):
+        raise InvalidSpec(f"kernel sizes must be odd and positive: {kernel}")
+    if any(d < 1 for d in dilation):
+        raise InvalidSpec(f"dilations must be positive: {dilation}")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel, dilation, stride and padding of one sparse convolution."""
@@ -46,10 +55,7 @@ class KernelSpec:
         for name in ("dilation", "stride", "padding"):
             if len(getattr(self, name)) != dims:
                 raise InvalidSpec(f"{name} must have {dims} entries")
-        if any(k < 1 or k % 2 == 0 for k in self.kernel):
-            raise InvalidSpec(f"kernel sizes must be odd and positive: {self.kernel}")
-        if any(d < 1 for d in self.dilation):
-            raise InvalidSpec(f"dilations must be positive: {self.dilation}")
+        check_kernels(self.kernel, self.dilation)
         if any(s < 1 for s in self.stride):
             raise InvalidSpec(f"strides must be positive: {self.stride}")
         if any(p < 0 for p in self.padding):
@@ -173,22 +179,16 @@ class CoordIndex:
         np.minimum(pos, self.n - 1, out=pos)
         return np.where(self._sorted_keys[pos] == keys, self._rows[pos], -1)
 
-    def lookup_many(self, coords: np.ndarray) -> np.ndarray:
-        """Row index per query coordinate; -1 where absent or out of grid."""
-        result = np.full(coords.shape[0], -1, dtype=np.int64)
-        shape = np.asarray(self.spatial_shape, dtype=np.int64)
-        valid = (coords[:, 0] >= 0) & (coords[:, 0] <= self._max_batch)
-        valid &= (coords[:, 1:] >= 0).all(axis=1)
-        valid &= (coords[:, 1:] < shape).all(axis=1)
-        if valid.any():
-            result[valid] = self.find(flat_keys(coords[valid], self.spatial_shape))
-        return result
-
     def lookup(self, coord) -> int | None:
+        """Row of one ``(batch, *ijk)`` coordinate; None where absent or out of grid."""
         if isinstance(coord, VoxelCoord):
             coord = (coord.batch, *coord.ijk)
-        hit = self.lookup_many(np.asarray(coord, dtype=np.int64).reshape(1, -1))[0]
-        return None if hit < 0 else int(hit)
+        batch, *ijk = coord
+        if not (0 <= batch <= self._max_batch
+                and all(0 <= i < s for i, s in zip(ijk, self.spatial_shape))):
+            return None
+        hit = int(self.find(flat_keys(np.array([coord], dtype=np.int64), self.spatial_shape))[0])
+        return None if hit < 0 else hit
 
 
 class Geometry:

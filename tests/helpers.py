@@ -122,6 +122,31 @@ def dense_regular_oracle(t, spec, out_shape, weights, bias):
     return out, reachable
 
 
+def closed_form_param_count(cfg):
+    """Trainable scalar count of a ``NetworkConfig``, audited layer by layer
+    with every shape written out by hand (4 raw VFE features, 27-offset
+    downsamples, 3**dims residual convs, 3 probe logits): the independent
+    count that the layout-derived ``param_count`` is checked against."""
+    def stage(s, dims):
+        c, hidden = s.channels, s.sfm.mlp_hidden
+        levels = s.sfm.levels
+        block = c * (2 * c + levels) + (2 * c + levels)  # fused projection
+        block += sum(k**dims * c * c + c for k in s.sfm.kernels)  # level convs + biases
+        block += c * c + c  # h projection
+        block += 2 * (2 * c) + c * hidden + hidden + hidden * c + c  # two layer norms, mlp
+        srb = 2 * (3**dims * c * c) + 2 * (2 * c)  # two bias-free convs, two batch norms
+        return s.n_sfm * block + s.n_srb * max(s.n_sfm, 1) * srb
+
+    c1, c4, c_bev = cfg.stages[0].channels, cfg.stages[3].channels, cfg.backbone2d.channels
+    total = 4 * c1 + c1
+    total += sum(stage(s, dims=3) for s in cfg.stages)
+    for s_in, s_out in zip(cfg.stages, cfg.stages[1:]):  # downsamples
+        total += 27 * s_in.channels * s_out.channels + 2 * s_out.channels
+    total += c4 * c_bev + c_bev + 2 * c_bev  # BEV projection and layer norm
+    total += stage(cfg.backbone2d, dims=2)
+    return total + c_bev * 3 + 3  # probe
+
+
 def rel_err(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

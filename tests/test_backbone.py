@@ -23,7 +23,7 @@ from focalvox.params import Initializer, ParamReader, ParamStore, is_buffer_name
 from focalvox.points import PointCloud
 from focalvox.sfm import SFMConfig, sfm_block
 from focalvox.tape import GradTape, Tensor, grad_of
-from helpers import random_sparse, sparse_from_coords
+from helpers import closed_form_param_count, random_sparse, sparse_from_coords
 
 
 def small_stage(n_sfm, n_srb, channels=8):
@@ -314,7 +314,7 @@ class TestPresetsAndCounts:
     def test_param_count_matches_store(self):
         cfg = preset("tiny")
         store = init_network(cfg)
-        assert param_count(cfg) == store.scalar_count()
+        assert param_count(cfg) == closed_form_param_count(cfg) == store.scalar_count()
 
     def test_linear_layer_count_example(self):
         # a lone linear 2 -> 3 with bias is 9 scalars
@@ -331,7 +331,7 @@ class TestPresetsAndCounts:
             store.data(n).size for n in store.names() if is_buffer_name(n)
         )
         assert buffer_scalars > 0
-        assert param_count(cfg) == store.scalar_count()
+        assert param_count(cfg) == closed_form_param_count(cfg) == store.scalar_count()
 
     def test_widths_follow_the_stages(self):
         # non-preset widths: the downsamples into and out of stage 2 and the
@@ -347,7 +347,7 @@ class TestPresetsAndCounts:
         assert store.data("down2.conv.weight").shape == (27, 40, 64)
         assert store.data("bev.proj.weight").shape == (128, 64)
         assert store.data("probe.weight").shape == (64, 3)
-        assert param_count(cfg) == store.scalar_count()
+        assert param_count(cfg) == closed_form_param_count(cfg) == store.scalar_count()
         bev, logits = sfmnet_forward(synthetic_cloud(300, seed=3), cfg, store)
         assert bev.channels == 64
         assert logits.data.shape == (bev.n_active, 3)

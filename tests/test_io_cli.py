@@ -256,6 +256,11 @@ BAD_VALUES = [
     (("stages", 1, "mlp_ratio"), "2", r"stages\[1\]: mlp_ratio must be a finite number"),
     (("stages", 1, "mlp_ratio"), 10**400, r"stages\[1\]: mlp_ratio must be a finite number"),
     (("seed",), True, r"config: seed must be an integer"),
+    (("seed",), -1, r"config: seed must be non-negative, got -1$"),
+    (("stages", 1, "mlp_ratio"), 1e308,
+     r"stages\[1\]: mlp_ratio \* channels must be a positive integer, got inf$"),
+    (("stages", 1, "channels"), 10**400,
+     r"stages\[1\]: mlp_ratio \* channels must be a positive integer, got inf$"),
     (("stages", 1, "dilations"), "13", r"stages\[1\]: dilations must be an array"),
     (("backbone2d", "kernels"), [3, True], r"backbone2d: kernels\[1\] must be an integer"),
     (("stages", 2, "kernels"), [3, 4], r"stages\[2\]: kernel sizes must be odd"),
@@ -542,6 +547,29 @@ class TestCli:
         assert err == ("error: voxelizer: 1 batch(es) of a (10000000, 10000000, 10000000) grid "
                        "hold 1000000000000000000000 cells, more than int64 keys can address (2**63)\n")
         assert not (tmp_path / "v.csv").exists()
+
+    # a config the file format accepts but no network can be built from:
+    # 10**30 channels exceed numpy's largest dimension, so nothing is allocated
+    @pytest.mark.parametrize("path, value, message", [
+        (("seed",), -1, "config: seed must be non-negative, got -1"),
+        (("stages", 1, "mlp_ratio"), 1e308,
+         "stages[1]: mlp_ratio * channels must be a positive integer, got inf"),
+        (("stages", 0, "channels"), 10**30,
+         f"vfe.weight: cannot allocate shape (4, {10**30})"),
+    ], ids=["negative-seed", "infinite-mlp-width", "channels-beyond-numpy"])
+    @pytest.mark.parametrize("command", ["voxelize", "forward"])
+    def test_unbuildable_config_exit_one(self, scene_files, tmp_path, capsys,
+                                         command, path, value, message):
+        points, _ = scene_files
+        config = tmp_path / "bad.json"
+        config.write_text(tiny_config_with(path, value))
+        out = tmp_path / "out.csv"
+        argv = [command, "--points", str(points), "--config", str(config)]
+        argv += ["--out", str(out)] if command == "voxelize" else [
+            "--init-seed", "0", "--dump", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
     def test_unknown_subcommand_exit_one(self):
         assert main(["explode"]) == 1

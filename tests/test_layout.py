@@ -16,10 +16,11 @@ from focalvox.backbone import (
     param_count,
     preset,
 )
-from focalvox.errors import ShapeMismatch
+from focalvox.errors import InvalidSpec, ShapeMismatch
 from focalvox.params import Initializer, ParamReader, ParamStore
 from focalvox.sfm import SFMConfig, SfmBlockParams, sfm_block_params, srb_params
 from focalvox.weights import serialize_weights
+from helpers import closed_form_param_count
 
 # sha256 of serialize_weights(init_network(preset(name))) before the layout
 # was declared once: pins tensor names, their order, shapes and the order
@@ -36,7 +37,7 @@ def test_init_network_bytes_pinned(name):
     cfg = preset(name)
     store = init_network(cfg)
     assert hashlib.sha256(serialize_weights(store)).hexdigest() == INIT_SHA256[name]
-    assert param_count(cfg) == store.scalar_count()
+    assert param_count(cfg) == closed_form_param_count(cfg) == store.scalar_count()
 
 
 def test_network_template_declares_the_layout_without_draws():
@@ -48,6 +49,17 @@ def test_network_template_declares_the_layout_without_draws():
         got = template.data(name)
         assert got.dtype == t.data.dtype
         assert np.array_equal(got, want(t.data.shape, dtype=t.data.dtype)), name
+
+
+@pytest.mark.parametrize("build", [init_network, network_template])
+def test_tensor_beyond_numpy_named(build):
+    # 10**30 channels exceed numpy's largest dimension: rejected before any allocation
+    cfg = preset("tiny")
+    wide = replace(cfg.stages[2], sfm=replace(cfg.stages[2].sfm, channels=10**30))
+    cfg = replace(cfg, stages=(*cfg.stages[:2], wide, cfg.stages[3]))
+    with pytest.raises(InvalidSpec) as err:
+        build(cfg)
+    assert str(err.value) == f"down2.conv.weight: cannot allocate shape (27, 32, {10**30})"
 
 
 def test_bind_returns_the_stored_tensors():

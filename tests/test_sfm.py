@@ -21,7 +21,7 @@ from focalvox.sfm import (
     sfm_block,
     sfm_block_params,
     sfm_module,
-    sfm_module_param_count,
+    sfm_module_params,
     sfm_pair_count,
     srb_block,
     srb_params,
@@ -531,7 +531,9 @@ class TestParamAccounting:
         # 27-offset convs 2*(27*16+4), h projection 16+4
         cfg = SFMConfig(channels=4, kernels=(3, 3), dilations=(1, 1))
         expected = (4 * 10 + 10) + 2 * (27 * 16 + 4) + (16 + 4)
-        assert sfm_module_param_count(cfg, dims=3) == expected
+        store = ParamStore()
+        sfm_module_params(Initializer(store, seed=0), "mod", cfg, dims=3)
+        assert store.scalar_count() == expected
 
     def test_count_matches_store_enumeration(self):
         cfg = SFMConfig(channels=4, kernels=(3, 3), dilations=(1, 3))
@@ -541,4 +543,7 @@ class TestParamAccounting:
         sfm_block_params(ParamReader(store), "blk", cfg, dims=3)
         module_names = [n for n in store.param_names() if ".ln" not in n and ".mlp" not in n]
         total = sum(store.data(n).size for n in module_names)
-        assert total == sfm_module_param_count(cfg, dims=3)
+        module = ParamStore()
+        sfm_module_params(Initializer(module, seed=0), "blk", cfg, dims=3)
+        assert module_names == module.param_names()
+        assert total == module.scalar_count()

