@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, ShapeMismatch
+from .errors import InvalidSpec
 from .sparse import (
     Geometry,
     KernelSpec,
@@ -48,20 +48,11 @@ class SparseConvLayer:
                 f"(kernel volume {self.spec.volume}, C_in, C_out)"
             )
 
-    @property
-    def in_channels(self) -> int:
-        return self.weight.data.shape[1]
-
 
 def _apply_rulebook(
     t: SparseTensor, layer: SparseConvLayer, rulebook: Rulebook, out_geometry: Geometry
 ) -> SparseTensor:
-    x = t.features
-    if x.data.shape[1] != layer.in_channels:
-        raise ShapeMismatch(
-            f"input has {x.data.shape[1]} channels, layer expects {layer.in_channels}"
-        )
-    weight, bias = layer.weight, layer.bias
+    x, weight, bias = t.features, layer.weight, layer.bias
     out_data = gather_scatter_matmul(
         x.data, rulebook, weight.data, None if bias is None else bias.data
     )

@@ -74,7 +74,8 @@ def select_query(t: SparseTensor, seed: int) -> VoxelCoord:
     if t.n_active == 0:
         raise InactiveQuery("scene has no active voxels")
     row = int(np.random.default_rng(seed).integers(0, t.n_active))
-    return t.coord_at(row)
+    batch, *ijk = (int(v) for v in t.coords[row])
+    return VoxelCoord(batch, tuple(ijk))
 
 
 def erf_gradient_map(stack, scene: SparseTensor, query: VoxelCoord) -> ErfMap:

@@ -113,6 +113,9 @@ class VoxelizerConfig:
             raise InvalidSpec("voxel sizes must be positive")
         for lo, hi, size in zip(self.range_min, self.range_max, self.voxel_size):
             cells = (hi - lo) / size
+            if not np.isfinite(cells):
+                raise InvalidSpec(f"range ({lo}, {hi}) over voxel size {size} "
+                                  "gives a cell count beyond float range")
             if hi <= lo or abs(cells - round(cells)) > 1e-6:
                 raise InvalidSpec(
                     f"range ({lo}, {hi}) is not an integral number of {size} voxels"
@@ -163,10 +166,10 @@ def voxelize_raw(cloud: PointCloud, config: VoxelizerConfig):
     lo = np.asarray(config.range_min)
     size = np.asarray(config.voxel_size)
     grid = np.asarray(config.grid_shape, dtype=np.int64)
-    idx = np.floor((pts[:, :3] - lo) / size).astype(np.int64)
+    idx = np.floor((pts[:, :3] - lo) / size)  # cast once in range: a far point overflows int64
     keep = (idx >= 0).all(axis=1) & (idx < grid).all(axis=1)
     pts = pts[keep]
-    idx = idx[keep]
+    idx = idx[keep].astype(np.int64)
     if pts.shape[0] == 0:
         raise EmptyScene("no points fall inside the voxelizer range")
 

@@ -164,11 +164,6 @@ def context_levels(
     return ops.weighted_level_sum(levels, gates)
 
 
-def modulate(queries: Tensor, context: Tensor) -> Tensor:
-    """Elementwise product: each query picks up its aggregated context."""
-    return ops.multiply(queries, context)
-
-
 def sfm_module(t: SparseTensor, config: SFMConfig, params: SfmModuleParams) -> SparseTensor:
     """Full mixer: project, fold the gated context levels, project the sum
     back to query space, modulate.
@@ -183,7 +178,7 @@ def sfm_module(t: SparseTensor, config: SFMConfig, params: SfmModuleParams) -> S
         context_levels(t.with_features(projected.pop(1)), config, params.level_convs, gates),
         params.h_w, params.h_b,
     )
-    return t.with_features(modulate(queries, context))
+    return t.with_features(ops.multiply(queries, context))  # each query picks up its context
 
 
 def sfm_block(t: SparseTensor, config: SFMConfig, params: SfmBlockParams) -> SparseTensor:

@@ -301,19 +301,8 @@ class SparseTensor:
         return self.geometry.dims
 
     def with_features(self, features: Tensor) -> "SparseTensor":
-        """Same geometry, new feature block."""
-        out = object.__new__(SparseTensor)
-        out.geometry = self.geometry
-        if not isinstance(features, Tensor):
-            features = Tensor(np.asarray(features))
-        if features.data.shape[0] != self.n_active:
-            raise ShapeMismatch("replacement features row count differs")
-        out.features = features
-        return out
-
-    def coord_at(self, row: int) -> VoxelCoord:
-        c = self.coords[row]
-        return VoxelCoord(int(c[0]), tuple(int(v) for v in c[1:]))
+        """Same geometry, new feature block, checked as by the constructor."""
+        return SparseTensor(self.geometry, features)
 
 
 @dataclass
@@ -355,30 +344,28 @@ class Rulebook:
         return sum(p.shape[0] for p in self.pairs)
 
 
-def _candidates(masks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(offset, row) index arrays where every per-dim mask holds.
+def _offset_candidates(masks: list[np.ndarray]):
+    """Per kernel offset, row-major over the kernel as in
+    :func:`centered_offsets` and :func:`raw_offsets`: the offset's per-axis
+    kernel indices and the ascending rows where every per-axis mask holds.
 
     ``masks[d][a, n]`` says whether row n can pair through an offset whose
-    d-th component is the a-th kernel value along that axis.  Offsets are
-    numbered row-major over the kernel, as in :func:`centered_offsets` and
-    :func:`raw_offsets`; the result ascends by offset, then by row.
+    d-th component is the a-th kernel value along that axis.
     """
-    n = masks[0].shape[1]
-    valid = np.ones((1, n), dtype=bool)
-    for m in masks:
-        valid = (valid[:, None, :] & m[None, :, :]).reshape(valid.shape[0] * m.shape[0], n)
-    return np.nonzero(valid)
+    for index in itertools.product(*(range(m.shape[0]) for m in masks)):
+        valid = masks[0][index[0]]
+        for m, a in zip(masks[1:], index[1:]):
+            valid = valid & m[a]
+        yield index, np.flatnonzero(valid)
 
 
-def _split_pairs(n_offsets: int, offset_ids, in_rows, out_rows) -> list[np.ndarray]:
-    """Per-offset read-only int32 (input_row, output_row) blocks, views of
-    one array; ``offset_ids`` ascend."""
-    pairs = np.empty((offset_ids.size, 2), dtype=np.int32)
-    pairs[:, 0] = in_rows
-    pairs[:, 1] = out_rows
-    pairs.flags.writeable = False
-    bounds = np.cumsum(np.bincount(offset_ids, minlength=n_offsets))[:-1]
-    return np.split(pairs, bounds)
+def _pair_block(in_rows: np.ndarray, out_rows: np.ndarray) -> np.ndarray:
+    """Read-only int32 (input_row, output_row) block of one offset."""
+    block = np.empty((in_rows.size, 2), dtype=np.int32)
+    block[:, 0] = in_rows
+    block[:, 1] = out_rows
+    block.flags.writeable = False
+    return block
 
 
 def build_rulebook_submanifold(t: SparseTensor, spec: KernelSpec) -> Rulebook:
@@ -387,8 +374,8 @@ def build_rulebook_submanifold(t: SparseTensor, spec: KernelSpec) -> Rulebook:
     For the center-relative offset ``o``, pair (i, j) exists iff
     ``coords[i] == coords[j] - o * dilation`` and both sites are active,
     so offset ``-o`` holds exactly the pairs (j, i).  Only the offsets
-    before the center are searched, in the index one offset plane (one
-    value of the first kernel axis) at a time, which bounds the scratch.
+    before the center are searched in the index, one offset at a time,
+    which bounds the scratch to one offset's candidates.
     The center block is a read-only identity view (every row paired with
     itself) and each later offset is the column-swapped view of its
     mirror: with the rows in key order, ``i`` ascends with ``j``, so the
@@ -408,28 +395,22 @@ def build_rulebook_submanifold(t: SparseTensor, spec: KernelSpec) -> Rulebook:
         target = coords[None, :, 1 + d] - shift[:, None]
         masks.append((target >= 0) & (target < shape[d]))
         key_shift = (key_shift[:, None] * shape[d] + shift[None, :]).reshape(-1)
-    keys, n = flat_keys(coords, shape), key_shift.size // spec.kernel[0]
-    center = key_shift.size // 2
+    keys, center = flat_keys(coords, shape), key_shift.size // 2
     pairs = []
-    for a in range(-(-center // n)):  # the planes with offsets before the center
-        offset_ids, out_rows = _candidates([masks[0][a : a + 1], *masks[1:]])
-        n_before = min(n, center - a * n)  # this plane's offsets before the center
-        stop = np.searchsorted(offset_ids, n_before)
-        offset_ids, out_rows = offset_ids[:stop], out_rows[:stop]
+    for o, (_, out_rows) in enumerate(itertools.islice(_offset_candidates(masks), center)):
         # inside the grid, key(coords[j] - shift) == key(coords[j]) - key(shift)
-        in_rows = t.geometry.index.find(keys[out_rows] - key_shift[a * n :][offset_ids])
+        in_rows = t.geometry.index.find(keys[out_rows] - key_shift[o])
         hit = in_rows >= 0
-        pairs += _split_pairs(n_before, offset_ids[hit], in_rows[hit], out_rows[hit])
-        del offset_ids, out_rows, in_rows, hit  # before the next plane's candidates
+        pairs.append(_pair_block(in_rows[hit], out_rows[hit]))
     rows = np.arange(t.n_active, dtype=np.int32)
     pairs.append(np.broadcast_to(rows[:, None], (rows.size, 2)))
     key_ordered = bool((keys[1:] > keys[:-1]).all())
     for block in reversed(pairs[:center]):  # offset K-1-o mirrors offset o
-        mirror = block[:, ::-1]
-        if not key_ordered:
-            mirror = np.take(mirror, np.argsort(mirror[:, 1]), axis=0)
-            mirror.flags.writeable = False
-        pairs.append(mirror)
+        if key_ordered:
+            pairs.append(block[:, ::-1])
+        else:
+            order = np.argsort(block[:, 0])
+            pairs.append(_pair_block(block[order, 1], block[order, 0]))
     return Rulebook(
         offsets=tuple(centered_offsets(spec.kernel)),
         pairs=pairs,
@@ -475,20 +456,24 @@ def build_rulebook_regular(
         j = num // stride
         masks.append((num % stride == 0) & (j >= 0) & (j < out_shape[d]))
         out_ijk.append(j)
-    offset_ids, in_rows = _candidates(masks)
-    keys = coords[in_rows, 0]
-    # the d-th digit of a row-major offset number is its component along axis d
-    for d, digit in enumerate(np.unravel_index(offset_ids, spec.kernel)):
-        keys = keys * out_shape[d] + out_ijk[d][digit, in_rows]
-    out_keys, out_rows = np.unique(keys, return_inverse=True)
-    order = np.argsort(offset_ids * out_keys.size + out_rows)  # by offset, then output row
+    in_rows, keys = [], []
+    for index, rows in _offset_candidates(masks):
+        key = coords[rows, 0]
+        for d, a in enumerate(index):
+            key = key * out_shape[d] + out_ijk[d][a, rows]
+        in_rows.append(rows)
+        keys.append(key)
+    out_keys, out_rows = np.unique(np.concatenate(keys), return_inverse=True)
     out_coords = _unflatten(out_keys, out_shape)
     out_coords.flags.writeable = False
     out_geometry = Geometry(out_coords, out_shape)
-    offsets = raw_offsets(spec.kernel)
+    pairs = []
+    for rows, out in zip(in_rows, np.split(out_rows, np.cumsum([r.size for r in in_rows])[:-1])):
+        order = np.argsort(out)  # no output row repeats within an offset
+        pairs.append(_pair_block(rows[order], out[order]))
     return Rulebook(
-        offsets=tuple(offsets),
-        pairs=_split_pairs(len(offsets), offset_ids, in_rows[order], out_rows[order]),
+        offsets=tuple(raw_offsets(spec.kernel)),
+        pairs=pairs,
         out_coords=out_geometry.coords,
         kind="regular",
         out_geometry=out_geometry,

@@ -9,6 +9,7 @@ implies, so a container can never be applied to the wrong architecture.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -71,8 +72,7 @@ def parse_weights(raw: bytes) -> list[tuple[str, tuple[int, ...], np.ndarray]]:
         headers.append((name, shape))
     records = []
     for name, shape in headers:
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        payload = reader.take(4 * size, f"payload of {name}")
+        payload = reader.take(4 * math.prod(shape), f"payload of {name}")
         records.append((name, shape, np.frombuffer(payload, dtype="<f4").reshape(shape)))
     if reader.pos != len(raw):
         raise TruncatedPayload(

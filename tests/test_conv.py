@@ -86,6 +86,18 @@ class TestSubmConv:
         assert rel_err(lhs, rhs) < 1e-6
 
 
+@pytest.mark.parametrize("conv, spec", [
+    (subm_conv, KernelSpec.same(3, dims=3)),
+    (regular_conv_down, KernelSpec.downsample(3)),
+], ids=["subm_conv", "regular_conv_down"])
+def test_channel_mismatch_raises_shape_mismatch(conv, spec):
+    """A layer built for 4 input channels, run on 3."""
+    t = random_sparse(np.random.default_rng(3), (6, 6, 6), 0.3, 3)
+    layer = SparseConvLayer(spec, Tensor(np.ones((spec.volume, 4, 2), dtype=np.float32)))
+    with pytest.raises(ShapeMismatch, match=r"features \(\d+, 3\) incompatible with weights"):
+        conv(t, layer)
+
+
 class TestRegularConvDown:
     def make_layer(self, rng, c_in, c_out, dims=3):
         spec = KernelSpec.downsample(dims)

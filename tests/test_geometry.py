@@ -1,4 +1,4 @@
-"""Shared geometries: the batched map search and the gather-scatter
+"""Shared geometries: the map search and the gather-scatter
 executor against their per-offset references, flat-key uniques, and the
 per-active-set rulebook cache."""
 
@@ -101,12 +101,11 @@ class TestMapSearchMatchesPerOffsetReference:
             build_rulebook_submanifold(t, spec), per_offset_rulebook_submanifold(t, spec)
         )
 
-    def test_submanifold_scratch_holds_one_offset_plane(self):
-        """The search runs one plane of 9 offsets at a time and frees it
-        before the next.  Above the returned rulebook, that holds 15.7
-        bytes per (voxel, offset) candidate on this scene; searching all 27
-        offsets at once held 44.3 (3.6 MB), and keeping one plane's arrays
-        alive while the next was searched held 18.6."""
+    def test_submanifold_scratch_holds_one_offset(self):
+        """The search runs one offset at a time and frees it before the
+        next.  Above the returned rulebook, that holds 3.1 bytes per
+        (voxel, offset) candidate on this scene; searching one plane of 9
+        offsets at a time held 15.3, and all 27 at once 44.3 (3.6 MB)."""
         t = random_sparse(np.random.default_rng(7), (24, 24, 24), 0.22, 1)
         assert 2_900 < t.n_active < 3_200
         spec = KernelSpec.same(3, 1, dims=3)
@@ -117,7 +116,23 @@ class TestMapSearchMatchesPerOffsetReference:
         finally:
             tracemalloc.stop()
         assert rb.total_pairs > t.n_active
-        assert peak - held < 17 * t.n_active * spec.volume
+        assert peak - held < 5 * t.n_active * spec.volume
+
+    def test_regular_scratch_holds_one_key_per_candidate(self):
+        """Candidates are gathered one offset at a time, so only their rows
+        and output keys meet in the unique.  Above the returned rulebook
+        that holds 10.0 bytes per (voxel, offset) on this scene; the
+        (offset, row) outer product of all 27 offsets held 15.1."""
+        t = random_sparse(np.random.default_rng(7), (24, 24, 24), 0.22, 1)
+        spec = KernelSpec.downsample(3)
+        tracemalloc.start()
+        try:
+            rb = build_rulebook_regular(t, spec, regular_out_shape(t.spatial_shape, spec))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rb.total_pairs > t.n_active
+        assert peak - held < 12 * t.n_active * spec.volume
 
     def test_submanifold_keeps_four_bytes_per_pair(self):
         """Only the offsets before the center are stored: the center block

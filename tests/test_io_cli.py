@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,16 @@ class TestVoxelize:
         with pytest.raises(EmptyScene):
             voxelize_raw(PointCloud(np.array([[50.0, 0.0, 0.0, 0.0]])), cfg)
 
+    def test_points_beyond_int64_cells_dropped_without_a_warning(self):
+        """Their cell index overflows int64, so it is never cast."""
+        near = [0.05, 0.05, 0.1, 0.0]
+        for far in ([1e20, 0.0, 0.0, 0.0], [0.0, -1e300, 0.0, 0.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pre, coords = voxelize_raw(PointCloud(np.array([far, near])), self.cfg())
+            assert coords.tolist() == [[0, 32, 32, 16]]
+            assert pre.shape == (1, 4)
+
     def test_vfe_projection_applies_relu(self):
         rng = np.random.default_rng(3)
         cfg = self.cfg()
@@ -163,6 +174,11 @@ class TestVoxelize:
         t = voxelize_vfe(cloud, cfg, w, b)
         assert (t.features.data >= 0).all()
         assert t.channels == 16
+
+
+# a one-tensor container whose header declares dims (2**32 - 1, 2**32 - 1)
+OVERSIZED_HEADER = (b"SFMW" + struct.pack("<IIH", 1, 1, 10) + b"vfe.weight"
+                    + struct.pack("<B2I", 2, 2**32 - 1, 2**32 - 1))
 
 
 class TestWeightsContainer:
@@ -203,6 +219,11 @@ class TestWeightsContainer:
         path.write_bytes(blob[:-4])
         with pytest.raises(TruncatedPayload):
             load_weights(path, store)
+
+    def test_header_larger_than_the_file_is_truncated_payload(self):
+        """(2**32 - 1)**2 floats: an int64 count wraps to a negative size."""
+        with pytest.raises(TruncatedPayload, match=r"^file ends inside payload of vfe\.weight$"):
+            parse_weights(OVERSIZED_HEADER)
 
     def test_bad_magic_and_version(self, tmp_path):
         store = ParamStore()
@@ -267,6 +288,12 @@ BAD_VALUES = [
     (("stages", 0, "n_srb"), -1, r"stages\[0\]: block counts must be non-negative"),
     (("voxelizer", "voxel_size"), [0.1, 0.1], r"voxelizer: .* three values"),
     (("voxelizer", "voxel_size"), [1e-6] * 3, r"voxelizer: 1 batch\(es\) .* cells, more than int64"),
+    (("voxelizer", "voxel_size"), [0.1, 0.1, 1e-320],
+     r"voxelizer: range \(-3\.2, 3\.2\) over voxel size 1e-320 "
+     r"gives a cell count beyond float range$"),
+    (("voxelizer", "range_min"), [-1e308, -3.2, -3.2],
+     r"voxelizer: range \(-1e\+308, 3\.2\) over voxel size 0\.1 "
+     r"gives a cell count beyond float range$"),
 ]
 
 
@@ -432,6 +459,26 @@ class TestCli:
         assert name in capsys.readouterr().err
         assert not dump.exists()
 
+    def test_forward_oversized_weights_header_exit_one(self, scene_files, tmp_path, capsys):
+        points, config = scene_files
+        wpath = tmp_path / "w.sfmw"
+        wpath.write_bytes(OVERSIZED_HEADER)
+        dump = tmp_path / "fwd.csv"
+        assert main(["forward", "--points", str(points), "--config", str(config),
+                     "--weights", str(wpath), "--dump", str(dump)]) == 1
+        assert capsys.readouterr() == ("", "error: file ends inside payload of vfe.weight\n")
+        assert not dump.exists()
+
+    def test_voxelize_far_point_prints_nothing(self, scene_files, tmp_path, capsys):
+        points, config = scene_files
+        with open(points, "a") as fh:
+            fh.write("1e20,0,0,0\n")
+        out = tmp_path / "v.csv"
+        assert main(["voxelize", "--points", str(points), "--config", str(config),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.exists()
+
     def test_erf_inactive_query_exit_one(self, scene_files, tmp_path, capsys):
         points, config = scene_files
         code = main(["erf", "--points", str(points), "--config", str(config),
@@ -556,7 +603,10 @@ class TestCli:
          "stages[1]: mlp_ratio * channels must be a positive integer, got inf"),
         (("stages", 0, "channels"), 10**30,
          f"vfe.weight: cannot allocate shape (4, {10**30})"),
-    ], ids=["negative-seed", "infinite-mlp-width", "channels-beyond-numpy"])
+        (("voxelizer", "voxel_size"), [0.1, 0.1, 1e-320],
+         "voxelizer: range (-3.2, 3.2) over voxel size 1e-320 gives a cell count beyond float range"),
+    ], ids=["negative-seed", "infinite-mlp-width", "channels-beyond-numpy",
+            "voxel-count-beyond-float"])
     @pytest.mark.parametrize("command", ["voxelize", "forward"])
     def test_unbuildable_config_exit_one(self, scene_files, tmp_path, capsys,
                                          command, path, value, message):

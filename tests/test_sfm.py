@@ -17,7 +17,6 @@ from focalvox.sfm import (
     erf_meters,
     erf_radius,
     input_projection,
-    modulate,
     sfm_block,
     sfm_block_params,
     sfm_module,
@@ -277,12 +276,12 @@ class TestAggregateModulate:
     def test_modulate(self):
         rng = np.random.default_rng(7)
         q = Tensor(rng.standard_normal((5, 3)))
-        np.testing.assert_array_equal(modulate(q, Tensor(np.ones((5, 3)))).data, q.data)
+        np.testing.assert_array_equal(ops.multiply(q, Tensor(np.ones((5, 3)))).data, q.data)
         np.testing.assert_array_equal(
-            modulate(Tensor(np.zeros((5, 3))), q).data, np.zeros((5, 3))
+            ops.multiply(Tensor(np.zeros((5, 3))), q).data, np.zeros((5, 3))
         )
         ctx = Tensor(rng.standard_normal((5, 3)))
-        out = modulate(q, ctx)
+        out = ops.multiply(q, ctx)
         for r in range(5):
             for c in range(3):
                 assert out.data[r, c] == q.data[r, c] * ctx.data[r, c]
@@ -326,7 +325,7 @@ class TestSfmModule:
             t.features, params.in_proj_w, params.in_proj_b, 4, 2
         )
         mixed = context_levels(t.with_features(base), cfg, params.level_convs, gates)
-        expected = modulate(q, ops.linear(mixed, params.h_w, params.h_b))
+        expected = ops.multiply(q, ops.linear(mixed, params.h_w, params.h_b))
         np.testing.assert_array_equal(out.features.data, expected.data)
         # the fold equals the list of levels made step by step, then summed
         cur, levels = t.with_features(base), []

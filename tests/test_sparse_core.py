@@ -40,7 +40,11 @@ BAD_TENSORS = [
      "features rows (2, 2) != coords rows 1"),
     ("non-finite", np.array([[0, 0, 0, 0]]), np.array([[1.0, np.inf]]), InvalidSpec,
      "features must be finite"),
+    ("feature-rank", np.array([[0, 0, 0, 0]]), np.ones(1), ShapeMismatch,
+     "features rows (1,) != coords rows 1"),
 ]
+# the rows with valid coordinates, which ``with_features`` rejects as well
+FEATURE_CASES = [c for c in BAD_TENSORS if c[0] in ("feature-rows", "non-finite", "feature-rank")]
 
 
 @pytest.mark.parametrize("coords, features, error, message",
@@ -48,6 +52,16 @@ BAD_TENSORS = [
 def test_sparse_tensor_rejects_outside_input(coords, features, error, message):
     with pytest.raises(error) as err:
         SparseTensor(coords, features, (4, 4, 4))
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("coords, features, error, message",
+                         [case[1:] for case in FEATURE_CASES], ids=[c[0] for c in FEATURE_CASES])
+def test_with_features_checks_as_the_constructor(coords, features, error, message):
+    t = SparseTensor(coords, np.ones((coords.shape[0], 2)), (4, 4, 4))
+    with pytest.raises(error) as err:
+        t.with_features(features)
     assert type(err.value) is error
     assert str(err.value) == message
 
