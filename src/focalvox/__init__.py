@@ -35,7 +35,6 @@ from .sparse import (
     KernelSpec,
     Rulebook,
     SparseTensor,
-    VoxelCoord,
     build_rulebook_regular,
     build_rulebook_submanifold,
     gather_scatter_matmul,
@@ -63,7 +62,6 @@ __all__ = [
     "SparseTensor",
     "StageConfig",
     "Tensor",
-    "VoxelCoord",
     "VoxelizerConfig",
     "build_rulebook_regular",
     "build_rulebook_submanifold",

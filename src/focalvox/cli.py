@@ -24,7 +24,6 @@ from .params import Initializer, ParamStore
 from .points import load_points, vfe_params, voxelize_vfe
 from .selftest import GRADCHECK_MODULES, gradcheck_suite, oracle_suite
 from .sfm import SFMConfig
-from .sparse import VoxelCoord
 from .weights import load_weights
 
 
@@ -163,7 +162,7 @@ def cmd_erf(args) -> int:
         if len(args.query) != 3:
             raise InvalidSpec("--query must be 'x,y,z'")
         # erf_gradient_map raises InactiveQuery when the stack output lacks it
-        query = VoxelCoord(0, args.query)
+        query = (0, *args.query)
     elif args.seed is not None:
         # the draw needs the output's active count: one untaped forward
         query = select_query(stack(scene), seed=args.seed)
@@ -172,7 +171,7 @@ def cmd_erf(args) -> int:
     erf = erf_gradient_map(stack, scene, query)
     emit_pgm(erf, args.out_pgm, csv_path=args.out_csv)
     print(
-        f"query {(query.batch, *query.ijk)}: {int(np.count_nonzero(erf.magnitudes))} "
+        f"query {query}: {int(np.count_nonzero(erf.magnitudes))} "
         f"reached voxels, peak {erf.normalization:.6g}, wrote {args.out_pgm}"
     )
     return 0

@@ -23,8 +23,12 @@ from .sfm import SFMConfig
 from .tape import PrecisionMode
 
 _TOP_KEYS = {"voxelizer", "stages", "backbone2d", "precision", "seed"}
-_VOXELIZER_KEYS = {"voxel_size", "range_min", "range_max"}
-_STAGE_KEYS = {"n_sfm", "n_srb", "channels", "kernels", "dilations", "mlp_ratio"}
+# {key: (kind, array)} in reading order (see _field); a stage object holds
+# the mixer fields (SFMConfig), then the block counts (StageConfig)
+_VOXELIZER = {"voxel_size": (float, True), "range_min": (float, True), "range_max": (float, True)}
+_MIXER = {"channels": (int, False), "kernels": (int, True), "dilations": (int, True),
+          "mlp_ratio": (float, False)}
+_COUNTS = {"n_sfm": (int, False), "n_srb": (int, False)}
 
 
 def _require_keys(obj: dict, allowed: set, where: str) -> None:
@@ -56,6 +60,11 @@ def _field(obj: dict, key: str, where: str, kind: type = int, array: bool = Fals
     return tuple(kind(v) for v in value) if array else kind(value)
 
 
+def _fields(obj: dict, table: dict, where: str) -> dict:
+    """Every field of ``table`` read from ``obj`` (see :func:`_field`), in table order."""
+    return {key: _field(obj, key, where, kind, array) for key, (kind, array) in table.items()}
+
+
 def _build(where: str, make, **fields):
     """``make(**fields)``, with any engine error re-raised as a ConfigError at ``where``."""
     try:
@@ -65,34 +74,26 @@ def _build(where: str, make, **fields):
 
 
 def _stage_from_dict(obj: dict, where: str) -> StageConfig:
-    _require_keys(obj, _STAGE_KEYS, where)
-    sfm = _build(where, SFMConfig, channels=_field(obj, "channels", where),
-                 kernels=_field(obj, "kernels", where, array=True),
-                 dilations=_field(obj, "dilations", where, array=True),
-                 mlp_ratio=_field(obj, "mlp_ratio", where, float))
-    return _build(where, StageConfig, n_sfm=_field(obj, "n_sfm", where),
-                  n_srb=_field(obj, "n_srb", where), sfm=sfm)
+    _require_keys(obj, _MIXER.keys() | _COUNTS.keys(), where)
+    sfm = _build(where, SFMConfig, **_fields(obj, _MIXER, where))
+    return _build(where, StageConfig, sfm=sfm, **_fields(obj, _COUNTS, where))
+
+
+def _to_dict(cfg, table: dict) -> dict:
+    """The fields of ``table`` read from ``cfg``, arrays as lists."""
+    return {key: list(getattr(cfg, key)) if array else getattr(cfg, key)
+            for key, (_, array) in table.items()}
 
 
 def _stage_to_dict(cfg: StageConfig) -> dict:
-    return {
-        "n_sfm": cfg.n_sfm,
-        "n_srb": cfg.n_srb,
-        "channels": cfg.channels,
-        "kernels": list(cfg.sfm.kernels),
-        "dilations": list(cfg.sfm.dilations),
-        "mlp_ratio": cfg.sfm.mlp_ratio,
-    }
+    return {**_to_dict(cfg.sfm, _MIXER), **_to_dict(cfg, _COUNTS)}
 
 
 def config_from_dict(doc: dict) -> NetworkConfig:
     _require_keys(doc, _TOP_KEYS, "config")
     vox = doc["voxelizer"]
-    _require_keys(vox, _VOXELIZER_KEYS, "voxelizer")
-    voxelizer = _build("voxelizer", VoxelizerConfig, **{
-        key: _field(vox, key, "voxelizer", float, array=True)
-        for key in ("voxel_size", "range_min", "range_max")
-    })
+    _require_keys(vox, set(_VOXELIZER), "voxelizer")
+    voxelizer = _build("voxelizer", VoxelizerConfig, **_fields(vox, _VOXELIZER, "voxelizer"))
     if not isinstance(doc["stages"], list) or len(doc["stages"]) != 4:
         raise ConfigError("stages must be an array of exactly 4 objects")
     stages = tuple(
@@ -110,11 +111,7 @@ def config_from_dict(doc: dict) -> NetworkConfig:
 
 def config_to_dict(cfg: NetworkConfig) -> dict:
     return {
-        "voxelizer": {
-            "voxel_size": list(cfg.voxelizer.voxel_size),
-            "range_min": list(cfg.voxelizer.range_min),
-            "range_max": list(cfg.voxelizer.range_max),
-        },
+        "voxelizer": _to_dict(cfg.voxelizer, _VOXELIZER),
         "stages": [_stage_to_dict(s) for s in cfg.stages],
         "backbone2d": _stage_to_dict(cfg.backbone2d),
         "precision": cfg.precision.value,

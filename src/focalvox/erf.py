@@ -20,7 +20,7 @@ import numpy as np
 from . import ops
 from .errors import InactiveQuery, InvalidSpec
 from .fileio import atomic_write_bytes, atomic_write_text
-from .sparse import SparseTensor, VoxelCoord
+from .sparse import SparseTensor
 from .tape import GradTape, Tensor, grad_of
 
 
@@ -28,7 +28,6 @@ from .tape import GradTape, Tensor, grad_of
 class ErfMap:
     """Gradient magnitudes per active input voxel for one query."""
 
-    query: VoxelCoord
     coords: np.ndarray
     magnitudes: np.ndarray
     spatial_shape: tuple[int, ...]
@@ -69,31 +68,28 @@ def composed_support_radius(stage_radii: list[int], down_radius: int = 1) -> int
     return radius
 
 
-def select_query(t: SparseTensor, seed: int) -> VoxelCoord:
-    """A seeded draw of one active voxel (uniform over the rows of ``t``)."""
+def select_query(t: SparseTensor, seed: int) -> tuple[int, ...]:
+    """A seeded uniform draw of one active row of ``t``, as a ``(batch, *ijk)`` tuple of ints."""
     if t.n_active == 0:
         raise InactiveQuery("scene has no active voxels")
     row = int(np.random.default_rng(seed).integers(0, t.n_active))
-    batch, *ijk = (int(v) for v in t.coords[row])
-    return VoxelCoord(batch, tuple(ijk))
+    return tuple(int(v) for v in t.coords[row])
 
 
-def erf_gradient_map(stack, scene: SparseTensor, query: VoxelCoord) -> ErfMap:
+def erf_gradient_map(stack, scene: SparseTensor, query) -> ErfMap:
     """Backpropagate the query voxel's output-feature L2 norm.
 
-    ``stack`` maps a SparseTensor to a SparseTensor; the query must be
-    active in the stack's output.  The map holds, per active input voxel,
-    the L2 norm of the gradient of that scalar with respect to the voxel's
-    input features.
+    ``stack`` maps a SparseTensor to a SparseTensor; the ``(batch, *ijk)``
+    query must be active in the stack's output.  The map holds, per active
+    input voxel, the L2 norm of the gradient of that scalar with respect to
+    the voxel's input features.
     """
     tape = GradTape(params=False)  # only the input features are differentiated
     feats = Tensor(scene.features.data, tape)
     out = stack(scene.with_features(feats))
     row = out.geometry.index.lookup(query)
     if row is None:
-        raise InactiveQuery(
-            f"voxel {(query.batch, *query.ijk)} is not active in the stack output"
-        )
+        raise InactiveQuery(f"voxel {tuple(query)} is not active in the stack output")
     scalar = ops.row_l2(out.features, row)
     grads = tape.gradients(scalar, np.asarray(1.0, dtype=scalar.data.dtype))
     gin = grad_of(grads, feats)
@@ -102,7 +98,7 @@ def erf_gradient_map(stack, scene: SparseTensor, query: VoxelCoord) -> ErfMap:
     else:
         gin = gin.astype(np.float64)
         mags = np.sqrt((gin * gin).sum(axis=1))
-    return ErfMap(query, scene.coords, mags, scene.spatial_shape)
+    return ErfMap(scene.coords, mags, scene.spatial_shape)
 
 
 def render_plane(erf: ErfMap) -> np.ndarray:

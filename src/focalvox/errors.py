@@ -42,7 +42,7 @@ class DegenerateFit(FocalvoxError):
 
 
 class ParseError(FocalvoxError):
-    """A point-cloud record could not be parsed.
+    """A point-cloud record or a weights tensor record could not be parsed.
 
     ``row`` is the 1-based record index within the file.
     """

@@ -20,6 +20,7 @@ from .sparse import SparseTensor, check_key_space, unique_coords
 from .tape import GradTape, Tensor
 
 VFE_RAW_FEATURES = 4  # dx, dy, dz, intensity
+FLOAT32_MAX = float(np.finfo(np.float32).max)  # intensities are cast to float32
 
 
 @dataclass
@@ -32,6 +33,8 @@ class PointCloud:
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 4)
         if not np.all(np.isfinite(self.points)):
             raise InvalidSpec("point cloud contains non-finite values")
+        if (np.abs(self.points[:, 3]) > FLOAT32_MAX).any():
+            raise InvalidSpec("point cloud has an intensity beyond float32 range")
 
     def __len__(self):
         return self.points.shape[0]
@@ -69,6 +72,8 @@ def _load_csv(path) -> PointCloud:
             values.append(0.0)
         if not all(np.isfinite(values)):
             raise ParseError(lineno, "non-finite coordinate")
+        if abs(values[3]) > FLOAT32_MAX:
+            raise ParseError(lineno, f"intensity {values[3]!r} beyond float32 range")
         rows.append(values)
     return PointCloud(np.asarray(rows, dtype=np.float64).reshape(-1, 4))
 
@@ -166,7 +171,8 @@ def voxelize_raw(cloud: PointCloud, config: VoxelizerConfig):
     lo = np.asarray(config.range_min)
     size = np.asarray(config.voxel_size)
     grid = np.asarray(config.grid_shape, dtype=np.int64)
-    idx = np.floor((pts[:, :3] - lo) / size)  # cast once in range: a far point overflows int64
+    with np.errstate(over="ignore"):  # a far point's index is inf, dropped below
+        idx = np.floor((pts[:, :3] - lo) / size)  # cast once in range: a far point overflows int64
     keep = (idx >= 0).all(axis=1) & (idx < grid).all(axis=1)
     pts = pts[keep]
     idx = idx[keep].astype(np.int64)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -25,20 +25,17 @@ from .errors import DuplicateCoordinate, InvalidSpec, ShapeMismatch
 from .tape import Tensor
 
 
-class VoxelCoord(NamedTuple):
-    """One active grid cell: batch index plus integer grid indices."""
-
-    batch: int
-    ijk: tuple[int, ...]
-
-
 def check_kernels(kernel: tuple[int, ...], dilation: tuple[int, ...]) -> None:
-    """Raise InvalidSpec unless every kernel size is odd and positive and
-    every dilation positive."""
+    """Raise InvalidSpec unless every kernel size is odd and positive, every
+    dilation positive, and each axis's dilation and span ``(k - 1) * d``
+    below 2**63, so no int64 offset wraps."""
     if any(k < 1 or k % 2 == 0 for k in kernel):
         raise InvalidSpec(f"kernel sizes must be odd and positive: {kernel}")
     if any(d < 1 for d in dilation):
         raise InvalidSpec(f"dilations must be positive: {dilation}")
+    if any(max(k - 1, 1) * d >= 2**63 for k, d in zip(kernel, dilation)):
+        raise InvalidSpec("dilation and span (k - 1) * dilation must be below 2**63 on "
+                          f"every axis: kernel {kernel}, dilation {dilation}")
 
 
 @dataclass(frozen=True)
@@ -181,8 +178,6 @@ class CoordIndex:
 
     def lookup(self, coord) -> int | None:
         """Row of one ``(batch, *ijk)`` coordinate; None where absent or out of grid."""
-        if isinstance(coord, VoxelCoord):
-            coord = (coord.batch, *coord.ijk)
         batch, *ijk = coord
         if not (0 <= batch <= self._max_batch
                 and all(0 <= i < s for i, s in zip(ijk, self.spatial_shape))):
@@ -194,9 +189,8 @@ class CoordIndex:
 class Geometry:
     """One active set on one grid, shared by every tensor that lives on it.
 
-    ``coords`` is read-only: an input array is kept only when it and every
-    array it views are read-only; any other input is copied once and the
-    copy frozen, so nothing derived from the coordinates can go stale.
+    ``coords`` is a read-only copy of the input, made once, so nothing
+    derived from the coordinates can go stale.
     The coordinate index is built here, so a repeated coordinate raises
     DuplicateCoordinate when the geometry is made, and a grid too large for
     int64 keys (see :func:`check_key_space`) raises InvalidSpec.  The
@@ -207,7 +201,7 @@ class Geometry:
 
     def __init__(self, coords, spatial_shape: tuple[int, ...]):
         self.spatial_shape = tuple(int(s) for s in spatial_shape)
-        coords = np.ascontiguousarray(coords, dtype=np.int64)
+        coords = np.array(coords, dtype=np.int64, order="C")
         if coords.ndim != 2 or coords.shape[1] != 1 + len(self.spatial_shape):
             raise ShapeMismatch(
                 f"coords shape {coords.shape} does not match spatial rank "
@@ -221,9 +215,7 @@ class Geometry:
             hi = coords[:, 1:].max(axis=0)
             if (lo < 0).any() or (hi >= np.asarray(self.spatial_shape)).any():
                 raise InvalidSpec("grid indices out of the declared spatial shape")
-        if not _frozen(coords):
-            coords = coords.copy()
-            coords.flags.writeable = False
+        coords.flags.writeable = False
         self.coords = coords
         self.index = CoordIndex(coords, self.spatial_shape)
         self._rulebooks: dict = {}
@@ -242,16 +234,6 @@ class Geometry:
         if rb is None:
             rb = self._rulebooks[key] = build()
         return rb
-
-
-def _frozen(a: np.ndarray) -> bool:
-    """Whether no writable array shares ``a``'s memory: ``a`` and every
-    array it views are read-only, down to one that owns its data."""
-    while a is not None:
-        if not isinstance(a, np.ndarray) or a.flags.writeable:
-            return False
-        a = a.base
-    return True
 
 
 class SparseTensor:
@@ -464,9 +446,7 @@ def build_rulebook_regular(
         in_rows.append(rows)
         keys.append(key)
     out_keys, out_rows = np.unique(np.concatenate(keys), return_inverse=True)
-    out_coords = _unflatten(out_keys, out_shape)
-    out_coords.flags.writeable = False
-    out_geometry = Geometry(out_coords, out_shape)
+    out_geometry = Geometry(_unflatten(out_keys, out_shape), out_shape)
     pairs = []
     for rows, out in zip(in_rows, np.split(out_rows, np.cumsum([r.size for r in in_rows])[:-1])):
         order = np.argsort(out)  # no output row repeats within an offset

@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .errors import BadMagic, ShapeMismatch, TruncatedPayload, VersionMismatch
+from .errors import BadMagic, ParseError, ShapeMismatch, TruncatedPayload, VersionMismatch
 from .fileio import atomic_write_bytes, read_bytes
 from .params import ParamStore
 
@@ -64,9 +64,12 @@ def parse_weights(raw: bytes) -> list[tuple[str, tuple[int, ...], np.ndarray]]:
         raise VersionMismatch(f"version {version} unsupported (expected {VERSION})")
     (count,) = struct.unpack("<I", reader.take(4, "count"))
     headers = []
-    for _ in range(count):
+    for record in range(1, count + 1):
         (name_len,) = struct.unpack("<H", reader.take(2, "name length"))
-        name = reader.take(name_len, "name").decode("utf-8")
+        try:
+            name = reader.take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(record, f"tensor name is not UTF-8: {exc}") from exc
         (rank,) = struct.unpack("<B", reader.take(1, "rank"))
         shape = struct.unpack(f"<{rank}I", reader.take(4 * rank, "dims"))
         headers.append((name, shape))

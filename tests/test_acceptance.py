@@ -32,7 +32,6 @@ from focalvox.sfm import (
 from focalvox.sparse import (
     KernelSpec,
     SparseTensor,
-    VoxelCoord,
     build_rulebook_regular,
     build_rulebook_submanifold,
     gather_scatter_matmul,
@@ -326,7 +325,7 @@ def test_criterion_5_erf_support():
     coords = [(0, x, y, z) for x in range(11) for y in range(11) for z in range(3)]
     scene = sparse_from_coords(coords, (11, 11, 3), 3,
                                rng=np.random.default_rng(50), dtype=np.float32)
-    query = VoxelCoord(0, (5, 5, 1))
+    query = (0, 5, 5, 1)
     cfg = SFMConfig(channels=3, kernels=(3, 3), dilations=(1, 3))
     assert erf_radius(cfg) == 4
     reach_hits = 0
@@ -455,7 +454,7 @@ def test_criterion_8_format_round_trips(tmp_path):
     feats = np.random.default_rng(5).standard_normal((coords.shape[0], 3))
     scene = SparseTensor(coords, feats, (9, 9, 1))
     erf = erf_gradient_map(
-        lambda t: sfm_module(t, sfm_cfg, params), scene, VoxelCoord(0, (4, 4, 0))
+        lambda t: sfm_module(t, sfm_cfg, params), scene, (0, 4, 4, 0)
     )
     payload = emit_pgm(erf, tmp_path / "g.pgm")
     if payload != GOLDEN_ERF_PGM:

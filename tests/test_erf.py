@@ -22,7 +22,7 @@ from focalvox.sfm import (
     srb_block,
     srb_params,
 )
-from focalvox.sparse import SparseTensor, VoxelCoord
+from focalvox.sparse import SparseTensor
 from helpers import sparse_from_coords
 
 
@@ -53,7 +53,7 @@ class TestSelectQuery:
     def test_explicit_active(self):
         # through the identity stack only the query voxel has a gradient
         t = slab_scene(3, 3, 1)
-        erf = erf_gradient_map(lambda t: t, t, VoxelCoord(0, (1, 2, 0)))
+        erf = erf_gradient_map(lambda t: t, t, (0, 1, 2, 0))
         reached = {c: m for c, m in erf.values().items() if m}
         assert list(reached) == [(0, 1, 2, 0)]
         assert reached[(0, 1, 2, 0)] == pytest.approx(1.0, rel=1e-6)
@@ -61,11 +61,22 @@ class TestSelectQuery:
     def test_explicit_inactive(self):
         t = slab_scene(3, 3, 1)
         with pytest.raises(InactiveQuery):
-            erf_gradient_map(lambda t: t, t, VoxelCoord(0, (1, 1, 5)))
+            erf_gradient_map(lambda t: t, t, (0, 1, 1, 5))
 
     def test_seeded_deterministic(self):
         t = slab_scene(5, 5, 2)
         assert select_query(t, seed=7) == select_query(t, seed=7)
+
+    def test_seeded_query_is_a_row_of_python_ints(self):
+        t = slab_scene(5, 5, 2)
+        query = select_query(t, seed=7)
+        assert type(query) is tuple and len(query) == 4
+        assert all(type(v) is int for v in query)
+        row = t.geometry.index.lookup(query)
+        assert tuple(t.coords[row]) == query
+        erf = erf_gradient_map(lambda t: t, t, query)
+        reached = [c for c, m in erf.values().items() if m]
+        assert reached == [query]
 
 
 class TestGradientMap:
@@ -79,14 +90,14 @@ class TestGradientMap:
         # with both conv paths dead the query output is relu(x): gradient
         # flows only through the skip, so kill the query's own activation
         t.features.data[:] = -1.0
-        erf = erf_gradient_map(stack, t, VoxelCoord(0, (2, 2, 0)))
+        erf = erf_gradient_map(stack, t, (0, 2, 2, 0))
         assert erf.normalization == 0.0
         assert not erf.magnitudes.any()
 
     def test_srb_support_radius_two(self):
         t = slab_scene(9, 9, 1, seed=2)
         stack, _ = srb_stack(seed=3)
-        query = VoxelCoord(0, (4, 4, 0))
+        query = (0, 4, 4, 0)
         erf = erf_gradient_map(stack, t, query)
         values = erf.values()
         for (b, x, y, z), mag in values.items():
@@ -106,7 +117,7 @@ class TestGradientMap:
         t = slab_scene(11, 11, 3, seed=4)
         stack, cfg, _ = sfm_module_stack(seed=5)
         assert erf_radius(cfg) == 4
-        query = VoxelCoord(0, (5, 5, 1))
+        query = (0, 5, 5, 1)
         erf = erf_gradient_map(stack, t, query)
         reached = 0
         for (b, x, y, z), mag in erf.values().items():
@@ -122,7 +133,7 @@ class TestGradientMap:
         hit = 0
         for seed in range(10):
             stack, _, _ = sfm_module_stack(seed=100 + seed)
-            erf = erf_gradient_map(stack, t, VoxelCoord(0, (5, 5, 1)))
+            erf = erf_gradient_map(stack, t, (0, 5, 5, 1))
             if any(
                 mag > 0
                 for (b, x, y, z), mag in erf.values().items()
@@ -134,7 +145,7 @@ class TestGradientMap:
     def test_sfm_block_reaches_farther_than_srb_stack(self):
         """Same conv depth (two), mixer dilations push the support out."""
         t = slab_scene(13, 13, 1, seed=7)
-        query = VoxelCoord(0, (6, 6, 0))
+        query = (0, 6, 6, 0)
 
         cfg = SFMConfig(channels=3, kernels=(3, 3), dilations=(1, 3))
         store = ParamStore()
@@ -201,7 +212,7 @@ class TestComposedRadius:
             return subm_conv(t, post)
 
         scene = slab_scene(17, 17, 1, channels=c, seed=31)
-        query = VoxelCoord(0, (4, 4, 0))
+        query = (0, 4, 4, 0)
         erf = erf_gradient_map(stack, scene, query)
         bound = composed_support_radius([1, 1])
         assert bound == 4
@@ -219,7 +230,6 @@ class TestComposedRadius:
 class TestEmitPgm:
     def test_single_voxel_map(self, tmp_path):
         erf = ErfMap(
-            VoxelCoord(0, (1, 2, 0)),
             np.array([[0, 1, 2, 0]], dtype=np.int64),
             np.array([3.0]),
             (4, 4, 1),
@@ -233,14 +243,14 @@ class TestEmitPgm:
 
     def test_uniform_map_saturates(self, tmp_path):
         coords = np.array([[0, x, y, 0] for x in range(3) for y in range(3)])
-        erf = ErfMap(VoxelCoord(0, (1, 1, 0)), coords, np.full(9, 2.5), (3, 3, 1))
+        erf = ErfMap(coords, np.full(9, 2.5), (3, 3, 1))
         payload = emit_pgm(erf, tmp_path / "u.pgm")
         pixels = np.frombuffer(payload[len(b"P5\n3 3\n255\n"):], dtype=np.uint8)
         assert (pixels == 255).all()
 
     def test_round_half_up_values(self, tmp_path):
         coords = np.array([[0, 0, 0, 0], [0, 1, 0, 0], [0, 2, 0, 0]])
-        erf = ErfMap(VoxelCoord(0, (0, 0, 0)), coords, np.array([1.0, 2.0, 4.0]), (3, 1, 1))
+        erf = ErfMap(coords, np.array([1.0, 2.0, 4.0]), (3, 1, 1))
         payload = emit_pgm(erf, tmp_path / "r.pgm", csv_path=tmp_path / "r.csv")
         # 1/4*255 = 63.75 -> 64; 2/4*255 = 127.5 -> 128 under round-half-up
         assert payload == b"P5\n3 1\n255\n" + bytes([64, 128, 255])
@@ -249,15 +259,12 @@ class TestEmitPgm:
         assert csv[1] == "0,0,0,1.0"
 
     def test_empty_map_rejected(self, tmp_path):
-        erf = ErfMap(
-            VoxelCoord(0, (0, 0, 0)), np.empty((0, 4), dtype=np.int64),
-            np.empty(0), (2, 2, 1),
-        )
+        erf = ErfMap(np.empty((0, 4), dtype=np.int64), np.empty(0), (2, 2, 1))
         with pytest.raises(InvalidSpec):
             emit_pgm(erf, tmp_path / "e.pgm")
 
     def test_z_slab_plane(self):
         coords = np.array([[0, 0, 0, 0], [0, 1, 0, 1]])
-        erf = ErfMap(VoxelCoord(0, (0, 0, 0)), coords, np.array([1.0, 2.0]), (2, 1, 2))
+        erf = ErfMap(coords, np.array([1.0, 2.0]), (2, 1, 2))
         # two z slabs: the image is their maximum over the height axis
         assert render_plane(erf).tolist() == [[128, 255]]

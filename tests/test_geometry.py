@@ -507,8 +507,10 @@ class TestGeometryCache:
         coords[0, 1] = 3  # the owner can still write through its own array
         assert t.coords[0, 1] == 1
         assert t.geometry.index.lookup((0, 1, 1, 1)) == 0
-        frozen = t.coords[:]  # read-only all the way down: shared, not copied
-        assert SparseTensor(frozen, np.ones((2, 1)), (4, 4, 4)).coords is frozen
+        frozen = t.coords[:]  # read-only all the way down: still copied
+        u = SparseTensor(frozen, np.ones((2, 1)), (4, 4, 4))
+        assert u.coords is not frozen and not np.shares_memory(u.coords, frozen)
+        assert np.array_equal(u.coords, frozen) and not u.coords.flags.writeable
 
     def test_tiny_forward_builds_each_rulebook_once(self, monkeypatch):
         cfg = preset("tiny")

@@ -52,6 +52,17 @@ class TestLoadPoints:
         assert len(cloud) == 1
         assert cloud.points[0, 3] == 0.5
 
+    def test_csv_intensity_beyond_float32_rejected_with_row(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("0.1,0.2,0.3,0.5\n0.1,0.2,0.3,1e308\n")
+        with pytest.raises(ParseError, match=r"^row 2: intensity 1e\+308 beyond float32 range$"):
+            load_points(path, "csv")
+
+    def test_point_cloud_intensity_beyond_float32_rejected(self):
+        PointCloud(np.array([[0.0, 0.0, 0.0, np.finfo(np.float32).max]]))
+        with pytest.raises(InvalidSpec, match="intensity beyond float32 range"):
+            PointCloud(np.array([[0.0, 0.0, 0.0, -1e39]]))
+
     def test_csv_nan_rejected_with_row(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("1,2,3\nnan,2,3\n")
@@ -158,7 +169,7 @@ class TestVoxelize:
     def test_points_beyond_int64_cells_dropped_without_a_warning(self):
         """Their cell index overflows int64, so it is never cast."""
         near = [0.05, 0.05, 0.1, 0.0]
-        for far in ([1e20, 0.0, 0.0, 0.0], [0.0, -1e300, 0.0, 0.0]):
+        for far in ([1e20, 0.0, 0.0, 0.0], [0.0, -1e300, 0.0, 0.0], [1e308, 0.0, 0.0, 0.0]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 pre, coords = voxelize_raw(PointCloud(np.array([far, near])), self.cfg())
@@ -224,6 +235,13 @@ class TestWeightsContainer:
         """(2**32 - 1)**2 floats: an int64 count wraps to a negative size."""
         with pytest.raises(TruncatedPayload, match=r"^file ends inside payload of vfe\.weight$"):
             parse_weights(OVERSIZED_HEADER)
+
+    def test_tensor_name_not_utf8_is_a_parse_error(self):
+        blob = bytearray(serialize_weights(init_network(preset("tiny"))))
+        blob[14] = 0xFF  # first name byte, after magic, version, count, name length
+        with pytest.raises(ParseError, match=r"^row 1: tensor name is not UTF-8: ") as err:
+            parse_weights(bytes(blob))
+        assert err.value.row == 1
 
     def test_bad_magic_and_version(self, tmp_path):
         store = ParamStore()
@@ -471,13 +489,53 @@ class TestCli:
 
     def test_voxelize_far_point_prints_nothing(self, scene_files, tmp_path, capsys):
         points, config = scene_files
-        with open(points, "a") as fh:
-            fh.write("1e20,0,0,0\n")
+        with open(points, "a") as fh:  # the second cell index overflows float64 to inf
+            fh.write("1e20,0,0,0\n1e308,0.2,0.3,0.5\n")
         out = tmp_path / "v.csv"
         assert main(["voxelize", "--points", str(points), "--config", str(config),
                      "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert out.exists()
+
+    def test_forward_weights_name_not_utf8_exit_one(self, scene_files, tmp_path, capsys):
+        points, config = scene_files
+        blob = bytearray(serialize_weights(init_network(load_config(config))))
+        blob[14] = 0xFF
+        wpath = tmp_path / "w.sfmw"
+        wpath.write_bytes(bytes(blob))
+        dump = tmp_path / "fwd.csv"
+        assert main(["forward", "--points", str(points), "--config", str(config),
+                     "--weights", str(wpath), "--dump", str(dump)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: row 1: tensor name is not UTF-8: ")
+        assert err.count("\n") == 1
+        assert not dump.exists()
+
+    def test_voxelize_intensity_beyond_float32_exit_one(self, scene_files, tmp_path, capsys):
+        points, config = scene_files
+        with open(points, "a") as fh:
+            fh.write("0.1,0.2,0.3,1e308\n")
+        out = tmp_path / "v.csv"
+        assert main(["voxelize", "--points", str(points), "--config", str(config),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: row 401: intensity 1e+308 beyond float32 range\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dilation", [2**63 - 1, 2**63], ids=["wraps", "beyond-int64"])
+    def test_dilation_span_beyond_int64_exit_one(self, scene_files, tmp_path, capsys, dilation):
+        points, _ = scene_files
+        config = tmp_path / "bad.json"
+        doc = json.loads(tiny_config_with(("stages", 0, "kernels"), [5, 3]))
+        doc["stages"][0]["dilations"] = [dilation, 3]
+        config.write_text(json.dumps(doc))
+        dump = tmp_path / "fwd.csv"
+        assert main(["forward", "--points", str(points), "--config", str(config),
+                     "--init-seed", "0", "--dump", str(dump)]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: stages[0]: dilation and span (k - 1) * dilation must be below 2**63 on "
+            f"every axis: kernel (5, 3), dilation ({dilation}, 3)\n"))
+        assert not dump.exists()
 
     def test_erf_inactive_query_exit_one(self, scene_files, tmp_path, capsys):
         points, config = scene_files

@@ -124,6 +124,9 @@ class TestKeySpace:
         assert idx.lookup((2, 0, 0, 0)) is None
 
 
+SPAN_RULE = "dilation and span (k - 1) * dilation must be below 2**63 on every axis: "
+
+
 class TestKernelSpec:
     def test_even_kernel_rejected(self):
         with pytest.raises(InvalidSpec):
@@ -135,14 +138,29 @@ class TestKernelSpec:
         ((-3, 3), (1, 1), "kernel sizes must be odd and positive: (-3, 3)"),
         ((3, 3), (1, 0), "dilations must be positive: (1, 0)"),
         ((3,), (-2,), "dilations must be positive: (-2,)"),
+        # 2 * (2**63 - 1) wraps to -2 in int64
+        ((5, 3), (2**63 - 1, 3), SPAN_RULE + "kernel (5, 3), dilation (9223372036854775807, 3)"),
+        ((5, 3), (2**63, 3), SPAN_RULE + "kernel (5, 3), dilation (9223372036854775808, 3)"),
+        ((3, 3), (2**62, 1), SPAN_RULE + "kernel (3, 3), dilation (4611686018427387904, 1)"),
+        # no span, but the dilation itself is beyond int64
+        ((1, 3), (2**63, 1), SPAN_RULE + "kernel (1, 3), dilation (9223372036854775808, 1)"),
     ], ids=["even-kernel", "zero-kernel", "negative-kernel", "zero-dilation",
-            "negative-dilation"])
+            "negative-dilation", "span-wraps", "dilation-2**63", "span-2**63", "kernel-one"])
     def test_mixer_config_and_spec_share_the_kernel_rule(self, kernels, dilations, message):
         for make in (lambda: SFMConfig(4, kernels, dilations),
                      lambda: KernelSpec.same(kernels, dilations)):
             with pytest.raises(InvalidSpec) as err:
                 make()
             assert str(err.value) == message
+
+    def test_span_just_below_the_bound_reaches_nothing_beyond_the_grid(self):
+        t = random_sparse(np.random.default_rng(8), (8, 8, 8), 0.3, 1)
+        books = [build_rulebook_submanifold(t, KernelSpec.same((3, 5, 3), (dil, 1, 1)))
+                 for dil in (2**62 - 1, 2**40)]
+        assert books[0].offsets == books[1].offsets
+        for a, b in zip(books[0].pairs, books[1].pairs):
+            np.testing.assert_array_equal(a, b)
+        assert books[0].total_pairs == books[1].total_pairs
 
     def test_same_padding(self):
         spec = KernelSpec.same(3, 2, dims=3)
