@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from . import ops
 from .conv import SparseConvLayer, regular_conv_down
 from .errors import InvalidSpec, ShapeMismatch
-from .params import Initializer, LayoutTemplate, ParamReader, ParamSource, ParamStore
+from .params import (Initializer, LayoutTemplate, ParamReader, ParamSource, ParamStore,
+                     linear_params)
 from .points import PointCloud, VoxelizerConfig, vfe_params, voxelize_vfe
 from .sfm import (
     BatchNormParams,
@@ -71,8 +72,6 @@ class NetworkConfig:
     def __post_init__(self):
         if len(self.stages) != 4:
             raise InvalidSpec("exactly four 3-D stages required")
-        if min(self.voxelizer.grid_shape) < 1:
-            raise InvalidSpec("voxelizer grid is empty")
         if self.seed < 0:
             raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
 
@@ -177,6 +176,21 @@ class BevParams:
     ln_bias: Tensor
 
 
+def downsample_params(p: ParamSource, prefix: str, c_in: int, c_out: int) -> DownsampleParams:
+    """A stride-2 conv (no bias: it feeds the batch norm), then that batch norm."""
+    spec = KernelSpec.downsample(3)
+    weight = p.weight(f"{prefix}.conv.weight", (spec.volume, c_in, c_out),
+                      fan_in=spec.volume * c_in)
+    return DownsampleParams(SparseConvLayer(spec, weight),
+                            batch_norm_params(p, f"{prefix}.bn", c_out))
+
+
+def bev_params(p: ParamSource, c_in: int, c_out: int) -> BevParams:
+    return BevParams(*linear_params(p, "bev.proj", c_in, c_out),
+                     p.ones("bev.ln.gain", (c_out,)),
+                     p.zeros("bev.ln.bias", (c_out,)))
+
+
 def stage_params(
     p: ParamSource, prefix: str, cfg: StageConfig, dims: int
 ) -> list[SfmBlockParams | SrbParams]:
@@ -241,26 +255,15 @@ class SfmNet:
         self.store = p.store
         self.vfe_w, self.vfe_b = vfe_params(p, config.stages[0].channels)
         self.stages, self.downs = [], []
-        down = KernelSpec.downsample(3)
         for i, stage_cfg in enumerate(config.stages, start=1):
             self.stages.append(stage_params(p, f"stage{i}", stage_cfg, dims=3))
             if i < 4:
-                c_in, c_out = stage_cfg.channels, config.stages[i].channels
-                weight = p.weight(f"down{i}.conv.weight", (down.volume, c_in, c_out),
-                                  fan_in=down.volume * c_in)
-                self.downs.append(DownsampleParams(
-                    SparseConvLayer(down, weight), batch_norm_params(p, f"down{i}.bn", c_out)
-                ))
-        c4, c_bev = config.stages[3].channels, config.backbone2d.channels
-        self.bev = BevParams(
-            proj_w=p.weight("bev.proj.weight", (c4, c_bev), fan_in=c4),
-            proj_b=p.zeros("bev.proj.bias", (c_bev,)),
-            ln_gain=p.ones("bev.ln.gain", (c_bev,)),
-            ln_bias=p.zeros("bev.ln.bias", (c_bev,)),
-        )
+                self.downs.append(downsample_params(
+                    p, f"down{i}", stage_cfg.channels, config.stages[i].channels))
+        c_bev = config.backbone2d.channels
+        self.bev = bev_params(p, config.stages[3].channels, c_bev)
         self.stage2d = stage_params(p, "backbone2d", config.backbone2d, dims=2)
-        self.probe_w = p.weight("probe.weight", (c_bev, PROBE_LOGITS), fan_in=c_bev)
-        self.probe_b = p.zeros("probe.bias", (PROBE_LOGITS,))
+        self.probe_w, self.probe_b = linear_params(p, "probe", c_bev, PROBE_LOGITS)
 
     def backbone3d(self, t: SparseTensor, bn_mode: str = "train", depth: int = 4) -> SparseTensor:
         """3-D stages 1..depth with the downsamples between them."""

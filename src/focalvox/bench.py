@@ -22,12 +22,14 @@ import numpy as np
 
 from . import ops
 from .errors import DegenerateFit, InvalidSpec, ShapeMismatch
+from .params import ParamSource, linear_params
 from .sfm import SFMConfig, effective_receptive_field, sfm_pair_count
 from .sparse import (KernelSpec, SparseTensor, _unflatten, build_rulebook_submanifold,
                      check_key_space)
 from .tape import Tensor
 
 MIXER_KINDS = ("sfm", "local-attention")
+WINDOWS_PER_AXIS = 4  # attention scenes are a fixed 4x4x4 partition into windows
 
 
 @dataclass
@@ -40,13 +42,10 @@ class AttentionParams:
     bv: Tensor
 
 
-def init_attention_params(rng, channels: int, dtype=np.float32) -> AttentionParams:
-    scale = 1.0 / np.sqrt(channels)
-    def w():
-        return Tensor(rng.uniform(-scale, scale, (channels, channels)).astype(dtype))
-    def b():
-        return Tensor(np.zeros(channels, dtype=dtype))
-    return AttentionParams(w(), w(), w(), b(), b(), b())
+def attention_params(p: ParamSource, prefix: str, channels: int) -> AttentionParams:
+    """Layout of the attention reference: the q, k and v projections."""
+    q, k, v = (linear_params(p, f"{prefix}.{n}", channels, channels) for n in "qkv")
+    return AttentionParams(q[0], k[0], v[0], q[1], k[1], v[1])
 
 
 @dataclass
@@ -204,7 +203,6 @@ def scaling_experiment(
     seed: int,
     config: SFMConfig | None = None,
     window_edge: int = 5,
-    windows_per_axis: int = 4,
 ):
     """Synthetic uniform-density scenes, exact counts, fitted log-log slope.
 
@@ -235,10 +233,10 @@ def scaling_experiment(
             pairs, extent, units = detail["total"], effective_receptive_field(config), 1
             bytes_model = sfm_bytes_model(scene.n_active, config, detail["conv_pairs"])
         else:
-            scene = uniform_scene(n, (window_edge * windows_per_axis,) * 3, seed + i)
+            scene = uniform_scene(n, (window_edge * WINDOWS_PER_AXIS,) * 3, seed + i)
             start = time.perf_counter_ns()
             occupancy = window_occupancy(scene, window_edge)
-            pairs, extent, units = int(2 * occupancy.sum()), window_edge, windows_per_axis**3
+            pairs, extent, units = int(2 * occupancy.sum()), window_edge, WINDOWS_PER_AXIS**3
             bytes_model = attention_bytes_model(scene.n_active, 1, occupancy)
         wall = time.perf_counter_ns() - start
         reports.append(BenchReport(kind, scene.n_active, extent, pairs, bytes_model, wall))

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec
 from .sparse import (
-    Geometry,
     KernelSpec,
     Rulebook,
     SparseTensor,
@@ -33,25 +31,16 @@ from .tape import Tensor, emit
 class SparseConvLayer:
     """Kernel spec plus parameters for one sparse convolution.
 
-    ``weight`` is a (kernel_volume, C_in, C_out) tensor; ``bias`` is
-    optional (layers feeding a batch norm drop it).
+    ``weight`` is a (kernel_volume, C_in, C_out) tensor, checked at each conv;
+    ``bias`` is optional (layers feeding a batch norm drop it).
     """
 
     spec: KernelSpec
     weight: Tensor
     bias: Tensor | None = None
 
-    def __post_init__(self):
-        if self.weight.data.ndim != 3 or self.weight.data.shape[0] != self.spec.volume:
-            raise InvalidSpec(
-                f"weight shape {self.weight.data.shape} != "
-                f"(kernel volume {self.spec.volume}, C_in, C_out)"
-            )
 
-
-def _apply_rulebook(
-    t: SparseTensor, layer: SparseConvLayer, rulebook: Rulebook, out_geometry: Geometry
-) -> SparseTensor:
+def _apply_rulebook(t: SparseTensor, layer: SparseConvLayer, rulebook: Rulebook) -> SparseTensor:
     x, weight, bias = t.features, layer.weight, layer.bias
     out_data = gather_scatter_matmul(
         x.data, rulebook, weight.data, None if bias is None else bias.data
@@ -70,7 +59,7 @@ def _apply_rulebook(
         return vjp
 
     out = emit(f"conv_{rulebook.kind}", out_data, (x, weight, bias), vjp_of)
-    return SparseTensor(out_geometry, out)
+    return SparseTensor(rulebook.out_geometry or t.geometry, out)
 
 
 def subm_conv(t: SparseTensor, layer: SparseConvLayer) -> SparseTensor:
@@ -79,7 +68,7 @@ def subm_conv(t: SparseTensor, layer: SparseConvLayer) -> SparseTensor:
     The layer's spec must have unit stride (``InvalidSpec`` otherwise)."""
     spec = layer.spec
     rulebook = t.geometry.rulebook(spec, lambda: build_rulebook_submanifold(t, spec))
-    return _apply_rulebook(t, layer, rulebook, t.geometry)
+    return _apply_rulebook(t, layer, rulebook)
 
 
 def regular_conv_down(t: SparseTensor, layer: SparseConvLayer) -> SparseTensor:
@@ -90,5 +79,5 @@ def regular_conv_down(t: SparseTensor, layer: SparseConvLayer) -> SparseTensor:
     rulebook = t.geometry.rulebook(
         (spec, out_shape), lambda: build_rulebook_regular(t, spec, out_shape)
     )
-    return _apply_rulebook(t, layer, rulebook, rulebook.out_geometry)
+    return _apply_rulebook(t, layer, rulebook)
 

@@ -49,22 +49,22 @@ class ErfMap:
         }
 
 
-def composed_support_radius(stage_radii: list[int], down_radius: int = 1) -> int:
+def composed_support_radius(stage_radii: list[int]) -> int:
     """Theoretical Chebyshev support radius, in input voxels, of a probe
     through alternating submanifold stages and stride-2 downsamples.
 
     A submanifold stack of per-conv radii r_m (r = dilation*(kernel-1)/2)
-    contributes their sum at its own grid scale.  A stride-2 downsample
-    maps output j to inputs 2j +/- down_radius, so everything behind it
+    contributes their sum at its own grid scale.  The stride-2 downsample
+    (kernel 3) maps output j to inputs 2j +/- 1, so everything behind it
     doubles in input units.  With stages listed input-first:
 
-        R = r_1 + down + 2*(r_2 + down + 2*(... r_k))
+        R = r_1 + 1 + 2*(r_2 + 1 + 2*(... r_k))
     """
     if not stage_radii:
         return 0
     radius = stage_radii[-1]
     for r in reversed(stage_radii[:-1]):
-        radius = r + down_radius + 2 * radius
+        radius = r + 1 + 2 * radius
     return radius
 
 

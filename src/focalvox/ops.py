@@ -22,7 +22,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import EmptyBatch, ShapeMismatch
+from .errors import EmptyBatch, InvalidSpec, ShapeMismatch
 from .tape import Tensor, active_tape, emit
 
 _INV_SQRT2 = np.float64(1.0 / np.sqrt(2.0))
@@ -157,17 +157,27 @@ def _norm_vjp(gd, xhat, inv_std, axis: int, needs):
     return vjp
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Per-row normalization over the channel dimension, then affine."""
-    mean = x.data.mean(axis=1, keepdims=True)
-    centered = x.data - mean
-    var = (centered * centered).mean(axis=1, keepdims=True)
+def _norm(name: str, x: Tensor, gain: Tensor, bias: Tensor, axis: int):
+    """``xhat * gain + bias``, where ``xhat`` is ``x`` normalized along ``axis``
+    by its own statistics.  Returns ``(out, mean, var)``, the statistics with
+    kept dims; InvalidSpec, naming the op, if the variance is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.data.mean(axis=axis, keepdims=True)
+        centered = x.data - mean
+        var = (centered * centered).mean(axis=axis, keepdims=True)
+    if not np.isfinite(var).all():
+        raise InvalidSpec(f"{name}: variance overflows {x.data.dtype}")
     inv_std = 1.0 / np.sqrt(var + np.asarray(NORM_EPS, dtype=x.data.dtype))
     xhat = centered * inv_std
     return emit(
-        "layer_norm", xhat * gain.data + bias.data, (x, gain, bias),
-        lambda needs: _norm_vjp(gain.data, xhat, inv_std, 1, needs),
-    )
+        name, xhat * gain.data + bias.data, (x, gain, bias),
+        lambda needs: _norm_vjp(gain.data, xhat, inv_std, axis, needs),
+    ), mean, var
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row normalization over the channel dimension, then affine."""
+    return _norm("layer_norm", x, gain, bias, 1)[0]
 
 
 def batch_norm_active(
@@ -187,33 +197,24 @@ def batch_norm_active(
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown batch norm mode {mode!r}")
-    n = x.data.shape[0]
-    eps_t = np.asarray(NORM_EPS, dtype=x.data.dtype)
     if mode == "train":
-        if n == 0:
+        if x.data.shape[0] == 0:
             raise EmptyBatch("batch norm train mode needs at least one row")
-        mean = x.data.mean(axis=0)
-        centered = x.data - mean
-        var = (centered * centered).mean(axis=0)
-        inv_std = 1.0 / np.sqrt(var + eps_t)
-        xhat = centered * inv_std
-        new_mean = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean
-        new_var = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var
-    else:
-        inv_std = 1.0 / np.sqrt(running_var.astype(x.data.dtype) + eps_t)
-        xhat = (x.data - running_mean.astype(x.data.dtype)) * inv_std
-        new_mean, new_var = running_mean, running_var
+        out, mean, var = _norm("batch_norm", x, gain, bias, 0)
+        return (out, BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean[0],
+                BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var[0])
+    dtype = x.data.dtype
+    inv_std = 1.0 / np.sqrt(running_var.astype(dtype) + np.asarray(NORM_EPS, dtype=dtype))
+    xhat = (x.data - running_mean.astype(dtype)) * inv_std
 
     def vjp_of(needs):
         gd = gain.data
-        if mode == "train":
-            return _norm_vjp(gd, xhat, inv_std, 0, needs)
         # the input gradient does not read xhat; only the gain's does
         saved = xhat if needs[1] else None
         return lambda cot: (cot * gd * inv_std, *_affine_grads(cot, saved, *needs[1:]))
 
     out = emit("batch_norm", xhat * gain.data + bias.data, (x, gain, bias), vjp_of)
-    return out, new_mean, new_var
+    return out, running_mean, running_var
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -349,9 +350,12 @@ def gather_rows(x: Tensor, rows: np.ndarray) -> Tensor:
 
 
 def row_l2(x: Tensor, row: int) -> Tensor:
-    """L2 norm of one row as a scalar tensor."""
+    """L2 norm of one row as a scalar tensor; InvalidSpec if it is not finite."""
     v, shape, dtype = x.data[row], x.data.shape, x.data.dtype
-    s = np.sqrt(np.sum(v * v))
+    with np.errstate(over="ignore"):
+        s = np.sqrt(np.sum(v * v))
+    if not np.isfinite(s):
+        raise InvalidSpec(f"row_l2: the norm of row {row} is not finite in {dtype}")
 
     def vjp(cot):
         g = np.zeros(shape, dtype=dtype)

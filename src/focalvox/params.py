@@ -162,3 +162,9 @@ class ParamReader:
 
 # what a layout function declares its tensors on
 ParamSource = Initializer | ParamReader
+
+
+def linear_params(p: ParamSource, prefix: str, c_in: int, c_out: int) -> tuple[Tensor, Tensor]:
+    """Layout of a ``c_in -> c_out`` linear: its weight, then its zero bias."""
+    return (p.weight(f"{prefix}.weight", (c_in, c_out), fan_in=c_in),
+            p.zeros(f"{prefix}.bias", (c_out,)))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ops
 from .errors import EmptyScene, InvalidSpec, IoError, ParseError
-from .params import ParamSource
+from .params import ParamSource, linear_params
 from .sparse import SparseTensor, check_key_space, unique_coords
 from .tape import GradTape, Tensor
 
@@ -121,9 +121,9 @@ class VoxelizerConfig:
             if not np.isfinite(cells):
                 raise InvalidSpec(f"range ({lo}, {hi}) over voxel size {size} "
                                   "gives a cell count beyond float range")
-            if hi <= lo or abs(cells - round(cells)) > 1e-6:
+            if round(cells) < 1 or abs(cells - round(cells)) > 1e-6:
                 raise InvalidSpec(
-                    f"range ({lo}, {hi}) is not an integral number of {size} voxels"
+                    f"range ({lo}, {hi}) is not a positive integral number of {size} voxels"
                 )
         check_key_space(1, self.grid_shape)
 
@@ -137,8 +137,7 @@ class VoxelizerConfig:
 
 def vfe_params(p: ParamSource, channels: int) -> tuple[Tensor, Tensor]:
     """Layout of the VFE projection: (weight, bias) into ``channels``."""
-    weight = p.weight("vfe.weight", (VFE_RAW_FEATURES, channels), fan_in=VFE_RAW_FEATURES)
-    return weight, p.zeros("vfe.bias", (channels,))
+    return linear_params(p, "vfe", VFE_RAW_FEATURES, channels)
 
 
 def voxelize_vfe(

@@ -152,8 +152,8 @@ def _dense_subm_reference(t, spec, weights, bias):
     return rows
 
 
-def oracle_suite(seed: int = 0):
-    rng = np.random.default_rng(seed)
+def oracle_suite():
+    rng = np.random.default_rng(0)
     checks = []
 
     def record(name, ok, detail=""):
@@ -235,6 +235,6 @@ def oracle_suite(seed: int = 0):
     )
 
     # quick gradient checks
-    for name, ok, detail in gradcheck_suite(seed, "conv", cases=1):
+    for name, ok, detail in gradcheck_suite(0, "conv", cases=1):
         record(f"selftest_{name}", ok, detail)
     return checks

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import ops
 from .conv import SparseConvLayer, subm_conv
 from .errors import InvalidSpec, ShapeMismatch
-from .params import ParamSource
+from .params import ParamSource, linear_params
 from .sparse import KernelSpec, SparseTensor, build_rulebook_submanifold, check_kernels
 from .tape import Tensor
 
@@ -124,8 +124,6 @@ def input_projection(
     x: Tensor, weight: Tensor, bias: Tensor, channels: int, levels: int
 ) -> tuple[Tensor, Tensor, Tensor]:
     """One fused linear C -> 2C+L split into (queries, base context, gates)."""
-    if x.data.shape[1] != channels:
-        raise ShapeMismatch(f"expected {channels} input channels, got {x.data.shape[1]}")
     if weight.data.shape != (channels, 2 * channels + levels):
         raise ShapeMismatch(
             f"projection weight {weight.data.shape} != ({channels}, {2 * channels + levels})"
@@ -146,9 +144,7 @@ def _focal_levels(cur: SparseTensor, level_convs: list[SparseConvLayer]):
         yield cur.features
 
 
-def context_levels(
-    t: SparseTensor, config: SFMConfig, level_convs: list[SparseConvLayer], gates: Tensor
-) -> Tensor:
+def context_levels(t: SparseTensor, level_convs: list[SparseConvLayer], gates: Tensor) -> Tensor:
     """Gate-weighted sum of the hierarchical focal features:
     ``sum_l gates[:, l-1] * level l`` over l = 1..L, where level l is
     gelu(conv_l(level l-1)) and level 0 is ``t``.
@@ -157,8 +153,6 @@ def context_levels(
     level convs run in this call, each level is folded into the sum as it
     is made, and, untaped, a level dies once the next one is made: neither
     this call nor the fold keeps ``t`` or a finished level."""
-    if len(level_convs) != config.levels:
-        raise ShapeMismatch(f"need {config.levels} level convs, got {len(level_convs)}")
     levels = _focal_levels(t, level_convs)
     del t
     return ops.weighted_level_sum(levels, gates)
@@ -175,7 +169,7 @@ def sfm_module(t: SparseTensor, config: SFMConfig, params: SfmModuleParams) -> S
     ))
     queries, gates = projected[0], projected[2]
     context = ops.linear(
-        context_levels(t.with_features(projected.pop(1)), config, params.level_convs, gates),
+        context_levels(t.with_features(projected.pop(1)), params.level_convs, gates),
         params.h_w, params.h_b,
     )
     return t.with_features(ops.multiply(queries, context))  # each query picks up its context
@@ -198,10 +192,9 @@ def _bn(x: Tensor, bn: BatchNormParams, mode: str) -> Tensor:
     out, new_mean, new_var = ops.batch_norm_active(
         x, bn.gain, bn.bias, bn.running_mean.data, bn.running_var.data, mode=mode
     )
-    if mode == "train":
-        # the engine's one in-place update: running buffers track the batch
-        bn.running_mean.data = new_mean
-        bn.running_var.data = new_var
+    # the engine's one in-place update: running buffers track a train-mode
+    # batch (eval mode hands them back as given)
+    bn.running_mean.data, bn.running_var.data = new_mean, new_var
     return out
 
 
@@ -220,35 +213,26 @@ def srb_block(t: SparseTensor, params: SrbParams, bn_mode: str = "train") -> Spa
 
 def sfm_module_params(p: ParamSource, prefix: str, config: SFMConfig, dims: int) -> SfmModuleParams:
     c, levels = config.channels, config.levels
-    in_proj_w = p.weight(f"{prefix}.in_proj.weight", (c, 2 * c + levels), fan_in=c)
-    in_proj_b = p.zeros(f"{prefix}.in_proj.bias", (2 * c + levels,))
+    in_proj = linear_params(p, f"{prefix}.in_proj", c, 2 * c + levels)
     convs = []
     for l, (k, d) in enumerate(zip(config.kernels, config.dilations), start=1):
         spec = KernelSpec.same(k, d, dims=dims)
         weight = p.weight(f"{prefix}.level{l}.weight", (spec.volume, c, c),
                           fan_in=spec.volume * c)
         convs.append(SparseConvLayer(spec, weight, p.zeros(f"{prefix}.level{l}.bias", (c,))))
-    return SfmModuleParams(
-        in_proj_w=in_proj_w,
-        in_proj_b=in_proj_b,
-        level_convs=convs,
-        h_w=p.weight(f"{prefix}.h.weight", (c, c), fan_in=c),
-        h_b=p.zeros(f"{prefix}.h.bias", (c,)),
-    )
+    return SfmModuleParams(*in_proj, convs, *linear_params(p, f"{prefix}.h", c, c))
 
 
 def sfm_block_params(p: ParamSource, prefix: str, config: SFMConfig, dims: int) -> SfmBlockParams:
     c, hidden = config.channels, config.mlp_hidden
     return SfmBlockParams(
-        module=sfm_module_params(p, prefix, config, dims),
-        ln1_gain=p.ones(f"{prefix}.ln1.gain", (c,)),
-        ln1_bias=p.zeros(f"{prefix}.ln1.bias", (c,)),
-        ln2_gain=p.ones(f"{prefix}.ln2.gain", (c,)),
-        ln2_bias=p.zeros(f"{prefix}.ln2.bias", (c,)),
-        mlp_w1=p.weight(f"{prefix}.mlp.fc1.weight", (c, hidden), fan_in=c),
-        mlp_b1=p.zeros(f"{prefix}.mlp.fc1.bias", (hidden,)),
-        mlp_w2=p.weight(f"{prefix}.mlp.fc2.weight", (hidden, c), fan_in=hidden),
-        mlp_b2=p.zeros(f"{prefix}.mlp.fc2.bias", (c,)),
+        sfm_module_params(p, prefix, config, dims),
+        p.ones(f"{prefix}.ln1.gain", (c,)),
+        p.zeros(f"{prefix}.ln1.bias", (c,)),
+        p.ones(f"{prefix}.ln2.gain", (c,)),
+        p.zeros(f"{prefix}.ln2.bias", (c,)),
+        *linear_params(p, f"{prefix}.mlp.fc1", c, hidden),
+        *linear_params(p, f"{prefix}.mlp.fc2", hidden, c),
     )
 
 

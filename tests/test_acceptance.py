@@ -373,7 +373,7 @@ def test_criterion_6_complexity_scaling():
         failures.append(f"mixer slope {sfm_slope:.3f} outside [0.9, 1.1]")
     _, attn_slope = scaling_experiment(
         "local-attention", [250, 500, 1000, 2000], density=0.25, seed=61,
-        window_edge=5, windows_per_axis=4,
+        window_edge=5,
     )
     if not 1.8 <= attn_slope <= 2.2:
         failures.append(f"attention slope {attn_slope:.3f} outside [1.8, 2.2]")

@@ -11,6 +11,7 @@ from focalvox.backbone import (
     StageConfig,
     bev_compress,
     downsample,
+    downsample_params,
     init_network,
     param_count,
     preset,
@@ -92,27 +93,7 @@ class TestStage:
 
 class TestDownsample:
     def make(self, seed=0, c_in=4, c_out=6):
-        store = ParamStore()
-        init = Initializer(store, seed)
-        init.weight("d.conv.weight", (27, c_in, c_out), fan_in=27 * c_in)
-        init.ones("d.bn.gain", (c_out,))
-        init.zeros("d.bn.bias", (c_out,))
-        init.zeros("d.bn.running_mean", (c_out,))
-        init.ones("d.bn.running_var", (c_out,))
-        from focalvox.backbone import DownsampleParams
-        from focalvox.conv import SparseConvLayer
-        from focalvox.sfm import BatchNormParams
-        from focalvox.sparse import KernelSpec
-
-        return DownsampleParams(
-            conv=SparseConvLayer(KernelSpec.downsample(3), store.tensor("d.conv.weight")),
-            bn=BatchNormParams(
-                gain=store.tensor("d.bn.gain"),
-                bias=store.tensor("d.bn.bias"),
-                running_mean=store.tensor("d.bn.running_mean"),
-                running_var=store.tensor("d.bn.running_var"),
-            ),
-        )
+        return downsample_params(Initializer(ParamStore(), seed), "d", c_in, c_out)
 
     def test_coordinate_law(self):
         rng = np.random.default_rng(4)
@@ -252,6 +233,16 @@ class TestEndToEnd:
             if g is not None:
                 nonzero += int(np.count_nonzero(g))
         assert nonzero / total > 0.99
+
+    def test_variance_overflow_raises_and_store_stays_finite(self):
+        """The 1e30 intensity is a finite float32, its squared deviation in
+        the first batch norm is not; no running statistic takes the inf."""
+        cfg = preset("tiny")
+        store = init_network(cfg)
+        cloud = PointCloud(np.array([[0.1, 0.2, 0.3, 1e30], [0.5, 0.6, 0.7, 0.5]]))
+        with pytest.raises(InvalidSpec, match=r"^batch_norm: variance overflows float32$"):
+            sfmnet_forward(cloud, cfg, store)
+        assert all(np.isfinite(t.data).all() for _, t in store.items())
 
     def test_empty_scene_raises(self):
         cfg = preset("tiny")

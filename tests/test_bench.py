@@ -8,7 +8,7 @@ import pytest
 
 from focalvox.bench import (
     BenchReport,
-    init_attention_params,
+    attention_params,
     local_attention_reference,
     scaling_experiment,
     sfm_bytes_model,
@@ -18,17 +18,24 @@ from focalvox.bench import (
 )
 from focalvox.cli import main
 from focalvox.errors import DegenerateFit, InvalidSpec
+from focalvox.params import Initializer, ParamStore
 from focalvox.sfm import SFMConfig, sfm_pair_count
 from focalvox.sparse import KernelSpec, build_rulebook_submanifold
 from focalvox.tape import Tensor
 from helpers import random_sparse, rel_err, sparse_from_coords
 
 
+def make_attention(rng, channels):
+    """The attention layout's parameters, drawn from ``rng`` (``default_rng``
+    hands a Generator back unaltered)."""
+    return attention_params(Initializer(ParamStore(), rng), "attn", channels)
+
+
 class TestAttentionReference:
     def test_isolated_voxel_is_value_projection(self):
         rng = np.random.default_rng(0)
         t = sparse_from_coords([(0, 3, 3, 3)], (8, 8, 8), 4, rng=rng)
-        params = init_attention_params(rng, 4)
+        params = make_attention(rng, 4)
         out = local_attention_reference(t, 3, params)
         expected = t.features.data @ params.wv.data + params.bv.data
         np.testing.assert_allclose(out.features.data, expected, rtol=1e-6)
@@ -41,13 +48,13 @@ class TestAttentionReference:
         t = SparseTensor(
             np.array([[0, 2, 2, 2], [0, 2, 2, 3]], dtype=np.int64), feats, (6, 6, 6)
         )
-        out = local_attention_reference(t, 3, init_attention_params(rng, 4))
+        out = local_attention_reference(t, 3, make_attention(rng, 4))
         np.testing.assert_allclose(out.features.data[0], out.features.data[1], rtol=1e-6)
 
     def test_matches_per_query_loop_oracle(self):
         rng = np.random.default_rng(2)
         t = random_sparse(rng, (6, 6, 6), 0.3, 4)
-        params = init_attention_params(rng, 4)
+        params = make_attention(rng, 4)
         out = local_attention_reference(t, 3, params)
 
         q = t.features.data @ params.wq.data + params.bq.data
@@ -74,7 +81,7 @@ class TestAttentionReference:
         # with v forced to all-ones, each output row is exactly the softmax sum
         rng = np.random.default_rng(3)
         t = random_sparse(rng, (6, 6, 6), 0.4, 4)
-        params = init_attention_params(rng, 4)
+        params = make_attention(rng, 4)
         params.wv = Tensor(np.zeros((4, 4), dtype=np.float32))
         params.bv = Tensor(np.ones(4, dtype=np.float32))
         out = local_attention_reference(t, 5, params)
@@ -84,7 +91,7 @@ class TestAttentionReference:
         rng = np.random.default_rng(4)
         t = random_sparse(rng, (4, 4, 4), 0.5, 2)
         with pytest.raises(InvalidSpec):
-            local_attention_reference(t, 4, init_attention_params(rng, 2))
+            local_attention_reference(t, 4, make_attention(rng, 2))
 
 
 class TestCounting:
@@ -195,7 +202,7 @@ class TestScaling:
     def test_attention_slope_near_quadratic(self):
         reports, slope = scaling_experiment(
             "local-attention", [250, 500, 1000, 2000], density=0.25, seed=1,
-            window_edge=5, windows_per_axis=4,
+            window_edge=5,
         )
         assert 1.8 <= slope <= 2.2
 

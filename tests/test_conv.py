@@ -98,6 +98,15 @@ def test_channel_mismatch_raises_shape_mismatch(conv, spec):
         conv(t, layer)
 
 
+def test_wrong_weight_volume_fails_at_the_conv():
+    """A layer holds any weight; the executor checks its shape at each conv."""
+    spec = KernelSpec.same(3, dims=3)
+    layer = SparseConvLayer(spec, Tensor(np.ones((8, 2, 2), dtype=np.float32)))
+    t = random_sparse(np.random.default_rng(3), (6, 6, 6), 0.3, 2)
+    with pytest.raises(ShapeMismatch, match=r"need 27 per-offset weight blocks, got shape \(8,"):
+        subm_conv(t, layer)
+
+
 class TestRegularConvDown:
     def make_layer(self, rng, c_in, c_out, dims=3):
         spec = KernelSpec.downsample(dims)

@@ -161,6 +161,11 @@ class TestVoxelize:
         with pytest.raises(InvalidSpec, match=r"hold 1000000000000000000000 cells"):
             VoxelizerConfig((1e-6,) * 3, (0,) * 3, (10,) * 3)
 
+    def test_empty_grid_rejected(self):
+        # 1e-7 rounds to zero cells on x, within the integral-count tolerance
+        with pytest.raises(InvalidSpec, match=r"^range \(0\.0, 1e-07\) is not a positive integral"):
+            VoxelizerConfig((1, 1, 1), (0, 0, 0), (1e-7, 1, 1))
+
     def test_out_of_range_dropped_and_empty_raises(self):
         cfg = self.cfg()
         with pytest.raises(EmptyScene):
@@ -309,6 +314,8 @@ BAD_VALUES = [
     (("voxelizer", "voxel_size"), [0.1, 0.1, 1e-320],
      r"voxelizer: range \(-3\.2, 3\.2\) over voxel size 1e-320 "
      r"gives a cell count beyond float range$"),
+    (("voxelizer", "voxel_size"), [0.1, 0.1, 1e7],
+     r"voxelizer: range \(-3\.2, 3\.2\) is not a positive integral number of 10000000\.0 voxels$"),
     (("voxelizer", "range_min"), [-1e308, -3.2, -3.2],
      r"voxelizer: range \(-1e\+308, 3\.2\) over voxel size 0\.1 "
      r"gives a cell count beyond float range$"),
@@ -486,6 +493,26 @@ class TestCli:
                      "--weights", str(wpath), "--dump", str(dump)]) == 1
         assert capsys.readouterr() == ("", "error: file ends inside payload of vfe.weight\n")
         assert not dump.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["forward", "--dump"], "batch_norm: variance overflows float32"),
+        (["erf", "--seed", "1", "--stage", "1", "--out-pgm"],
+         "row_l2: the norm of row 0 is not finite in float32"),
+    ], ids=["forward", "erf"])
+    def test_float32_overflow_exit_one_without_a_warning(self, scene_files, tmp_path, capsys,
+                                                         args, message):
+        """1e30 is a finite float32 intensity; the train-mode batch norm's
+        variance and the ERF query's norm overflow float32."""
+        _, config = scene_files
+        points, out = tmp_path / "big.csv", tmp_path / "out"
+        points.write_text("0.1,0.2,0.3,1e30\n0.5,0.6,0.7,0.5\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*args, str(out), "--points", str(points), "--config", str(config),
+                         "--init-seed", "0"]) == 1
+        assert caught == []
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
     def test_voxelize_far_point_prints_nothing(self, scene_files, tmp_path, capsys):
         points, config = scene_files

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from focalvox import ops
-from focalvox.errors import EmptyBatch, ShapeMismatch
+from focalvox.errors import EmptyBatch, InvalidSpec, ShapeMismatch
 from focalvox.tape import GradTape, Tensor
 from helpers import rel_err
 
@@ -72,6 +72,11 @@ class TestLayerNorm:
         a = ops.layer_norm(T(x), gain, bias)
         b = ops.layer_norm(T(x + 3.7), gain, bias)
         assert np.abs(a.data - b.data).max() < 1e-5
+
+    def test_variance_beyond_float32_raises(self):
+        """Each entry is a finite float32; their squared deviation is not."""
+        with pytest.raises(InvalidSpec, match=r"^layer_norm: variance overflows float32$"):
+            ops.layer_norm(T([[1e30, -1e30]], np.float32), T(np.ones(2)), T(np.zeros(2)))
 
 
 class TestBatchNorm:
@@ -431,6 +436,10 @@ class TestStructuralOps:
         x = T([[3.0, 4.0], [0.0, 0.0]])
         assert ops.row_l2(x, 0).data == 5.0
         assert ops.row_l2(x, 1).data == 0.0
+
+    def test_row_l2_beyond_float32_raises(self):
+        with pytest.raises(InvalidSpec, match=r"^row_l2: the norm of row 0 is not finite"):
+            ops.row_l2(T([[1e30, 0.0]], np.float32), 0)
 
 
 def list_level_sum(levels, gates):

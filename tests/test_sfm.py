@@ -5,7 +5,7 @@ import pytest
 
 from focalvox import ops
 from focalvox.conv import SparseConvLayer, subm_conv
-from focalvox.errors import InvalidSpec
+from focalvox.errors import InvalidSpec, ShapeMismatch
 from focalvox.gradcheck import vjp_check
 from focalvox.params import Initializer, ParamReader, ParamStore
 from focalvox.sfm import (
@@ -43,7 +43,7 @@ def each_level(t, config, level_convs):
     for l in range(config.levels):
         gates = np.zeros((t.n_active, config.levels), dtype=t.features.data.dtype)
         gates[:, l] = 1.0
-        out.append(context_levels(t, config, level_convs, Tensor(gates)).data)
+        out.append(context_levels(t, level_convs, Tensor(gates)).data)
     return out
 
 
@@ -240,6 +240,14 @@ class TestContextLevels:
             x = np_gelu(out)
             np.testing.assert_allclose(lv, x, rtol=1e-10)
 
+    def test_more_level_convs_than_gate_columns_raises(self):
+        rng = np.random.default_rng(5)
+        cfg = SFMConfig(channels=2, kernels=(3, 3, 3), dilations=(1, 1, 1))
+        params = module_params(rng, cfg, dims=3)
+        t = random_sparse(rng, (5, 5, 5), 0.3, 2, dtype=np.float64)
+        with pytest.raises(ShapeMismatch, match="2 gate columns for more than 2 levels"):
+            context_levels(t, params.level_convs, Tensor(np.ones((t.n_active, 2))))
+
 
 class TestAggregateModulate:
     def test_single_level_identity_h(self):
@@ -324,7 +332,7 @@ class TestSfmModule:
         q, base, gates = input_projection(
             t.features, params.in_proj_w, params.in_proj_b, 4, 2
         )
-        mixed = context_levels(t.with_features(base), cfg, params.level_convs, gates)
+        mixed = context_levels(t.with_features(base), params.level_convs, gates)
         expected = ops.multiply(q, ops.linear(mixed, params.h_w, params.h_b))
         np.testing.assert_array_equal(out.features.data, expected.data)
         # the fold equals the list of levels made step by step, then summed
