@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from . import ops
 from .conv import SparseConvLayer, regular_conv_down
 from .errors import InvalidSpec, ShapeMismatch
-from .params import (Initializer, LayoutTemplate, ParamReader, ParamSource, ParamStore,
-                     linear_params)
+from .params import (Initializer, LayoutTemplate, ParamPair, ParamReader, ParamSource,
+                     ParamStore, linear_params, norm_params)
 from .points import PointCloud, VoxelizerConfig, vfe_params, voxelize_vfe
 from .sfm import (
     BatchNormParams,
@@ -29,7 +29,7 @@ from .sfm import (
     srb_params,
 )
 from .sparse import KernelSpec, SparseTensor, unique_coords
-from .tape import GradTape, PrecisionMode, Tensor
+from .tape import GradTape, PrecisionMode
 
 PROBE_LOGITS = 3
 
@@ -170,25 +170,19 @@ class DownsampleParams:
 
 @dataclass
 class BevParams:
-    proj_w: Tensor
-    proj_b: Tensor
-    ln_gain: Tensor
-    ln_bias: Tensor
+    proj: ParamPair
+    ln: ParamPair
 
 
 def downsample_params(p: ParamSource, prefix: str, c_in: int, c_out: int) -> DownsampleParams:
     """A stride-2 conv (no bias: it feeds the batch norm), then that batch norm."""
     spec = KernelSpec.downsample(3)
-    weight = p.weight(f"{prefix}.conv.weight", (spec.volume, c_in, c_out),
-                      fan_in=spec.volume * c_in)
-    return DownsampleParams(SparseConvLayer(spec, weight),
-                            batch_norm_params(p, f"{prefix}.bn", c_out))
+    conv = SparseConvLayer(spec, p.weight(f"{prefix}.conv.weight", (spec.volume, c_in, c_out)))
+    return DownsampleParams(conv, batch_norm_params(p, f"{prefix}.bn", c_out))
 
 
 def bev_params(p: ParamSource, c_in: int, c_out: int) -> BevParams:
-    return BevParams(*linear_params(p, "bev.proj", c_in, c_out),
-                     p.ones("bev.ln.gain", (c_out,)),
-                     p.zeros("bev.ln.bias", (c_out,)))
+    return BevParams(linear_params(p, "bev.proj", c_in, c_out), norm_params(p, "bev.ln", c_out))
 
 
 def stage_params(
@@ -235,8 +229,7 @@ def bev_compress(t: SparseTensor, params: BevParams) -> SparseTensor:
     bev_shape = t.spatial_shape[:2]
     uniq, inverse = unique_coords(t.coords[:, :3], bev_shape)
     pooled = ops.scatter_rows_sum(t.features, inverse, uniq.shape[0])
-    projected = ops.linear(pooled, params.proj_w, params.proj_b)
-    out = ops.layer_norm(projected, params.ln_gain, params.ln_bias)
+    out = ops.layer_norm(ops.linear(pooled, *params.proj), *params.ln)
     return SparseTensor(uniq, out, bev_shape)
 
 

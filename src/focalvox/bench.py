@@ -22,7 +22,7 @@ import numpy as np
 
 from . import ops
 from .errors import DegenerateFit, InvalidSpec, ShapeMismatch
-from .params import ParamSource, linear_params
+from .params import ParamPair, ParamSource, linear_params
 from .sfm import SFMConfig, effective_receptive_field, sfm_pair_count
 from .sparse import (KernelSpec, SparseTensor, _unflatten, build_rulebook_submanifold,
                      check_key_space)
@@ -34,18 +34,14 @@ WINDOWS_PER_AXIS = 4  # attention scenes are a fixed 4x4x4 partition into window
 
 @dataclass
 class AttentionParams:
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    bq: Tensor
-    bk: Tensor
-    bv: Tensor
+    q: ParamPair
+    k: ParamPair
+    v: ParamPair
 
 
 def attention_params(p: ParamSource, prefix: str, channels: int) -> AttentionParams:
     """Layout of the attention reference: the q, k and v projections."""
-    q, k, v = (linear_params(p, f"{prefix}.{n}", channels, channels) for n in "qkv")
-    return AttentionParams(q[0], k[0], v[0], q[1], k[1], v[1])
+    return AttentionParams(*(linear_params(p, f"{prefix}.{n}", channels, channels) for n in "qkv"))
 
 
 @dataclass
@@ -96,11 +92,9 @@ def local_attention_reference(
     """
     x = t.features
     c = x.data.shape[1]
-    if params.wq.data.shape != (c, c):
+    if params.q[0].data.shape != (c, c):
         raise ShapeMismatch(f"attention projections must be {c}x{c}")
-    q = ops.linear(x, params.wq, params.bq).data
-    k = ops.linear(x, params.wk, params.bk).data
-    v = ops.linear(x, params.wv, params.bv).data
+    q, k, v = (ops.linear(x, *proj).data for proj in (params.q, params.k, params.v))
     scale = 1.0 / np.sqrt(c)
     neighbors = window_neighbor_rows(t, window_edge)
     out = np.zeros_like(v)

@@ -9,10 +9,15 @@ value that enters a store, by ``add`` or ``set_data``, must be finite.
 Each block declares its tensors once, in one layout function that calls
 ``weight``/``zeros``/``ones`` on a parameter source: an
 :class:`Initializer` creates each tensor as it is declared, a
-:class:`ParamReader` returns the stored one.
+:class:`ParamReader` returns the stored one.  A linear
+(:func:`linear_params`) and a norm (:func:`norm_params`) are each one
+group: a ``(weight, bias)`` or ``(gain, bias)`` pair, held in one field of
+the block's parameter dataclass.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -99,7 +104,8 @@ class Initializer:
     """Deterministic parameter creation.
 
     Weights draw from a centered uniform distribution with bound
-    ``1/sqrt(fan_in)``; biases and norm shifts start at zero, norm gains at
+    ``1/sqrt(fan-in)``, where the fan-in is the product of all dims of the
+    shape but the last; biases and norm shifts start at zero, norm gains at
     one.  A single seeded generator is consumed in insertion order, so a
     given config and seed always produce identical parameters.
     """
@@ -109,8 +115,8 @@ class Initializer:
         self.rng = np.random.default_rng(seed)
         self.dtype = dtype
 
-    def weight(self, name: str, shape: tuple[int, ...], fan_in: int) -> Tensor:
-        bound = 1.0 / np.sqrt(fan_in)
+    def weight(self, name: str, shape: tuple[int, ...]) -> Tensor:
+        bound = 1.0 / np.sqrt(math.prod(shape[:-1]))
         return self._add(name, shape, lambda: self.rng.uniform(-bound, bound, size=shape))
 
     def zeros(self, name: str, shape: tuple[int, ...]) -> Tensor:
@@ -137,7 +143,7 @@ class LayoutTemplate(Initializer):
         self.store = store
         self.dtype = dtype
 
-    def weight(self, name: str, shape: tuple[int, ...], fan_in: int) -> Tensor:
+    def weight(self, name: str, shape: tuple[int, ...]) -> Tensor:
         return self.zeros(name, shape)
 
 
@@ -149,7 +155,7 @@ class ParamReader:
     def __init__(self, store: ParamStore):
         self.store = store
 
-    def _read(self, name: str, shape: tuple[int, ...], fan_in: int = 0) -> Tensor:
+    def _read(self, name: str, shape: tuple[int, ...]) -> Tensor:
         if name not in self.store:
             raise ShapeMismatch(f"{name}: missing from the store (layout shape {shape})")
         t = self.store.tensor(name)
@@ -162,9 +168,15 @@ class ParamReader:
 
 # what a layout function declares its tensors on
 ParamSource = Initializer | ParamReader
+# one group: a linear's (weight, bias) or a norm's (gain, bias)
+ParamPair = tuple[Tensor, Tensor]
 
 
-def linear_params(p: ParamSource, prefix: str, c_in: int, c_out: int) -> tuple[Tensor, Tensor]:
+def linear_params(p: ParamSource, prefix: str, c_in: int, c_out: int) -> ParamPair:
     """Layout of a ``c_in -> c_out`` linear: its weight, then its zero bias."""
-    return (p.weight(f"{prefix}.weight", (c_in, c_out), fan_in=c_in),
-            p.zeros(f"{prefix}.bias", (c_out,)))
+    return p.weight(f"{prefix}.weight", (c_in, c_out)), p.zeros(f"{prefix}.bias", (c_out,))
+
+
+def norm_params(p: ParamSource, prefix: str, c: int) -> ParamPair:
+    """Layout of a norm over ``c`` channels: its unit gain, then its zero bias."""
+    return p.ones(f"{prefix}.gain", (c,)), p.zeros(f"{prefix}.bias", (c,))

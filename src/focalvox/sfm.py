@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import ops
 from .conv import SparseConvLayer, subm_conv
 from .errors import InvalidSpec, ShapeMismatch
-from .params import ParamSource, linear_params
+from .params import ParamPair, ParamSource, linear_params, norm_params
 from .sparse import KernelSpec, SparseTensor, build_rulebook_submanifold, check_kernels
 from .tape import Tensor
 
@@ -80,24 +80,18 @@ def erf_radius(config: SFMConfig) -> int:
 
 @dataclass
 class SfmModuleParams:
-    in_proj_w: Tensor
-    in_proj_b: Tensor
+    in_proj: ParamPair
     level_convs: list[SparseConvLayer]
-    h_w: Tensor
-    h_b: Tensor
+    h: ParamPair
 
 
 @dataclass
 class SfmBlockParams:
     module: SfmModuleParams
-    ln1_gain: Tensor
-    ln1_bias: Tensor
-    ln2_gain: Tensor
-    ln2_bias: Tensor
-    mlp_w1: Tensor
-    mlp_b1: Tensor
-    mlp_w2: Tensor
-    mlp_b2: Tensor
+    ln1: ParamPair
+    ln2: ParamPair
+    fc1: ParamPair
+    fc2: ParamPair
 
 
 @dataclass
@@ -164,14 +158,10 @@ def sfm_module(t: SparseTensor, config: SFMConfig, params: SfmModuleParams) -> S
 
     The base context is passed on as a temporary, so that no local here
     holds it while the levels run: untaped, it dies after level 1."""
-    projected = list(input_projection(
-        t.features, params.in_proj_w, params.in_proj_b, config.channels, config.levels
-    ))
+    projected = list(input_projection(t.features, *params.in_proj, config.channels, config.levels))
     queries, gates = projected[0], projected[2]
     context = ops.linear(
-        context_levels(t.with_features(projected.pop(1)), params.level_convs, gates),
-        params.h_w, params.h_b,
-    )
+        context_levels(t.with_features(projected.pop(1)), params.level_convs, gates), *params.h)
     return t.with_features(ops.multiply(queries, context))  # each query picks up its context
 
 
@@ -181,10 +171,10 @@ def sfm_block(t: SparseTensor, config: SFMConfig, params: SfmBlockParams) -> Spa
     y' = LN(z) + x;  y = LN(MLP(y')) + y'.
     """
     z = sfm_module(t, config, params.module)
-    y1 = ops.add(ops.layer_norm(z.features, params.ln1_gain, params.ln1_bias), t.features)
+    y1 = ops.add(ops.layer_norm(z.features, *params.ln1), t.features)
     del z  # the mixer output is not held through the MLP
-    mlp = ops.mlp_block(y1, params.mlp_w1, params.mlp_b1, params.mlp_w2, params.mlp_b2)
-    y = ops.add(ops.layer_norm(mlp, params.ln2_gain, params.ln2_bias), y1)
+    mlp = ops.mlp_block(y1, *params.fc1, *params.fc2)
+    y = ops.add(ops.layer_norm(mlp, *params.ln2), y1)
     return t.with_features(y)
 
 
@@ -217,29 +207,25 @@ def sfm_module_params(p: ParamSource, prefix: str, config: SFMConfig, dims: int)
     convs = []
     for l, (k, d) in enumerate(zip(config.kernels, config.dilations), start=1):
         spec = KernelSpec.same(k, d, dims=dims)
-        weight = p.weight(f"{prefix}.level{l}.weight", (spec.volume, c, c),
-                          fan_in=spec.volume * c)
+        weight = p.weight(f"{prefix}.level{l}.weight", (spec.volume, c, c))
         convs.append(SparseConvLayer(spec, weight, p.zeros(f"{prefix}.level{l}.bias", (c,))))
-    return SfmModuleParams(*in_proj, convs, *linear_params(p, f"{prefix}.h", c, c))
+    return SfmModuleParams(in_proj, convs, linear_params(p, f"{prefix}.h", c, c))
 
 
 def sfm_block_params(p: ParamSource, prefix: str, config: SFMConfig, dims: int) -> SfmBlockParams:
     c, hidden = config.channels, config.mlp_hidden
     return SfmBlockParams(
         sfm_module_params(p, prefix, config, dims),
-        p.ones(f"{prefix}.ln1.gain", (c,)),
-        p.zeros(f"{prefix}.ln1.bias", (c,)),
-        p.ones(f"{prefix}.ln2.gain", (c,)),
-        p.zeros(f"{prefix}.ln2.bias", (c,)),
-        *linear_params(p, f"{prefix}.mlp.fc1", c, hidden),
-        *linear_params(p, f"{prefix}.mlp.fc2", hidden, c),
+        norm_params(p, f"{prefix}.ln1", c),
+        norm_params(p, f"{prefix}.ln2", c),
+        linear_params(p, f"{prefix}.mlp.fc1", c, hidden),
+        linear_params(p, f"{prefix}.mlp.fc2", hidden, c),
     )
 
 
 def batch_norm_params(p: ParamSource, prefix: str, channels: int) -> BatchNormParams:
     return BatchNormParams(
-        p.ones(f"{prefix}.gain", (channels,)),
-        p.zeros(f"{prefix}.bias", (channels,)),
+        *norm_params(p, prefix, channels),
         p.zeros(f"{prefix}.running_mean", (channels,)),
         p.ones(f"{prefix}.running_var", (channels,)),
     )
@@ -250,8 +236,7 @@ def srb_params(p: ParamSource, prefix: str, channels: int, dims: int) -> SrbPara
 
     def conv_bn(stage):
         # convs feed a batch norm, so they carry no bias
-        weight = p.weight(f"{prefix}.conv{stage}.weight", (spec.volume, channels, channels),
-                          fan_in=spec.volume * channels)
+        weight = p.weight(f"{prefix}.conv{stage}.weight", (spec.volume, channels, channels))
         return SparseConvLayer(spec, weight), batch_norm_params(p, f"{prefix}.bn{stage}", channels)
 
     return SrbParams(*conv_bn(1), *conv_bn(2))

@@ -295,7 +295,7 @@ def test_criterion_4_sparsity_preservation():
     srb = srb_params(ParamReader(srb_store), "s", 3, 3)
     conv_store = ParamStore()
     conv_init = Initializer(conv_store, 42)
-    conv_init.weight("w", (27, 3, 3), fan_in=81)
+    conv_init.weight("w", (27, 3, 3))
     conv_init.zeros("b", (3,))
     conv_layer = SparseConvLayer(
         KernelSpec.same(3, 2, dims=3),

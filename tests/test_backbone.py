@@ -137,10 +137,10 @@ class TestBevCompress:
     def make_params(self, c_in=4, c_out=5, seed=0):
         rng = np.random.default_rng(seed)
         return BevParams(
-            proj_w=Tensor(rng.standard_normal((c_in, c_out)).astype(np.float32)),
-            proj_b=Tensor(rng.standard_normal(c_out).astype(np.float32)),
-            ln_gain=Tensor(np.ones(c_out, dtype=np.float32)),
-            ln_bias=Tensor(np.zeros(c_out, dtype=np.float32)),
+            proj=(Tensor(rng.standard_normal((c_in, c_out)).astype(np.float32)),
+                  Tensor(rng.standard_normal(c_out).astype(np.float32))),
+            ln=(Tensor(np.ones(c_out, dtype=np.float32)),
+                Tensor(np.zeros(c_out, dtype=np.float32))),
         )
 
     def test_single_voxel(self):
@@ -151,8 +151,8 @@ class TestBevCompress:
         assert out.coords.tolist() == [[0, 3, 4]]
         assert out.spatial_shape == (8, 8)
         expected = ops.layer_norm(
-            ops.linear(t.features, params.proj_w, params.proj_b),
-            params.ln_gain, params.ln_bias,
+            ops.linear(t.features, *params.proj),
+            *params.ln,
         )
         np.testing.assert_array_equal(out.features.data, expected.data)
 
@@ -164,8 +164,8 @@ class TestBevCompress:
         assert out.n_active == 1
         summed = Tensor(t.features.data[0:1] + t.features.data[1:2])
         expected = ops.layer_norm(
-            ops.linear(summed, params.proj_w, params.proj_b),
-            params.ln_gain, params.ln_bias,
+            ops.linear(summed, *params.proj),
+            *params.ln,
         )
         np.testing.assert_allclose(out.features.data, expected.data, rtol=1e-6)
 
@@ -184,8 +184,8 @@ class TestBevCompress:
         for row, key in enumerate(sorted(groups)):
             pre = Tensor(groups[key].astype(np.float32).reshape(1, -1))
             expected = ops.layer_norm(
-                ops.linear(pre, params.proj_w, params.proj_b),
-                params.ln_gain, params.ln_bias,
+                ops.linear(pre, *params.proj),
+                *params.ln,
             )
             np.testing.assert_allclose(
                 out.features.data[row], expected.data[0], rtol=1e-4, atol=1e-5
@@ -311,7 +311,7 @@ class TestPresetsAndCounts:
         # a lone linear 2 -> 3 with bias is 9 scalars
         store = ParamStore()
         init = Initializer(store, 0)
-        init.weight("w", (2, 3), fan_in=2)
+        init.weight("w", (2, 3))
         init.zeros("b", (3,))
         assert store.scalar_count() == 9
 

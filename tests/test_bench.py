@@ -37,7 +37,7 @@ class TestAttentionReference:
         t = sparse_from_coords([(0, 3, 3, 3)], (8, 8, 8), 4, rng=rng)
         params = make_attention(rng, 4)
         out = local_attention_reference(t, 3, params)
-        expected = t.features.data @ params.wv.data + params.bv.data
+        expected = t.features.data @ params.v[0].data + params.v[1].data
         np.testing.assert_allclose(out.features.data, expected, rtol=1e-6)
 
     def test_equal_features_symmetric_outputs(self):
@@ -57,9 +57,9 @@ class TestAttentionReference:
         params = make_attention(rng, 4)
         out = local_attention_reference(t, 3, params)
 
-        q = t.features.data @ params.wq.data + params.bq.data
-        k = t.features.data @ params.wk.data + params.bk.data
-        v = t.features.data @ params.wv.data + params.bv.data
+        q = t.features.data @ params.q[0].data + params.q[1].data
+        k = t.features.data @ params.k[0].data + params.k[1].data
+        v = t.features.data @ params.v[0].data + params.v[1].data
         coord_set = {tuple(c): i for i, c in enumerate(t.coords)}
         expected = np.zeros_like(v)
         for i, c in enumerate(t.coords):
@@ -82,8 +82,8 @@ class TestAttentionReference:
         rng = np.random.default_rng(3)
         t = random_sparse(rng, (6, 6, 6), 0.4, 4)
         params = make_attention(rng, 4)
-        params.wv = Tensor(np.zeros((4, 4), dtype=np.float32))
-        params.bv = Tensor(np.ones(4, dtype=np.float32))
+        params.v = (Tensor(np.zeros((4, 4), dtype=np.float32)),
+                    Tensor(np.ones(4, dtype=np.float32)))
         out = local_attention_reference(t, 5, params)
         assert np.abs(out.features.data - 1.0).max() < 1e-6
 

@@ -71,7 +71,7 @@ def test_bind_returns_the_stored_tensors():
     assert net.downs[2].bn.running_var is store.tensor("down3.bn.running_var")
     block = net.stage2d[0]
     assert isinstance(block, SfmBlockParams)
-    assert block.module.h_w is store.tensor("backbone2d.sfm0.h.weight")
+    assert block.module.h[0] is store.tensor("backbone2d.sfm0.h.weight")
 
 
 def test_bind_other_channels_names_the_tensor():

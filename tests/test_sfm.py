@@ -66,11 +66,11 @@ def module_params(rng, config, dims, dtype=np.float64):
             )
         )
     return SfmModuleParams(
-        in_proj_w=Tensor(rng.standard_normal((c, 2 * c + levels)).astype(dtype) * 0.4),
-        in_proj_b=Tensor(rng.standard_normal(2 * c + levels).astype(dtype) * 0.1),
+        in_proj=(Tensor(rng.standard_normal((c, 2 * c + levels)).astype(dtype) * 0.4),
+                 Tensor(rng.standard_normal(2 * c + levels).astype(dtype) * 0.1)),
         level_convs=convs,
-        h_w=Tensor(rng.standard_normal((c, c)).astype(dtype) * 0.4),
-        h_b=Tensor(rng.standard_normal(c).astype(dtype) * 0.1),
+        h=(Tensor(rng.standard_normal((c, c)).astype(dtype) * 0.4),
+           Tensor(rng.standard_normal(c).astype(dtype) * 0.1)),
     )
 
 
@@ -78,14 +78,12 @@ def block_params(rng, config, dims, dtype=np.float64):
     c, hidden = config.channels, config.mlp_hidden
     return SfmBlockParams(
         module=module_params(rng, config, dims, dtype),
-        ln1_gain=Tensor(np.ones(c, dtype=dtype)),
-        ln1_bias=Tensor(np.zeros(c, dtype=dtype)),
-        ln2_gain=Tensor(np.ones(c, dtype=dtype)),
-        ln2_bias=Tensor(np.zeros(c, dtype=dtype)),
-        mlp_w1=Tensor(rng.standard_normal((c, hidden)).astype(dtype) * 0.4),
-        mlp_b1=Tensor(rng.standard_normal(hidden).astype(dtype) * 0.1),
-        mlp_w2=Tensor(rng.standard_normal((hidden, c)).astype(dtype) * 0.4),
-        mlp_b2=Tensor(rng.standard_normal(c).astype(dtype) * 0.1),
+        ln1=(Tensor(np.ones(c, dtype=dtype)), Tensor(np.zeros(c, dtype=dtype))),
+        ln2=(Tensor(np.ones(c, dtype=dtype)), Tensor(np.zeros(c, dtype=dtype))),
+        fc1=(Tensor(rng.standard_normal((c, hidden)).astype(dtype) * 0.4),
+             Tensor(rng.standard_normal(hidden).astype(dtype) * 0.1)),
+        fc2=(Tensor(rng.standard_normal((hidden, c)).astype(dtype) * 0.4),
+             Tensor(rng.standard_normal(c).astype(dtype) * 0.1)),
     )
 
 
@@ -312,14 +310,14 @@ class TestSfmModule:
         t = sparse_from_coords([(0, 4, 4, 4)], (9, 9, 9), 3, rng=rng, dtype=np.float64)
         out = sfm_module(t, cfg, params)
         x = t.features.data
-        fused = x @ params.in_proj_w.data + params.in_proj_b.data
+        fused = x @ params.in_proj[0].data + params.in_proj[1].data
         q, f, gates = fused[:, :3], fused[:, 3:6], fused[:, 6:]
         for conv in params.level_convs:
             f = np_gelu(f @ conv.weight.data[conv.spec.volume // 2] + conv.bias.data)
             if conv is params.level_convs[0]:
                 f1 = f
         mix = f1 * gates[:, 0:1] + f * gates[:, 1:2]
-        expected = q * (mix @ params.h_w.data + params.h_b.data)
+        expected = q * (mix @ params.h[0].data + params.h[1].data)
         np.testing.assert_allclose(out.features.data, expected, rtol=1e-10)
 
     def test_random_scene_step_composition(self):
@@ -329,11 +327,9 @@ class TestSfmModule:
         t = random_sparse(rng, (7, 7, 7), 0.12, 4, dtype=np.float64)
         assert t.n_active >= 20
         out = sfm_module(t, cfg, params)
-        q, base, gates = input_projection(
-            t.features, params.in_proj_w, params.in_proj_b, 4, 2
-        )
+        q, base, gates = input_projection(t.features, *params.in_proj, 4, 2)
         mixed = context_levels(t.with_features(base), params.level_convs, gates)
-        expected = ops.multiply(q, ops.linear(mixed, params.h_w, params.h_b))
+        expected = ops.multiply(q, ops.linear(mixed, *params.h))
         np.testing.assert_array_equal(out.features.data, expected.data)
         # the fold equals the list of levels made step by step, then summed
         cur, levels = t.with_features(base), []
@@ -371,12 +367,11 @@ class TestSfmModule:
         cfg = SFMConfig(channels=3, kernels=(3, 3), dilations=(1, 1))
         params = module_params(rng, cfg, dims=3)
         # zero the gate columns of the projection; bias selects level 1 only
-        w = params.in_proj_w.data.copy()
-        b = params.in_proj_b.data.copy()
+        w = params.in_proj[0].data.copy()
+        b = params.in_proj[1].data.copy()
         w[:, 6:] = 0.0
         b[6:] = [1.0, 0.0]
-        params.in_proj_w = Tensor(w)
-        params.in_proj_b = Tensor(b)
+        params.in_proj = (Tensor(w), Tensor(b))
         t = random_sparse(rng, (5, 5, 5), 0.4, 3, dtype=np.float64)
         before = sfm_module(t, cfg, params).features.data
         params.level_convs[1].weight.data = rng.standard_normal(
@@ -404,13 +399,11 @@ class TestSfmBlock:
         params = block_params(rng, cfg, dims=3)
         # force z = 0 through a zero query path: zero projection weights and
         # a bias whose query slice is zero
-        params.module.in_proj_w = Tensor(np.zeros((3, 7)))
         b = rng.standard_normal(7)
         b[:3] = 0.0
-        params.module.in_proj_b = Tensor(b)
+        params.module.in_proj = (Tensor(np.zeros((3, 7))), Tensor(b))
         # and kill the second residual branch
-        params.mlp_w2 = Tensor(np.zeros((6, 3)))
-        params.mlp_b2 = Tensor(np.zeros(3))
+        params.fc2 = (Tensor(np.zeros((6, 3))), Tensor(np.zeros(3)))
         t = random_sparse(rng, (5, 5, 5), 0.4, 3, dtype=np.float64)
         out = sfm_block(t, cfg, params)
         np.testing.assert_array_equal(out.features.data, t.features.data)
@@ -419,13 +412,12 @@ class TestSfmBlock:
         rng = np.random.default_rng(17)
         cfg = SFMConfig(channels=3, kernels=(3,), dilations=(1,))
         params = block_params(rng, cfg, dims=3)
-        params.mlp_w2 = Tensor(np.zeros((6, 3)))
-        params.mlp_b2 = Tensor(np.zeros(3))
+        params.fc2 = (Tensor(np.zeros((6, 3))), Tensor(np.zeros(3)))
         t = random_sparse(rng, (5, 5, 5), 0.4, 3, dtype=np.float64)
         out = sfm_block(t, cfg, params)
         z = sfm_module(t, cfg, params.module)
         y1 = ops.add(
-            ops.layer_norm(z.features, params.ln1_gain, params.ln1_bias), t.features
+            ops.layer_norm(z.features, *params.ln1), t.features
         )
         np.testing.assert_array_equal(out.features.data, y1.data)
 
@@ -437,10 +429,10 @@ class TestSfmBlock:
         out = sfm_block(t, cfg, params)
         z = sfm_module(t, cfg, params.module)
         y1 = ops.add(
-            ops.layer_norm(z.features, params.ln1_gain, params.ln1_bias), t.features
+            ops.layer_norm(z.features, *params.ln1), t.features
         )
-        mlp = ops.mlp_block(y1, params.mlp_w1, params.mlp_b1, params.mlp_w2, params.mlp_b2)
-        y = ops.add(ops.layer_norm(mlp, params.ln2_gain, params.ln2_bias), y1)
+        mlp = ops.mlp_block(y1, *params.fc1, *params.fc2)
+        y = ops.add(ops.layer_norm(mlp, *params.ln2), y1)
         np.testing.assert_array_equal(out.features.data, y.data)
         assert out.coords is t.coords
 
