@@ -220,7 +220,11 @@ def scaling_experiment(
     reports, xs, ys = [], [], []
     for i, n in enumerate(n_list):
         if kind == "sfm":
-            edge = max(4, int(round((n / density) ** (1.0 / 3.0))))
+            side = (n / density) ** (1.0 / 3.0)
+            if not math.isfinite(side):
+                raise InvalidSpec(f"{n} voxels at density {density} need a scene edge "
+                                  "beyond float range")
+            edge = max(4, int(round(side)))
             scene = uniform_scene(n, (edge, edge, edge), seed + i)
             start = time.perf_counter_ns()
             detail = sfm_pair_count(scene, config)

@@ -282,10 +282,8 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
 def weighted_level_sum(levels: Iterable[Tensor], gates: Tensor) -> Tensor:
     """``sum_l levels[l] * gates[:, l]`` with a scalar gate per (row, level).
 
-    ``levels`` may be any iterable, a generator included.  Each level is
-    added into the sum, in level order, as it arrives, and is kept only
-    when a tape needs it, so an untaped fold over a generator holds one
-    level at a time.
+    ``levels`` may be any iterable, a generator included; each level is
+    added as it arrives (README, "Activation lifetimes").
     """
     gate_data = gates.data
     n_levels = gate_data.shape[1]

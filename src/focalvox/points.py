@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .errors import EmptyScene, InvalidSpec, IoError, ParseError
+from .errors import EmptyScene, InvalidSpec, ParseError
+from .fileio import read_bytes
 from .params import ParamSource, linear_params
 from .sparse import SparseTensor, check_key_space, unique_coords
 from .tape import GradTape, Tensor
@@ -49,14 +50,12 @@ def load_points(path, fmt: str = "csv") -> PointCloud:
 
 
 def _load_csv(path) -> PointCloud:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
     rows = []
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
+    for lineno, line in enumerate(read_bytes(path).splitlines(), start=1):
+        try:
+            text = line.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError(lineno, f"line is not UTF-8: {exc}") from exc
         if not text:
             continue
         fields = [f.strip() for f in text.split(",")]
@@ -79,11 +78,7 @@ def _load_csv(path) -> PointCloud:
 
 
 def _load_bin(path) -> PointCloud:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    raw = read_bytes(path)
     if len(raw) % 16 != 0:
         raise ParseError(len(raw) // 16 + 1, "file length is not a multiple of 16 bytes")
     n = len(raw) // 16

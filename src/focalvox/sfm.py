@@ -141,12 +141,9 @@ def _focal_levels(cur: SparseTensor, level_convs: list[SparseConvLayer]):
 def context_levels(t: SparseTensor, level_convs: list[SparseConvLayer], gates: Tensor) -> Tensor:
     """Gate-weighted sum of the hierarchical focal features:
     ``sum_l gates[:, l-1] * level l`` over l = 1..L, where level l is
-    gelu(conv_l(level l-1)) and level 0 is ``t``.
-
-    All levels share the input's active set (submanifold property).  The
-    level convs run in this call, each level is folded into the sum as it
-    is made, and, untaped, a level dies once the next one is made: neither
-    this call nor the fold keeps ``t`` or a finished level."""
+    gelu(conv_l(level l-1)) and level 0 is ``t``.  All levels share the
+    input's active set; the README's "Activation lifetimes" says which
+    arrays stay alive."""
     levels = _focal_levels(t, level_convs)
     del t
     return ops.weighted_level_sum(levels, gates)

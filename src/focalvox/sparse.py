@@ -567,18 +567,9 @@ def gather_scatter_vjp(
     deterministic as well.  A cotangent that is not (output rows, C_out)
     raises ShapeMismatch.
 
-    ``grad_features`` takes only the pairs whose cotangent row is live (an
-    entry is nonzero or NaN) and has the bytes of the all-pairs loop: a dead
-    row times finite weights is a signed zero, and adding one leaves the
-    float64 buffer, which starts at +0.0 and never reaches -0.0, unchanged.
-    Live rows go through the same transposed weight view, in a product of
-    at least ``max(2, SMALL_GEMM_ENTRIES // C_in + 1)`` rows, padded with
-    repeated live rows: that keeps it out of numpy's gemv (one row) and of
-    OpenBLAS's small-matrix kernel, whose row bits depend on the row count.
-    An offset with no more pairs than that keeps the all-pairs product, and so
-    does every offset when all rows are live, when the features have one
-    column (gemv again) or when a weight is not finite.  ``grad_weights``
-    always uses every pair.
+    ``grad_features`` takes only the pairs whose cotangent row is live, with
+    the bytes of the all-pairs loop: see the README's "Sparse cotangents in
+    the VJP" and "Same rows, same bits".
     """
     weights = np.asarray(weights)
     k = len(rulebook.offsets)

@@ -228,6 +228,16 @@ class TestScaling:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    EDGE_BEYOND_FLOAT = "5 voxels at density 1e-320 need a scene edge beyond float range"
+
+    def test_density_with_no_finite_edge_rejected(self):
+        with pytest.raises(InvalidSpec, match=f"^{self.EDGE_BEYOND_FLOAT}$"):
+            scaling_experiment("sfm", [5, 10], density=1e-320, seed=0)
+
+    def test_density_with_no_finite_edge_exit_one(self, capsys):
+        assert main(["bench", "--mixer", "sfm", "--n-list", "5,10", "--density", "1e-320"]) == 1
+        assert capsys.readouterr() == ("", f"error: {self.EDGE_BEYOND_FLOAT}\n")
+
     # grids whose volume wraps int64: the sfm edge grows as (n / density) ** (1/3),
     # the attention grid is window * 4 voxels on a side
     @pytest.mark.parametrize("mixer, flags, shape, cells", [

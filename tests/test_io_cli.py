@@ -63,6 +63,13 @@ class TestLoadPoints:
         with pytest.raises(InvalidSpec, match="intensity beyond float32 range"):
             PointCloud(np.array([[0.0, 0.0, 0.0, -1e39]]))
 
+    def test_csv_not_utf8_rejected_with_row(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"1,2,3\n\xff,2,3\n")
+        with pytest.raises(ParseError, match=r"^row 2: line is not UTF-8: ") as err:
+            load_points(path, "csv")
+        assert err.value.row == 2
+
     def test_csv_nan_rejected_with_row(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("1,2,3\nnan,2,3\n")
@@ -537,6 +544,18 @@ class TestCli:
         assert out == "" and err.startswith("error: row 1: tensor name is not UTF-8: ")
         assert err.count("\n") == 1
         assert not dump.exists()
+
+    def test_voxelize_csv_not_utf8_exit_one(self, scene_files, tmp_path, capsys):
+        points, config = scene_files
+        with open(points, "ab") as fh:
+            fh.write(b"0.1,0.2,\xff\n")
+        out = tmp_path / "v.csv"
+        assert main(["voxelize", "--points", str(points), "--config", str(config),
+                     "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("error: row 401: line is not UTF-8: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_voxelize_intensity_beyond_float32_exit_one(self, scene_files, tmp_path, capsys):
         points, config = scene_files
