@@ -24,8 +24,7 @@ from . import ops
 from .errors import DegenerateFit, InvalidSpec, ShapeMismatch
 from .params import ParamPair, ParamSource, linear_params
 from .sfm import SFMConfig, effective_receptive_field, sfm_pair_count
-from .sparse import (KernelSpec, SparseTensor, _unflatten, build_rulebook_submanifold,
-                     check_key_space)
+from .sparse import KernelSpec, SparseTensor, _unflatten, check_key_space, rulebook
 from .tape import Tensor
 
 MIXER_KINDS = ("sfm", "local-attention")
@@ -73,8 +72,7 @@ def window_neighbor_rows(t: SparseTensor, window_edge: int) -> list[np.ndarray]:
     that row j sits at ``coords[i] + o``.
     """
     _check_window(window_edge)
-    spec = KernelSpec.same(window_edge, 1, dims=t.dims)
-    rb = t.geometry.rulebook(spec, lambda: build_rulebook_submanifold(t, spec))
+    rb = rulebook(t, KernelSpec.same(window_edge, 1, dims=t.dims))
     table = np.full((t.n_active, len(rb.offsets)), -1, dtype=np.int64)
     for m, p in enumerate(rb.pairs):
         table[p[:, 0], m] = p[:, 1]
@@ -168,16 +166,20 @@ def attention_bytes_model(n: int, channels: int, occupancy: np.ndarray) -> int:
 
 def uniform_scene(n_active: int, grid_shape: tuple[int, ...], seed: int) -> SparseTensor:
     """Exactly n distinct active cells drawn uniformly over the grid, with
-    one zero feature each: counting reads only the geometry."""
+    one zero feature each: counting reads only the geometry.  A scene that
+    cannot be allocated raises InvalidSpec naming its voxel count."""
     check_key_space(1, grid_shape)
     volume = math.prod(grid_shape)
     if n_active > volume:
         raise InvalidSpec(f"cannot place {n_active} voxels in {volume} cells")
     rng = np.random.default_rng(seed)
-    flat = rng.choice(volume, size=n_active, replace=False)
-    flat.sort()
-    coords = _unflatten(flat, grid_shape)  # batch 0: every key is below the volume
-    return SparseTensor(coords, np.zeros((n_active, 1), np.float32), grid_shape)
+    try:
+        flat = rng.choice(volume, size=n_active, replace=False)
+        flat.sort()
+        coords = _unflatten(flat, grid_shape)  # batch 0: every key is below the volume
+        return SparseTensor(coords, np.zeros((n_active, 1), np.float32), grid_shape)
+    except MemoryError:
+        raise InvalidSpec(f"a scene of {n_active} voxels cannot be allocated") from None
 
 
 def _fit_slope(xs: list[float], ys: list[float]) -> float:

@@ -2,10 +2,11 @@
 
 A layer holds its kernel spec and per-offset weight blocks; the function
 that runs it is the conv's kind (:func:`subm_conv` or
-:func:`regular_conv_down`).  The forward takes the rulebook from the input
-geometry's cache (building it on the first use of that spec on that
-active set) and runs the gather-scatter plan.  The same code serves 2-D
-and 3-D tensors since everything is parameterized by the coordinate rank.
+:func:`regular_conv_down`).  The forward takes its rulebook from
+:func:`~focalvox.sparse.rulebook`, which caches it on the input geometry
+under ``(spec, regular)``, and runs the gather-scatter plan.  The same code
+serves 2-D and 3-D tensors since everything is parameterized by the
+coordinate rank.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from .sparse import (
     KernelSpec,
     Rulebook,
     SparseTensor,
-    build_rulebook_regular,
-    build_rulebook_submanifold,
+    build_rulebook_regular,  # patched by perfbench/tracing.py
+    build_rulebook_submanifold,  # patched by perfbench/tracing.py
     gather_scatter_matmul,
     gather_scatter_vjp,
-    regular_out_shape,
+    rulebook,
 )
 from .tape import Tensor, emit
 
@@ -40,11 +41,9 @@ class SparseConvLayer:
     bias: Tensor | None = None
 
 
-def _apply_rulebook(t: SparseTensor, layer: SparseConvLayer, rulebook: Rulebook) -> SparseTensor:
+def _apply_rulebook(t: SparseTensor, layer: SparseConvLayer, rb: Rulebook) -> SparseTensor:
     x, weight, bias = t.features, layer.weight, layer.bias
-    out_data = gather_scatter_matmul(
-        x.data, rulebook, weight.data, None if bias is None else bias.data
-    )
+    out_data = gather_scatter_matmul(x.data, rb, weight.data, None if bias is None else bias.data)
 
     def vjp_of(needs):
         wd, need_w, need_b = weight.data, needs[1], needs[2]
@@ -53,31 +52,24 @@ def _apply_rulebook(t: SparseTensor, layer: SparseConvLayer, rulebook: Rulebook)
         xd = x.data if need_w else np.broadcast_to(np.zeros((), x.data.dtype), x.data.shape)
 
         def vjp(cot):
-            gx, gw = gather_scatter_vjp(xd, rulebook, wd, cot, with_weights=need_w)
+            gx, gw = gather_scatter_vjp(xd, rb, wd, cot, with_weights=need_w)
             return gx, gw, (cot.sum(axis=0).astype(xd.dtype) if need_b else None)
 
         return vjp
 
-    out = emit(f"conv_{rulebook.kind}", out_data, (x, weight, bias), vjp_of)
-    return SparseTensor(rulebook.out_geometry or t.geometry, out)
+    out = emit(f"conv_{rb.kind}", out_data, (x, weight, bias), vjp_of)
+    return SparseTensor(rb.out_geometry or t.geometry, out)
 
 
 def subm_conv(t: SparseTensor, layer: SparseConvLayer) -> SparseTensor:
     """Submanifold sparse convolution: output coords == input coords.
 
     The layer's spec must have unit stride (``InvalidSpec`` otherwise)."""
-    spec = layer.spec
-    rulebook = t.geometry.rulebook(spec, lambda: build_rulebook_submanifold(t, spec))
-    return _apply_rulebook(t, layer, rulebook)
+    return _apply_rulebook(t, layer, rulebook(t, layer.spec))
 
 
 def regular_conv_down(t: SparseTensor, layer: SparseConvLayer) -> SparseTensor:
     """Regular (strided) sparse convolution: the active set expands to every
     reachable output position of the downsampled grid."""
-    spec = layer.spec
-    out_shape = regular_out_shape(t.spatial_shape, spec)
-    rulebook = t.geometry.rulebook(
-        (spec, out_shape), lambda: build_rulebook_regular(t, spec, out_shape)
-    )
-    return _apply_rulebook(t, layer, rulebook)
+    return _apply_rulebook(t, layer, rulebook(t, layer.spec, regular=True))
 

@@ -106,11 +106,8 @@ def render_plane(erf: ErfMap) -> np.ndarray:
     each pixel the maximum over the height axis.  Values are normalized by
     the map maximum and quantized round-half-up; inactive cells are 0.
     """
-    sx, sy = erf.spatial_shape[0], erf.spatial_shape[1]
-    image = np.zeros((sy, sx), dtype=np.float64)
-    for c, m in zip(erf.coords, erf.magnitudes):
-        x, y = int(c[1]), int(c[2])
-        image[y, x] = max(image[y, x], m)
+    image = np.zeros((erf.spatial_shape[1], erf.spatial_shape[0]), dtype=np.float64)
+    np.maximum.at(image, (erf.coords[:, 2], erf.coords[:, 1]), erf.magnitudes)
     peak = erf.normalization
     if peak > 0:
         image = np.floor(image / peak * 255.0 + 0.5)

@@ -53,7 +53,7 @@ def _load_csv(path) -> PointCloud:
     rows = []
     for lineno, line in enumerate(read_bytes(path).splitlines(), start=1):
         try:
-            text = line.decode("utf-8").strip()
+            text = line.decode("utf-8-sig" if lineno == 1 else "utf-8").strip()
         except UnicodeDecodeError as exc:
             raise ParseError(lineno, f"line is not UTF-8: {exc}") from exc
         if not text:

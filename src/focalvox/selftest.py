@@ -35,7 +35,6 @@ from .sparse import (
     build_rulebook_regular,
     build_rulebook_submanifold,
     gather_scatter_matmul,
-    regular_out_shape,
 )
 from .weights import load_weights, serialize_weights, parse_weights
 
@@ -202,7 +201,7 @@ def oracle_suite():
         np.array([[0, 5, 5, 5]], dtype=np.int64), np.ones((1, 1)), (8, 8, 8)
     )
     spec = KernelSpec.downsample(3)
-    rb = build_rulebook_regular(single, spec, regular_out_shape((8, 8, 8), spec))
+    rb = build_rulebook_regular(single, spec)
     got = {tuple(c) for c in rb.out_coords}
     want = {(0, a, b, c) for a in (2, 3) for b in (2, 3) for c in (2, 3)}
     record("downsample_law", got == want)

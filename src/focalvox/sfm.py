@@ -20,7 +20,8 @@ from . import ops
 from .conv import SparseConvLayer, subm_conv
 from .errors import InvalidSpec, ShapeMismatch
 from .params import ParamPair, ParamSource, linear_params, norm_params
-from .sparse import KernelSpec, SparseTensor, build_rulebook_submanifold, check_kernels
+from .sparse import KernelSpec, SparseTensor, check_kernels, rulebook
+from .sparse import build_rulebook_submanifold  # patched by perfbench/tracing.py
 from .tape import Tensor
 
 
@@ -247,11 +248,8 @@ def sfm_pair_count(t: SparseTensor, config: SFMConfig) -> dict[str, int]:
     and N rowwise interactions.
     """
     n = t.n_active
-    conv_pairs = 0
-    for k, d in zip(config.kernels, config.dilations):
-        spec = KernelSpec.same(k, d, dims=t.dims)
-        rb = t.geometry.rulebook(spec, lambda: build_rulebook_submanifold(t, spec))
-        conv_pairs += rb.total_pairs
+    conv_pairs = sum(rulebook(t, KernelSpec.same(k, d, dims=t.dims)).total_pairs
+                     for k, d in zip(config.kernels, config.dilations))
     return {
         "conv_pairs": conv_pairs,
         "gate": n * config.levels,

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -194,9 +193,9 @@ class Geometry:
     The coordinate index is built here, so a repeated coordinate raises
     DuplicateCoordinate when the geometry is made, and a grid too large for
     int64 keys (see :func:`check_key_space`) raises InvalidSpec.  The
-    rulebook cache (see :meth:`rulebook`) lives exactly as long as the
-    geometry, keyed by ``KernelSpec`` for submanifold rulebooks and by
-    ``(KernelSpec, out_shape)`` for regular ones.
+    rulebook cache lives exactly as long as the geometry, keyed by
+    ``(KernelSpec, regular)``; :func:`rulebook` is the one way to fill and
+    read it.
     """
 
     def __init__(self, coords, spatial_shape: tuple[int, ...]):
@@ -227,13 +226,6 @@ class Geometry:
     @property
     def dims(self) -> int:
         return len(self.spatial_shape)
-
-    def rulebook(self, key, build: Callable[[], "Rulebook"]) -> "Rulebook":
-        """The cached rulebook under ``key``; ``build()`` makes it on a miss."""
-        rb = self._rulebooks.get(key)
-        if rb is None:
-            rb = self._rulebooks[key] = build()
-        return rb
 
 
 class SparseTensor:
@@ -414,21 +406,19 @@ def regular_out_shape(
     return tuple(out)
 
 
-def build_rulebook_regular(
-    t: SparseTensor, spec: KernelSpec, out_shape: tuple[int, ...]
-) -> Rulebook:
+def build_rulebook_regular(t: SparseTensor, spec: KernelSpec) -> Rulebook:
     """Rulebook for a strided (feature-expanding) sparse convolution.
 
     An output position j exists iff some input i and raw kernel offset o
     satisfy ``i == j * stride + o * dilation - padding`` with j inside
-    ``out_shape``.  Output coordinates are sorted lexicographically by
-    (batch, ijk); they come from one unique over the flat keys of every
-    candidate output, which also yields each pair's output row.
+    ``regular_out_shape(t.spatial_shape, spec)``.  Output coordinates are
+    sorted lexicographically by (batch, ijk); they come from one unique
+    over the flat keys of every candidate output, which also yields each
+    pair's output row.
     """
     if spec.dims != t.dims:
         raise InvalidSpec(f"spec rank {spec.dims} != tensor rank {t.dims}")
-    coords = t.coords
-    out_shape = tuple(int(s) for s in out_shape)
+    coords, out_shape = t.coords, regular_out_shape(t.spatial_shape, spec)
     masks, out_ijk = [], []
     for d, (k, dil, stride, pad) in enumerate(
         zip(spec.kernel, spec.dilation, spec.stride, spec.padding)
@@ -458,6 +448,18 @@ def build_rulebook_regular(
         kind="regular",
         out_geometry=out_geometry,
     )
+
+
+def rulebook(t: SparseTensor, spec: KernelSpec, regular: bool = False) -> Rulebook:
+    """The rulebook of ``spec`` on ``t``'s active set, from its geometry's
+    cache under ``(spec, regular)``; built on a miss by
+    :func:`build_rulebook_regular` or :func:`build_rulebook_submanifold`."""
+    key, cache = (spec, regular), t.geometry._rulebooks
+    rb = cache.get(key)
+    if rb is None:
+        build = build_rulebook_regular if regular else build_rulebook_submanifold
+        rb = cache[key] = build(t, spec)
+    return rb
 
 
 # float64 entries per scatter block of either executor (256 KB)

@@ -100,7 +100,7 @@ def _random_rulebooks(seed: int = 11) -> list[np.ndarray]:
     kernels 1/3/5, dilations 1-3, strides 1-2, padding 0-2, two batches in
     some and shuffled rows in half."""
     from focalvox.sparse import (KernelSpec, SparseTensor, build_rulebook_regular,
-                                 build_rulebook_submanifold, regular_out_shape)
+                                 build_rulebook_submanifold)
 
     rng = np.random.default_rng(seed)
     arrays = []
@@ -116,7 +116,7 @@ def _random_rulebooks(seed: int = 11) -> list[np.ndarray]:
         arrays += _rulebook_arrays(build_rulebook_submanifold(t, KernelSpec.same(kernel, dilation)))
         spec = KernelSpec(kernel, dilation, tuple(int(s) for s in rng.integers(1, 3, dims)),
                           tuple(int(p) for p in rng.integers(0, 3, dims)))
-        arrays += _rulebook_arrays(build_rulebook_regular(t, spec, regular_out_shape(shape, spec)))
+        arrays += _rulebook_arrays(build_rulebook_regular(t, spec))
     return arrays
 
 
@@ -125,7 +125,7 @@ def exact_artifacts() -> dict[str, str]:
     from focalvox.backbone import init_network, preset, sfmnet_forward
     from focalvox.points import PointCloud, voxelize_raw
     from focalvox.sparse import (KernelSpec, SparseTensor, build_rulebook_regular,
-                                 build_rulebook_submanifold, regular_out_shape)
+                                 build_rulebook_submanifold)
     from focalvox.weights import serialize_weights
 
     cfg = preset("tiny")
@@ -135,7 +135,7 @@ def exact_artifacts() -> dict[str, str]:
     books = [build_rulebook_submanifold(t, KernelSpec.same(k, d, dims=3))
              for k, d in ((3, 1), (3, 2), (5, 1), (3, 5))]
     down = KernelSpec.downsample(3)
-    books.append(build_rulebook_regular(t, down, regular_out_shape(t.spatial_shape, down)))
+    books.append(build_rulebook_regular(t, down))
     bev, _ = sfmnet_forward(cloud, cfg, init_network(cfg, seed=3), bn_mode="eval")
     art = {
         "exact.voxel_coords": _sha_arrays([coords]),

@@ -131,7 +131,7 @@ def test_criterion_2_dense_oracle_equivalence():
         c_out = int(rng.integers(1, 4))
         w32 = rng.standard_normal((spec.volume, t.channels, c_out)).astype(np.float32)
         b32 = rng.standard_normal(c_out).astype(np.float32)
-        rb = build_rulebook_regular(t, spec, out_shape)
+        rb = build_rulebook_regular(t, spec)
         grid, reachable = dense_regular_oracle(t, spec, out_shape, w32, b32)
         if {tuple(c) for c in rb.out_coords} != {tuple(c) for c in np.argwhere(reachable)}:
             failures.append(f"regular active-set case {seed}")

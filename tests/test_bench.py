@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import focalvox.sparse as fsp
 from focalvox.bench import (
     BenchReport,
     attention_params,
@@ -126,7 +127,7 @@ class TestCounting:
         [((6, 7, 5), 3), ((7, 6), 3), ((8, 9), 5)],
         ids=["3d-w3", "2d-w3", "2d-w5"],
     )
-    def test_window_rows_match_brute_force_in_offset_order(self, shape, window):
+    def test_window_rows_match_brute_force_in_offset_order(self, shape, window, monkeypatch):
         """On shuffled rows in two batches, each voxel's window rows are the
         active cells at ``coords + offset``, offsets enumerated row-major
         from ``-radius``, and the window rulebook stays in the cache."""
@@ -143,7 +144,9 @@ class TestCounting:
             cells = ((b, *(c + o for c, o in zip(ijk, off))) for off in offsets)
             assert rows.tolist() == [row_of[c] for c in cells if c in row_of]
         spec = KernelSpec.same(window, 1, dims=len(shape))
-        t.geometry.rulebook(spec, lambda: pytest.fail("window rulebook not cached"))
+        monkeypatch.setattr(fsp, "build_rulebook_submanifold",
+                            lambda *_: pytest.fail("window rulebook not cached"))
+        fsp.rulebook(t, spec)
 
     def test_sfm_count_bound(self):
         rng = np.random.default_rng(6)
@@ -188,6 +191,12 @@ class TestUniformScene:
     def test_grid_beyond_int64_keys_rejected(self):
         with pytest.raises(InvalidSpec, match=r"hold 73786976294838206464 cells"):
             uniform_scene(1, (2**22,) * 3, seed=0)
+
+    # 10**14 int64 keys exceed a 47-bit address space, whatever the overcommit setting
+    def test_unallocatable_scene_rejected(self):
+        message = "^a scene of 100000000000000 voxels cannot be allocated$"
+        with pytest.raises(InvalidSpec, match=message):
+            uniform_scene(10**14, (46416,) * 3, seed=0)
 
 
 class TestScaling:
@@ -237,6 +246,12 @@ class TestScaling:
     def test_density_with_no_finite_edge_exit_one(self, capsys):
         assert main(["bench", "--mixer", "sfm", "--n-list", "5,10", "--density", "1e-320"]) == 1
         assert capsys.readouterr() == ("", f"error: {self.EDGE_BEYOND_FLOAT}\n")
+
+    def test_unallocatable_scene_exit_one(self, capsys):
+        assert main(["bench", "--mixer", "sfm", "--n-list", "100000000000000,200000000000000",
+                     "--density", "1"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: a scene of 100000000000000 voxels cannot be allocated\n")
 
     # grids whose volume wraps int64: the sfm edge grows as (n / density) ** (1/3),
     # the attention grid is window * 4 voxels on a side

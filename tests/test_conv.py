@@ -222,8 +222,7 @@ class TestConvBiasGradient:
             conv, rb = subm_conv, build_rulebook_submanifold(t, spec)
         else:
             spec = KernelSpec.downsample(3)
-            out_shape = regular_out_shape(t.spatial_shape, spec)
-            conv, rb = regular_conv_down, build_rulebook_regular(t, spec, out_shape)
+            conv, rb = regular_conv_down, build_rulebook_regular(t, spec)
         w = Tensor(rng.standard_normal((spec.volume, 3, 4)).astype(dtype))
         b = Tensor(rng.standard_normal(4).astype(dtype))
         tape = GradTape()

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import focalvox.conv as fc
 import focalvox.sparse as fsp
 from focalvox.backbone import SfmNet, downsample, init_network, preset, sfmnet_forward
 from focalvox.conv import SparseConvLayer, regular_conv_down, subm_conv
@@ -127,7 +126,7 @@ class TestMapSearchMatchesPerOffsetReference:
         spec = KernelSpec.downsample(3)
         tracemalloc.start()
         try:
-            rb = build_rulebook_regular(t, spec, regular_out_shape(t.spatial_shape, spec))
+            rb = build_rulebook_regular(t, spec)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -166,7 +165,7 @@ class TestMapSearchMatchesPerOffsetReference:
                 rb = build_rulebook_submanifold(s, KernelSpec.same(3, 2, dims=3))
             else:
                 spec = KernelSpec.downsample(3)
-                rb = build_rulebook_regular(s, spec, regular_out_shape(s.spatial_shape, spec))
+                rb = build_rulebook_regular(s, spec)
             for p in rb.pairs:
                 with pytest.raises(ValueError):
                     p[:1] = 0
@@ -183,7 +182,7 @@ class TestMapSearchMatchesPerOffsetReference:
         t = scene_from(scene)
         spec = KernelSpec((k,) * t.dims, (d,) * t.dims, (stride,) * t.dims, (pad,) * t.dims)
         out_shape = regular_out_shape(t.spatial_shape, spec)
-        rb = build_rulebook_regular(t, spec, out_shape)
+        rb = build_rulebook_regular(t, spec)
         assert_same_rulebook(rb, per_offset_rulebook_regular(t, spec, out_shape))
         assert rb.out_geometry.coords is rb.out_coords
         assert rb.out_geometry.spatial_shape == out_shape
@@ -194,7 +193,7 @@ class TestMapSearchMatchesPerOffsetReference:
         t = random_sparse(rng, shape, 0.4, 1, batches=2)
         spec = KernelSpec.downsample(len(shape))
         out_shape = regular_out_shape(shape, spec)
-        rb = build_rulebook_regular(t, spec, out_shape)
+        rb = build_rulebook_regular(t, spec)
         assert_same_rulebook(rb, per_offset_rulebook_regular(t, spec, out_shape))
 
 
@@ -216,8 +215,7 @@ class TestExecutorMatchesPerOffsetReference:
             rb = build_rulebook_submanifold(t, KernelSpec.same(k, d, dims=t.dims))
         else:
             spec = KernelSpec((k,) * t.dims, (d,) * t.dims, (2,) * t.dims, (d,) * t.dims)
-            out_shape = regular_out_shape(t.spatial_shape, spec)
-            rb = build_rulebook_regular(t, spec, out_shape)
+            rb = build_rulebook_regular(t, spec)
         rng = np.random.default_rng(scene["seed"])
         c_in, c_out = channels
         x = rng.standard_normal((t.n_active, 2 * c_in)).astype(dtype)
@@ -264,7 +262,7 @@ class TestExecutorMatchesPerOffsetReference:
             rb = build_rulebook_submanifold(t, KernelSpec.same(k, d, dims=t.dims))
         else:
             spec = KernelSpec((k,) * t.dims, (d,) * t.dims, (2,) * t.dims, (d,) * t.dims)
-            rb = build_rulebook_regular(t, spec, regular_out_shape(t.spatial_shape, spec))
+            rb = build_rulebook_regular(t, spec)
         rng = np.random.default_rng(scene["seed"])
         c_in, c_out = channels
         x = rng.standard_normal((t.n_active, c_in)).astype(dtype)
@@ -372,7 +370,7 @@ class TestExecutorMatchesPerOffsetReference:
             rb = build_rulebook_submanifold(t, KernelSpec.same(3, 2, dims=3))
         else:
             spec = KernelSpec.downsample(3)
-            rb = build_rulebook_regular(t, spec, regular_out_shape(t.spatial_shape, spec))
+            rb = build_rulebook_regular(t, spec)
         c_in, c_out = 16, 24
         min_rows = SMALL_GEMM_ENTRIES // c_in + 1
         assert max(p.shape[0] for p in rb.pairs) > max(min_rows, 64 // c_in, 64 // c_out)
@@ -399,7 +397,7 @@ class TestExecutorMatchesPerOffsetReference:
         assert rb.identity_offset == 13
         assert np.array_equal(rb.pairs[13], np.stack((rows, rows), axis=1))
         spec = KernelSpec.downsample(3)
-        assert build_rulebook_regular(t, spec, regular_out_shape((5, 5, 5), spec)).identity_offset == -1
+        assert build_rulebook_regular(t, spec).identity_offset == -1
 
 
 class TestUniqueCoords:
@@ -427,9 +425,13 @@ def subm_layer(rng, spec, channels):
     return SparseConvLayer(spec, Tensor(w), Tensor(np.zeros(channels, np.float32)))
 
 
-def cached(geometry, key):
-    """The rulebook already cached under ``key``; fails on a miss."""
-    return geometry.rulebook(key, lambda: pytest.fail(f"no cached rulebook for {key}"))
+def cached(t, spec):
+    """The submanifold rulebook of ``spec`` already cached on ``t``'s
+    geometry; fails on a miss."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fsp, "build_rulebook_submanifold",
+                   lambda *_: pytest.fail(f"no cached rulebook for {spec}"))
+        return fsp.rulebook(t, spec)
 
 
 def count_builds(monkeypatch):
@@ -441,9 +443,9 @@ def count_builds(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(fc, "build_rulebook_submanifold",
-                        counting("submanifold", fc.build_rulebook_submanifold))
-    monkeypatch.setattr(fc, "build_rulebook_regular", counting("regular", fc.build_rulebook_regular))
+    monkeypatch.setattr(fsp, "build_rulebook_submanifold",
+                        counting("submanifold", fsp.build_rulebook_submanifold))
+    monkeypatch.setattr(fsp, "build_rulebook_regular", counting("regular", fsp.build_rulebook_regular))
     return calls
 
 
@@ -452,8 +454,8 @@ class TestGeometryCache:
         rng = np.random.default_rng(0)
         t = random_sparse(rng, (6, 6, 6), 0.3, 2)
         spec = KernelSpec.same(3, 2, dims=3)
-        first = t.geometry.rulebook(spec, lambda: build_rulebook_submanifold(t, spec))
-        assert cached(t.with_features(t.features).geometry, spec) is first
+        first = fsp.rulebook(t, spec)
+        assert cached(t.with_features(t.features), spec) is first
 
     def test_submanifold_outputs_share_the_input_geometry(self, monkeypatch):
         rng = np.random.default_rng(1)
@@ -539,7 +541,7 @@ class TestGeometryCache:
             "total": expected + 4 * n,
         }
         for k, d in zip(config.kernels, config.dilations):
-            cached(t.geometry, KernelSpec.same(k, d, dims=3))
+            cached(t, KernelSpec.same(k, d, dims=3))
 
     def test_cache_dies_with_its_active_set(self):
         rng = np.random.default_rng(7)

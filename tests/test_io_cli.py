@@ -52,6 +52,14 @@ class TestLoadPoints:
         assert len(cloud) == 1
         assert cloud.points[0, 3] == 0.5
 
+    def test_csv_byte_order_mark_keeps_the_first_point(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2,3\n0.5,0.5,0.5\n")
+        cloud = load_points(path, "csv")
+        np.testing.assert_array_equal(cloud.points, [[1, 2, 3, 0], [0.5, 0.5, 0.5, 0]])
+        path.write_bytes(b"\xef\xbb\xbfx,y,z\n1,2,3\n")
+        np.testing.assert_array_equal(load_points(path, "csv").points, [[1, 2, 3, 0]])
+
     def test_csv_intensity_beyond_float32_rejected_with_row(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("0.1,0.2,0.3,0.5\n0.1,0.2,0.3,1e308\n")
@@ -556,6 +564,16 @@ class TestCli:
         assert stdout == "" and err.startswith("error: row 401: line is not UTF-8: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_voxelize_byte_order_mark_changes_nothing(self, scene_files, tmp_path):
+        points, config = scene_files
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + points.read_bytes())
+        outs = [tmp_path / "plain.csv", tmp_path / "marked_v.csv"]
+        for src, out in zip((points, marked), outs):
+            assert main(["voxelize", "--points", str(src), "--config", str(config),
+                         "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_voxelize_intensity_beyond_float32_exit_one(self, scene_files, tmp_path, capsys):
         points, config = scene_files

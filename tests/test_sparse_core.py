@@ -273,7 +273,7 @@ class TestRegularRulebook:
         spec = KernelSpec((3, 3, 3), (1, 1, 1), (1, 1, 1), (1, 1, 1))
         out_shape = regular_out_shape(t.spatial_shape, spec)
         assert out_shape == (9, 9, 9)
-        rb = build_rulebook_regular(t, spec, out_shape)
+        rb = build_rulebook_regular(t, spec)
         assert rb.n_out == 27
         expected = {
             (0, 4 + a, 4 + b, 4 + c)
@@ -286,22 +286,21 @@ class TestRegularRulebook:
     def test_border_clipping(self):
         t = sparse_from_coords([(0, 0, 0, 0)], (4, 4, 4), 1)
         spec = KernelSpec((3, 3, 3), (1, 1, 1), (1, 1, 1), (1, 1, 1))
-        rb = build_rulebook_regular(t, spec, regular_out_shape(t.spatial_shape, spec))
+        rb = build_rulebook_regular(t, spec)
         assert rb.n_out == 8  # the {0,1}^3 corner
 
     def test_stride_two_example(self):
         # solve 2j + o = 5 per dim with the padding shift, o in {-1,0,1}
         t = sparse_from_coords([(0, 5, 5, 5)], (8, 8, 8), 1)
         spec = KernelSpec((3, 3, 3), (1, 1, 1), (2, 2, 2), (1, 1, 1))
-        out_shape = regular_out_shape(t.spatial_shape, spec)
-        rb = build_rulebook_regular(t, spec, out_shape)
+        rb = build_rulebook_regular(t, spec)
         expected = {(0, a, b, c) for a in (2, 3) for b in (2, 3) for c in (2, 3)}
         assert {tuple(c) for c in rb.out_coords} == expected
 
     def test_empty_input(self):
         t = sparse_from_coords(np.empty((0, 4)), (4, 4, 4), 3)
         spec = KernelSpec.downsample(3)
-        rb = build_rulebook_regular(t, spec, regular_out_shape(t.spatial_shape, spec))
+        rb = build_rulebook_regular(t, spec)
         assert rb.n_out == 0
         assert rb.total_pairs == 0
 
@@ -309,7 +308,7 @@ class TestRegularRulebook:
         rng = np.random.default_rng(6)
         t = random_sparse(rng, (8, 8, 8), 0.3, 1, batches=2)
         spec = KernelSpec.downsample(3)
-        rb = build_rulebook_regular(t, spec, regular_out_shape(t.spatial_shape, spec))
+        rb = build_rulebook_regular(t, spec)
         as_tuples = [tuple(c) for c in rb.out_coords]
         assert as_tuples == sorted(as_tuples)
 
@@ -403,7 +402,7 @@ class TestDenseEquivalence:
         out_shape = regular_out_shape(shape, spec)
         if min(out_shape) == 0:
             return
-        rb = build_rulebook_regular(t, spec, out_shape)
+        rb = build_rulebook_regular(t, spec)
         c_out = int(rng.integers(1, 4))
         w = rng.standard_normal((spec.volume, t.channels, c_out)).astype(np.float32)
         b = rng.standard_normal(c_out).astype(np.float32)

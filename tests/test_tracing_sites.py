@@ -7,6 +7,7 @@ from pathlib import Path
 
 import focalvox.backbone as fb
 import numpy as np
+import pytest
 import focalvox.ops as fo
 from focalvox.points import PointCloud
 
@@ -30,10 +31,9 @@ def test_tracer_installs_and_restores_every_site(monkeypatch):
         assert owner.__dict__[attr].__name__ != "traced", (owner, attr)
 
 
-def test_level_convs_run_inside_context_levels(monkeypatch):
-    """``sfm.context_levels.ms`` is the time of the level convs: every level
-    conv of an untaped forward nests in an ``sfm.context_levels`` span, and
-    every other submanifold conv in a residual block."""
+@pytest.fixture
+def tiny_spans(monkeypatch):
+    """The spans of one traced, untaped ``tiny`` forward, and its config."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     cfg = fb.preset("tiny")
@@ -47,21 +47,29 @@ def test_level_convs_run_inside_context_levels(monkeypatch):
         tracer.root("pass", fb.sfmnet_forward, cloud, cfg, store, None, "eval")
     finally:
         tracer.uninstall()
-    spans = tracer.spans
+    return tracer.spans, cfg
 
-    def enclosing(i, name):
-        while i >= 0:
-            if spans[i][0] == name:
-                return i
-            i = spans[i][3]
-        return -1
 
+def enclosing(spans, i, name):
+    """Index of the innermost ``name`` span around span ``i``; -1 if none."""
+    while i >= 0:
+        if spans[i][0] == name:
+            return i
+        i = spans[i][3]
+    return -1
+
+
+def test_level_convs_run_inside_context_levels(tiny_spans):
+    """``sfm.context_levels.ms`` is the time of the level convs: every level
+    conv of an untaped forward nests in an ``sfm.context_levels`` span, and
+    every other submanifold conv in a residual block."""
+    spans, cfg = tiny_spans
     in_levels = {}
     for i, span in enumerate(spans):
         if span[0] == "conv.subm_conv":
-            owner = enclosing(i, "sfm.context_levels")
+            owner = enclosing(spans, i, "sfm.context_levels")
             if owner < 0:
-                assert enclosing(i, "sfm.srb_block") >= 0
+                assert enclosing(spans, i, "sfm.srb_block") >= 0
             else:
                 in_levels[owner] = in_levels.get(owner, 0) + 1
                 assert spans[owner][1] <= span[1] and span[2] <= spans[owner][2]
@@ -70,3 +78,21 @@ def test_level_convs_run_inside_context_levels(monkeypatch):
     assert mixers == sum(1 for s in spans if s[0] == "sfm.context_levels") == len(in_levels)
     assert sorted(in_levels.values()) == sorted(
         s.sfm.levels for s in stages for _ in range(s.n_sfm))
+
+
+def test_every_rulebook_build_is_traced_inside_its_conv(tiny_spans):
+    """The convs request rulebooks through ``sparse.rulebook``, so the builds
+    are seen at the ``focalvox.sparse`` sites: one regular build per
+    downsample and the submanifold builds, each inside its conv's span."""
+    spans, _ = tiny_spans
+    conv_of = {"sparse.rulebook_regular": "conv.regular_conv_down",
+               "sparse.rulebook_subm": "conv.subm_conv"}
+    builds = {name: [i for i, s in enumerate(spans) if s[0] == name] for name in conv_of}
+    downsamples = [i for i, s in enumerate(spans) if s[0] == "backbone.downsample"]
+    assert len(builds["sparse.rulebook_regular"]) == len(downsamples) == 3
+    assert len(builds["sparse.rulebook_subm"]) >= 1
+    for name, rows in builds.items():
+        for i in rows:
+            assert enclosing(spans, i, conv_of[name]) >= 0, (name, i)
+    assert sorted(enclosing(spans, i, "backbone.downsample")
+                  for i in builds["sparse.rulebook_regular"]) == downsamples
