@@ -12,6 +12,7 @@ coordinate rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .sparse import (
     build_rulebook_submanifold,  # patched by perfbench/tracing.py
     gather_scatter_matmul,
     gather_scatter_vjp,
+    gather_scatter_weight_grad,
     rulebook,
 )
 from .tape import Tensor, emit
@@ -47,13 +49,20 @@ def _apply_rulebook(t: SparseTensor, layer: SparseConvLayer, rb: Rulebook) -> Sp
 
     def vjp_of(needs):
         wd, need_w, need_b = weight.data, needs[1], needs[2]
-        # without a weight gradient the VJP reads only the features' shape
-        # and dtype, which a zero-strided view carries without the data
+        # only the weight gradient reads the features' data; without one a
+        # zero-strided view carries their shape and dtype
         xd = x.data if need_w else np.broadcast_to(np.zeros((), x.data.dtype), x.data.shape)
 
         def vjp(cot):
-            gx, gw = gather_scatter_vjp(xd, rb, wd, cot, with_weights=need_w)
-            return gx, gw, (cot.sum(axis=0).astype(xd.dtype) if need_b else None)
+            gw = None
+            if need_w:
+                # a weight gradient larger than the cotangent is formed
+                # after the replay's last node, holding the cotangent until then
+                gw = partial(gather_scatter_weight_grad, xd, rb, cot)
+                if wd.size <= cot.size:
+                    gw = gw()
+            gb = cot.sum(axis=0).astype(xd.dtype) if need_b else None
+            return gather_scatter_vjp(xd, rb, wd, cot), gw, gb
 
         return vjp
 

@@ -555,48 +555,41 @@ def gather_scatter_vjp(
     rulebook: Rulebook,
     weights: np.ndarray,
     cotangent: np.ndarray,
-    with_weights: bool = True,
-):
-    """Backward pass of :func:`gather_scatter_matmul`.
+) -> np.ndarray:
+    """Feature gradient of :func:`gather_scatter_matmul`.
 
-    ``grad_features[i] = sum_o sum_{(i,j)} cot[j] @ W_o^T``;
-    ``grad_W_o = sum_{(i,j)} x[i]^T @ cot[j]``.  Returns (grad_features,
-    grad_weights) in the features' dtype; grad_weights is None when
-    ``with_weights`` is false, in which case no input row is gathered and
-    only the shape and dtype of ``features`` are read.  A bias gradient
-    is the cotangent's column sum, which the conv forms itself.
-    Accumulation order mirrors the forward pass, so gradients are
-    deterministic as well.  A cotangent that is not (output rows, C_out)
-    raises ShapeMismatch.
+    ``grad_features[i] = sum_o sum_{(i,j)} cot[j] @ W_o^T``, in the
+    features' dtype.  Only the shape and dtype of ``features`` are read,
+    so a zero-strided view will do.  The weight gradient is
+    :func:`gather_scatter_weight_grad`'s: a conv's VJP forms it at once
+    when it has no more entries than the cotangent, and otherwise returns
+    it as a callable that the tape's replay calls after its last node (see
+    :meth:`~focalvox.tape.GradTape.gradients`).  A bias gradient is the
+    cotangent's column sum, which the conv forms itself.  Accumulation
+    order mirrors the forward pass, so the gradient is deterministic as
+    well.  A cotangent that is not (output rows, C_out) raises
+    ShapeMismatch.
 
-    ``grad_features`` takes only the pairs whose cotangent row is live, with
-    the bytes of the all-pairs loop: see the README's "Sparse cotangents in
-    the VJP" and "Same rows, same bits".
+    It takes only the pairs whose cotangent row is live, with the bytes of
+    the all-pairs loop: see the README's "Sparse cotangents in the VJP"
+    and "Same rows, same bits".
     """
     weights = np.asarray(weights)
-    k = len(rulebook.offsets)
     if cotangent.shape != (rulebook.n_out, weights.shape[-1]):
         raise ShapeMismatch(
             f"cotangent shape {cotangent.shape} != (rulebook outputs "
             f"{rulebook.n_out}, output channels {weights.shape[-1]})"
         )
     grad_features = np.zeros(features.shape, dtype=np.float64)
-    # one product per offset: stored directly, no float64 accumulator
-    grad_weights = np.zeros(weights.shape, dtype=features.dtype) if with_weights else None
     c_in = features.shape[1]
     live = _live_rows(cotangent) if c_in > 1 and cotangent.size else None
     if live is not None and not np.isfinite(weights).all():
         live = None
     min_rows = max(2, SMALL_GEMM_ENTRIES // max(c_in, 1) + 1)
-    for o in range(k):
+    for o in range(len(rulebook.offsets)):
         in_rows, out_rows = _offset_rows(rulebook, o)
-        cot_rows = None
-        if with_weights:
-            cot_rows = _take_rows(cotangent, out_rows)
-            grad_weights[o] = _take_rows(features, in_rows).T @ cot_rows
         if live is None or rulebook.pairs[o].shape[0] <= min_rows:
-            if cot_rows is None:
-                cot_rows = _take_rows(cotangent, out_rows)
+            cot_rows = _take_rows(cotangent, out_rows)
             targets = in_rows
         else:
             hit = np.flatnonzero(live if out_rows is None else live[out_rows])
@@ -609,4 +602,28 @@ def gather_scatter_vjp(
         del cot_rows  # free each offset's gathers and product before the next's
         _scatter_add(grad_features, targets, gx)
         del gx
-    return grad_features.astype(features.dtype, copy=False), grad_weights
+    return grad_features.astype(features.dtype, copy=False)
+
+
+def gather_scatter_weight_grad(
+    features: np.ndarray,
+    rulebook: Rulebook,
+    cotangent: np.ndarray,
+) -> np.ndarray:
+    """Weight gradient of :func:`gather_scatter_matmul`.
+
+    ``grad_W_o = sum_{(i,j)} x[i]^T @ cot[j]``: one product per offset over
+    every pair, stored directly in the features' dtype with no float64
+    accumulator.  A cotangent that is not (output rows, C_out) raises
+    ShapeMismatch.
+    """
+    if cotangent.ndim != 2 or cotangent.shape[0] != rulebook.n_out:
+        raise ShapeMismatch(
+            f"cotangent shape {cotangent.shape} != (rulebook outputs {rulebook.n_out}, C_out)"
+        )
+    k = len(rulebook.offsets)
+    grad_weights = np.zeros((k, features.shape[1], cotangent.shape[1]), dtype=features.dtype)
+    for o in range(k):
+        in_rows, out_rows = _offset_rows(rulebook, o)
+        grad_weights[o] = _take_rows(features, in_rows).T @ _take_rows(cotangent, out_rows)
+    return grad_weights

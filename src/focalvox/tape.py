@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import deque
 
 import numpy as np
 
@@ -110,6 +111,14 @@ class GradTape:
         map.  ``trace``, if given, collects the names of visited nodes in
         replay order.
 
+        A VJP may return a zero-argument callable in place of an input's
+        cotangent (see :func:`emit`).  One for a non-leaf input is called
+        at once.  A leaf's contributions, arrays and callables alike, are
+        queued in replay order and summed after the last node: each
+        callable is called then, exactly once, and each part is dropped
+        as it is summed, so a leaf gradient has the bytes of summing every
+        part as its node ran.
+
         The replay releases memory as it goes and can run once per tape:
         a second call raises TapeConsumed.  Node names survive it.
         """
@@ -121,7 +130,9 @@ class GradTape:
                 f"cotangent shape {cot.shape} != output shape {output.data.shape}"
             )
         self._consumed = True
+        produced = {node.out_uid for node in self._nodes}
         grads: dict[int, np.ndarray] = {output.uid: cot}
+        leaf_parts: deque = deque()
         for node in reversed(self._nodes):
             vjp, node.vjp = node.vjp, None
             # every consumer of this output comes later on the tape, so
@@ -134,9 +145,21 @@ class GradTape:
             for uid, g in zip(node.in_uids, vjp(out_cot)):
                 if uid is None or g is None:
                     continue
-                acc = grads.get(uid)
-                grads[uid] = g if acc is None else acc + g
+                if uid in produced:
+                    _accumulate(grads, uid, g)
+                else:
+                    leaf_parts.append((uid, g))
+        while leaf_parts:
+            _accumulate(grads, *leaf_parts.popleft())
         return grads
+
+
+def _accumulate(grads: dict[int, np.ndarray], uid: int, g) -> None:
+    """Add one cotangent part, an array or a callable that forms it."""
+    if callable(g):
+        g = g()
+    acc = grads.get(uid)
+    grads[uid] = g if acc is None else acc + g
 
 
 def active_tape(*tensors: Tensor | None) -> GradTape | None:
@@ -165,8 +188,12 @@ def emit(name: str, data, inputs: tuple[Tensor | None, ...], vjp_of) -> Tensor:
     input gets a gradient (:meth:`GradTape.needs`), so an untaped op builds
     no VJP state.  It returns the VJP: a map from the output's cotangent to
     a tuple of cotangents, one per input (None for inputs that get none).
-    Inputs that need no gradient get no uid, so the replay drops whatever
-    the VJP returns for them.
+    A cotangent may also be a zero-argument callable that forms it, as a
+    convolution returns a weight gradient larger than its cotangent; the
+    replay calls it once, at once for an intermediate and after the last
+    node for a leaf (:meth:`GradTape.gradients`).  Inputs that need no
+    gradient get no uid, so the replay drops whatever the VJP returns for
+    them.
     """
     tape = active_tape(*inputs)
     out = Tensor(data, tape)

@@ -266,7 +266,8 @@ def keep_all_replay(tape, output, cotangent):
     """Reverse replay that frees nothing and leaves the tape replayable.
 
     Returns the map of every cotangent it formed, intermediates included,
-    as the tape's replay did before it released memory as it went.
+    as the tape's replay did before it released memory as it went.  A
+    cotangent a VJP returns as a callable is called at once.
     """
     grads = {output.uid: np.asarray(cotangent)}
     for node in reversed(tape._nodes):
@@ -274,6 +275,8 @@ def keep_all_replay(tape, output, cotangent):
         if out_cot is None:
             continue
         for uid, g in zip(node.in_uids, node.vjp(out_cot)):
+            if callable(g):
+                g = g()
             if g is not None:
                 acc = grads.get(uid)
                 grads[uid] = g if acc is None else acc + g

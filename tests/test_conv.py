@@ -10,6 +10,7 @@ from focalvox.sparse import (
     build_rulebook_regular,
     build_rulebook_submanifold,
     gather_scatter_vjp,
+    gather_scatter_weight_grad,
     regular_out_shape,
 )
 from focalvox.tape import GradTape, Tensor, grad_of
@@ -154,7 +155,8 @@ class TestConvVjp:
 
     def test_zero_cotangent(self):
         t, rb, w, cot = self.setup_case(8)
-        gx, gw = gather_scatter_vjp(t.features.data, rb, w, np.zeros_like(cot))
+        gx = gather_scatter_vjp(t.features.data, rb, w, np.zeros_like(cot))
+        gw = gather_scatter_weight_grad(t.features.data, rb, np.zeros_like(cot))
         assert not gx.any() and not gw.any()
 
     def test_bad_cotangent_shape_raises(self):
@@ -163,6 +165,12 @@ class TestConvVjp:
             with pytest.raises(ShapeMismatch):
                 gather_scatter_vjp(t.features.data, rb, w, bad)
 
+    def test_weight_grad_bad_cotangent_rows_raise(self):
+        t, rb, w, cot = self.setup_case(8)
+        for bad in (cot[:-1], cot.reshape(-1)):
+            with pytest.raises(ShapeMismatch):
+                gather_scatter_weight_grad(t.features.data, rb, bad)
+
     def test_isolated_voxel_grad(self):
         rng = np.random.default_rng(9)
         t = sparse_from_coords([(0, 2, 2, 2)], (5, 5, 5), 3, rng=rng)
@@ -170,7 +178,7 @@ class TestConvVjp:
         rb = build_rulebook_submanifold(t, spec)
         w = rng.standard_normal((27, 3, 2))
         cot = rng.standard_normal((1, 2))
-        gx, gw = gather_scatter_vjp(t.features.data.astype(np.float64), rb, w, cot)
+        gx = gather_scatter_vjp(t.features.data.astype(np.float64), rb, w, cot)
         np.testing.assert_allclose(gx, cot @ w[13].T)
 
     def test_matches_finite_differences(self):
@@ -209,8 +217,8 @@ class TestConvVjp:
 
 
 class TestConvBiasGradient:
-    """The conv forms the bias gradient itself (the executor's VJP returns
-    only feature and weight gradients); its bytes are the reference's."""
+    """The conv forms the bias gradient itself (the executor's VJP functions
+    return only feature and weight gradients); its bytes are the reference's."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["submanifold", "regular"])

@@ -24,6 +24,7 @@ from focalvox.sparse import (
     build_rulebook_submanifold,
     gather_scatter_matmul,
     gather_scatter_vjp,
+    gather_scatter_weight_grad,
     regular_out_shape,
     unique_coords,
 )
@@ -207,9 +208,8 @@ class TestExecutorMatchesPerOffsetReference:
         channels=st.tuples(st.integers(1, 5), st.integers(1, 5)),
         dtype=st.sampled_from([np.float32, np.float64]),
         strided=st.booleans(),
-        with_weights=st.booleans(),
     )
-    def test_same_bytes(self, scene, kind, k, d, channels, dtype, strided, with_weights):
+    def test_same_bytes(self, scene, kind, k, d, channels, dtype, strided):
         t = scene_from(scene)
         if kind == "submanifold":
             rb = build_rulebook_submanifold(t, KernelSpec.same(k, d, dims=t.dims))
@@ -228,14 +228,9 @@ class TestExecutorMatchesPerOffsetReference:
         want = reference_gather_scatter_matmul(x, rb, w, b)
         assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
         want = reference_gather_scatter_vjp(x, rb, w, cot)[:2]
-        if with_weights:
-            got = gather_scatter_vjp(x, rb, w, cot)
-        else:
-            # only the features' shape and dtype may be read: pass no data
-            shape_only = np.broadcast_to(np.zeros((), dtype), x.shape)
-            got = gather_scatter_vjp(shape_only, rb, w, cot, with_weights=False)
-            assert got[1] is None
-            got, want = got[:1], want[:1]
+        # the feature gradient may read only the features' shape and dtype: pass no data
+        shape_only = np.broadcast_to(np.zeros((), dtype), x.shape)
+        got = gather_scatter_vjp(shape_only, rb, w, cot), gather_scatter_weight_grad(x, rb, cot)
         for g, ref in zip(got, want):
             assert g.dtype == ref.dtype and g.shape == ref.shape
             assert g.tobytes() == ref.tobytes()
@@ -248,12 +243,11 @@ class TestExecutorMatchesPerOffsetReference:
         d=st.integers(1, 4),
         channels=st.tuples(st.sampled_from([1, 2, 5, 16, 32]), st.sampled_from([1, 3, 16, 32])),
         dtype=st.sampled_from([np.float32, np.float64]),
-        with_weights=st.booleans(),
         zeroed=st.sampled_from(["none", "all", "all but one", "half"]),
         zero=st.sampled_from([0.0, -0.0]),
     )
     def test_zeroed_cotangent_rows_same_bytes(
-        self, scene, kind, k, d, channels, dtype, with_weights, zeroed, zero
+        self, scene, kind, k, d, channels, dtype, zeroed, zero
     ):
         """Cotangents with dead rows take the live-row product; the bytes
         are those of the all-pairs reference."""
@@ -278,13 +272,8 @@ class TestExecutorMatchesPerOffsetReference:
         cot[dead] = zero
 
         want = reference_gather_scatter_vjp(x, rb, w, cot)[:2]
-        if with_weights:
-            got = gather_scatter_vjp(x, rb, w, cot)
-        else:
-            shape_only = np.broadcast_to(np.zeros((), dtype), x.shape)
-            got = gather_scatter_vjp(shape_only, rb, w, cot, with_weights=False)
-            assert got[1] is None
-            got, want = got[:1], want[:1]
+        shape_only = np.broadcast_to(np.zeros((), dtype), x.shape)
+        got = gather_scatter_vjp(shape_only, rb, w, cot), gather_scatter_weight_grad(x, rb, cot)
         for g, ref in zip(got, want):
             assert g.dtype == ref.dtype and g.shape == ref.shape
             assert g.tobytes() == ref.tobytes()
@@ -312,11 +301,8 @@ class TestExecutorMatchesPerOffsetReference:
             cot = np.zeros_like(full)
             cot[live] = full[live]
             want = reference_gather_scatter_vjp(x, rb, w, cot)
-            for with_weights in (True, False):
-                gx, gw = gather_scatter_vjp(x, rb, w, cot, with_weights=with_weights)
-                assert gx.tobytes() == want[0].tobytes()
-                if with_weights:
-                    assert gw.tobytes() == want[1].tobytes()
+            assert gather_scatter_vjp(x, rb, w, cot).tobytes() == want[0].tobytes()
+            assert gather_scatter_weight_grad(x, rb, cot).tobytes() == want[1].tobytes()
 
     @pytest.mark.parametrize("c_in", [1, 1250])
     def test_no_product_of_one_row_or_one_column(self, c_in):
@@ -337,7 +323,7 @@ class TestExecutorMatchesPerOffsetReference:
             cot = np.zeros_like(full)
             cot[live] = full[live]
             want = reference_gather_scatter_vjp(x, rb, w, cot)[0]
-            got = gather_scatter_vjp(x, rb, w, cot, with_weights=False)[0]
+            got = gather_scatter_vjp(x, rb, w, cot)
             assert got.tobytes() == want.tobytes()
 
     def test_nan_rows_are_live_and_non_finite_weights_keep_every_pair(self):
@@ -354,7 +340,7 @@ class TestExecutorMatchesPerOffsetReference:
         for weights in (w, inf_w):
             with np.errstate(invalid="ignore"):
                 want = reference_gather_scatter_vjp(x, rb, weights, cot)[0]
-                got = gather_scatter_vjp(x, rb, weights, cot, with_weights=False)[0]
+                got = gather_scatter_vjp(x, rb, weights, cot)
             assert np.isnan(got).any()
             assert np.array_equal(got, want, equal_nan=True)
 
@@ -384,11 +370,8 @@ class TestExecutorMatchesPerOffsetReference:
         some_live[::7] = full[::7]  # a few live rows per offset: padded products
         for cot in (full, some_live):
             want = reference_gather_scatter_vjp(x, rb, w, cot)
-            for with_weights in (True, False):
-                gx, gw = gather_scatter_vjp(x, rb, w, cot, with_weights=with_weights)
-                assert gx.tobytes() == want[0].tobytes()
-                if with_weights:
-                    assert gw.tobytes() == want[1].tobytes()
+            assert gather_scatter_vjp(x, rb, w, cot).tobytes() == want[0].tobytes()
+            assert gather_scatter_weight_grad(x, rb, cot).tobytes() == want[1].tobytes()
 
     def test_identity_offset_is_the_submanifold_center(self):
         t = random_sparse(np.random.default_rng(8), (5, 5, 5), 0.4, 1, batches=2)

@@ -166,6 +166,100 @@ def test_replay_frees_cotangents_and_saved_state():
     assert peak <= resident + 8 * x0.nbytes
 
 
+def test_tiny_replay_peaks_near_the_forward_residency():
+    """Conv weight gradients larger than their cotangents are formed after
+    the replay's last node, once the forward state is freed, so the replay
+    holds little beyond what the forward left resident."""
+    cfg = preset("tiny")
+    store = init_network(cfg)
+    rng = np.random.default_rng(0)
+    pts = np.concatenate((rng.uniform(-3, 3, (500, 3)), rng.uniform(0, 1, (500, 1))), axis=1)
+    tracemalloc.start()
+    try:
+        tape = GradTape()
+        _, logits = sfmnet_forward(PointCloud(pts), cfg, store, tape=tape, bn_mode="train")
+        loss = ops.mean_all(logits)
+        resident = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = tape.gradients(loss, np.asarray(1.0, dtype=logits.data.dtype))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(grad_of(grads, store.tensor(name)) is not None for name in store.param_names()
+               if name.startswith("stage4."))
+    assert peak <= 1.15 * resident
+
+
+def chain_with_a_leaf(tape, leaf, parts):
+    """One identity node per part on a chain from a taped input; node ``i``
+    returns ``parts[i]`` for ``leaf``.  Returns the chain's output."""
+    h = Tensor(np.ones(2), tape)
+    for part in parts:
+        h = emit("part", h.data, (h, leaf), lambda needs, part=part: lambda cot: (cot, part))
+    return h
+
+
+def test_leaf_callable_and_array_parts_sum_in_replay_order():
+    """Replayed third node first: the array, then the callable's array, then
+    the first node's array, each added as in an eager sum."""
+    big = np.float32([1e8, 2.0])
+    parts = [np.float32([1.0, 3.0]), lambda: big, -big]
+    tape = GradTape()
+    leaf = Tensor(np.zeros(2, np.float32))
+    grads = tape.gradients(chain_with_a_leaf(tape, leaf, parts), np.ones(2))
+    want = (parts[2] + big) + parts[0]
+    assert grad_of(grads, leaf).tobytes() == want.tobytes()
+    # the order shows in the bits: adding the 1 before the two 1e8 entries
+    # cancel rounds it away
+    assert want[0] == 1.0 and ((parts[0] + big) + parts[2])[0] == 0.0
+
+
+def test_callable_for_an_intermediate_is_called_before_its_producer():
+    events = []
+    tape = GradTape()
+    x = Tensor(np.ones(2), tape)
+
+    def producer_vjp(cot):
+        events.append(("producer", cot))
+        return (cot,)
+
+    def part():
+        events.append("part")
+        return np.full(2, 3.0)
+
+    h = emit("producer", 2 * x.data, (x,), lambda needs: producer_vjp)
+    out = emit("consumer", h.data, (h,), lambda needs: lambda cot: (part,))
+    grads = tape.gradients(out, np.ones(2))
+    assert events[0] == "part" and events[1][0] == "producer"
+    np.testing.assert_array_equal(events[1][1], np.full(2, 3.0))
+    np.testing.assert_array_equal(grad_of(grads, x), np.full(2, 3.0))
+
+
+def test_leaf_callables_run_once_after_the_last_node():
+    events = []
+    tape = GradTape()
+    w = Tensor(np.ones(2))
+    h = Tensor(np.ones(2), tape)
+    for i in range(3):
+
+        def vjp_of(needs, i=i):
+            def vjp(cot):
+                events.append(f"node{i}")
+
+                def part():
+                    events.append(f"part{i}")
+                    return (i + 1) * cot
+
+                return cot, part
+
+            return vjp
+
+        h = emit(f"n{i}", h.data, (h, w), vjp_of)
+    grads = tape.gradients(h, np.ones(2))
+    assert events == ["node2", "node1", "node0", "part2", "part1", "part0"]
+    np.testing.assert_array_equal(grad_of(grads, w), np.full(2, 6.0))
+
+
 def test_needs_follows_the_tape_mode():
     default, inputs_only = GradTape(), GradTape(params=False)
     param = Tensor(np.ones(2))
