@@ -6,8 +6,8 @@ stated once, per stage: the VFE and each downsample produce the width of
 the stage they feed, and the BEV projection that of the 2-D stage.  The
 schema is closed: unknown keys anywhere are rejected.  Values must have
 their JSON type: counts, channels, kernels, dilations and the seed are
-integers, sizes, ranges and ``mlp_ratio`` finite numbers, and list fields
-arrays.  Every error names its location (``stages[2]: ...``).
+integers, sizes and ranges finite numbers, and list fields arrays.  Every
+error names its location (``stages[2]: ...``).
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ _TOP_KEYS = {"voxelizer", "stages", "backbone2d", "precision", "seed"}
 # {key: (kind, array)} in reading order (see _field); a stage object holds
 # the mixer fields (SFMConfig), then the block counts (StageConfig)
 _VOXELIZER = {"voxel_size": (float, True), "range_min": (float, True), "range_max": (float, True)}
-_MIXER = {"channels": (int, False), "kernels": (int, True), "dilations": (int, True),
-          "mlp_ratio": (float, False)}
+_MIXER = {"channels": (int, False), "kernels": (int, True), "dilations": (int, True)}
 _COUNTS = {"n_sfm": (int, False), "n_srb": (int, False)}
 
 

@@ -13,7 +13,6 @@ as in focal modulation, with no squashing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import ops
@@ -24,6 +23,8 @@ from .sparse import KernelSpec, SparseTensor, check_kernels, rulebook
 from .sparse import build_rulebook_submanifold  # patched by perfbench/tracing.py
 from .tape import Tensor
 
+MLP_RATIO = 2  # a block's MLP hidden width, in channels
+
 
 @dataclass(frozen=True)
 class SFMConfig:
@@ -32,26 +33,15 @@ class SFMConfig:
     channels: int
     kernels: tuple[int, ...]
     dilations: tuple[int, ...]
-    mlp_ratio: float = 2.0
 
     def __post_init__(self):
         object.__setattr__(self, "kernels", tuple(int(k) for k in self.kernels))
         object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))
         if self.channels < 1:
             raise InvalidSpec(f"channels must be at least 1, got {self.channels}")
-        if not self.mlp_ratio > 0:
-            raise InvalidSpec(f"mlp_ratio must be positive, got {self.mlp_ratio}")
         if len(self.kernels) != len(self.dilations) or not self.kernels:
             raise InvalidSpec("kernels and dilations must be equal-length, non-empty")
         check_kernels(self.kernels, self.dilations)
-        try:
-            hidden = float(self.mlp_ratio * self.channels)
-        except OverflowError:  # a width beyond float range
-            hidden = math.inf
-        if not hidden.is_integer():  # positive by the checks above
-            raise InvalidSpec(
-                f"mlp_ratio * channels must be a positive integer, got {hidden}"
-            )
 
     @property
     def levels(self) -> int:
@@ -59,7 +49,7 @@ class SFMConfig:
 
     @property
     def mlp_hidden(self) -> int:
-        return int(self.mlp_ratio * self.channels)
+        return MLP_RATIO * self.channels
 
 
 def effective_receptive_field(config: SFMConfig) -> int:

@@ -452,14 +452,17 @@ def build_rulebook_regular(t: SparseTensor, spec: KernelSpec) -> Rulebook:
 
 def rulebook(t: SparseTensor, spec: KernelSpec, regular: bool = False) -> Rulebook:
     """The rulebook of ``spec`` on ``t``'s active set, from its geometry's
-    cache under ``(spec, regular)``; built on a miss by
-    :func:`build_rulebook_regular` or :func:`build_rulebook_submanifold`."""
+    cache under ``(spec, regular)``; built on a miss by :func:`build_rulebook_regular`
+    or :func:`build_rulebook_submanifold`; InvalidSpec if the build cannot allocate."""
     key, cache = (spec, regular), t.geometry._rulebooks
-    rb = cache.get(key)
-    if rb is None:
+    if key not in cache:
         build = build_rulebook_regular if regular else build_rulebook_submanifold
-        rb = cache[key] = build(t, spec)
-    return rb
+        try:
+            cache[key] = build(t, spec)
+        except (MemoryError, ValueError) as exc:
+            raise InvalidSpec(f"the rulebook of kernel {spec.kernel} at dilation {spec.dilation} "
+                              f"on {t.n_active} voxels cannot be allocated") from exc
+    return cache[key]
 
 
 # float64 entries per scatter block of either executor (256 KB)

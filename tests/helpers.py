@@ -5,9 +5,32 @@ on dense float64 grids so that agreement with the sparse engine is a real
 cross-check, not a tautology.
 """
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from focalvox.sparse import SparseTensor, centered_offsets, raw_offsets
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli_limited(argv, address_space=3 << 30, timeout=120):
+    """``python -m focalvox.cli *argv`` in a subprocess whose address space
+    is capped at ``address_space`` bytes: an oversized allocation there
+    raises MemoryError instead of growing until the OS stops it.  Returns
+    the ``CompletedProcess``, with stdout and stderr as text."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "focalvox.cli", *argv], capture_output=True, text=True,
+        preexec_fn=limit, env={**os.environ, "PYTHONPATH": path}, timeout=timeout,
+    )
 
 
 def random_sparse(rng, spatial_shape, density, channels, batches=1, dtype=np.float32):
@@ -128,7 +151,7 @@ def closed_form_param_count(cfg):
     downsamples, 3**dims residual convs, 3 probe logits): the independent
     count that the layout-derived ``param_count`` is checked against."""
     def stage(s, dims):
-        c, hidden = s.channels, s.sfm.mlp_hidden
+        c, hidden = s.channels, 2 * s.channels  # the MLP is twice as wide
         levels = s.sfm.levels
         block = c * (2 * c + levels) + (2 * c + levels)  # fused projection
         block += sum(k**dims * c * c + c for k in s.sfm.kernels)  # level convs + biases

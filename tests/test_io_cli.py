@@ -34,7 +34,7 @@ from focalvox.points import (
 )
 from focalvox.tape import Tensor
 from focalvox.weights import load_weights, parse_weights, save_weights, serialize_weights
-from helpers import rel_err
+from helpers import rel_err, run_cli_limited
 
 
 class TestLoadPoints:
@@ -312,14 +312,8 @@ BAD_VALUES = [
     (("stages", 1, "channels"), 0, r"stages\[1\]: channels must be at least 1, got 0"),
     (("stages", 1, "n_sfm"), 1.7, r"stages\[1\]: n_sfm must be an integer"),
     (("stages", 1, "n_sfm"), "1", r"stages\[1\]: n_sfm must be an integer"),
-    (("stages", 1, "mlp_ratio"), "2", r"stages\[1\]: mlp_ratio must be a finite number"),
-    (("stages", 1, "mlp_ratio"), 10**400, r"stages\[1\]: mlp_ratio must be a finite number"),
     (("seed",), True, r"config: seed must be an integer"),
     (("seed",), -1, r"config: seed must be non-negative, got -1$"),
-    (("stages", 1, "mlp_ratio"), 1e308,
-     r"stages\[1\]: mlp_ratio \* channels must be a positive integer, got inf$"),
-    (("stages", 1, "channels"), 10**400,
-     r"stages\[1\]: mlp_ratio \* channels must be a positive integer, got inf$"),
     (("stages", 1, "dilations"), "13", r"stages\[1\]: dilations must be an array"),
     (("backbone2d", "kernels"), [3, True], r"backbone2d: kernels\[1\] must be an integer"),
     (("stages", 2, "kernels"), [3, 4], r"stages\[2\]: kernel sizes must be odd"),
@@ -364,6 +358,16 @@ class TestConfigFile:
     def test_bad_value_rejected_with_location(self, path, value, message):
         with pytest.raises(ConfigError, match=message):
             config_from_json(tiny_config_with(path, value))
+
+    def test_mlp_ratio_is_no_longer_a_key(self):
+        # the MLP width is fixed at sfm.MLP_RATIO times the channels: an
+        # older file that still states the ratio must delete it
+        doc = json.loads(config_to_json(preset("tiny")))
+        assert all(sorted(s) == ["channels", "dilations", "kernels", "n_sfm", "n_srb"]
+                   for s in [*doc["stages"], doc["backbone2d"]])
+        doc["stages"][1]["mlp_ratio"] = 2.0
+        with pytest.raises(ConfigError, match=r"^stages\[1\]: unknown keys \['mlp_ratio'\]$"):
+            config_from_json(json.dumps(doc))
 
     def test_unknown_nested_key_rejected(self):
         doc = json.loads(config_to_json(preset("tiny")))
@@ -662,6 +666,17 @@ class TestCli:
         summary = json.loads(lines[-1])
         assert "slope" in summary
 
+    @pytest.mark.parametrize("kernel", [100001, 2**63 - 1])
+    def test_bench_kernel_beyond_memory_exit_one(self, kernel):
+        # the first level's rulebook needs a 100001**2-entry shift table, or
+        # an offset list of 2**63 - 1 entries per dim: under a 3 GiB address
+        # space each allocation fails, and the error names the kernel
+        proc = run_cli_limited(["bench", "--mixer", "sfm", "--n-list", "50,100",
+                                "--kernels", f"{kernel},3"])
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"error: the rulebook of kernel {(kernel,) * 3} at dilation "
+                               "(1, 1, 1) on 50 voxels cannot be allocated\n")
+
     def test_gradcheck_command(self, capsys):
         assert main(["gradcheck", "--seed", "0", "--module", "conv"]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -718,16 +733,17 @@ class TestCli:
         assert not (tmp_path / "v.csv").exists()
 
     # a config the file format accepts but no network can be built from:
-    # 10**30 channels exceed numpy's largest dimension, so nothing is allocated
+    # 10**30 channels exceed numpy's largest dimension (10**400 also float
+    # range), so nothing is allocated
     @pytest.mark.parametrize("path, value, message", [
         (("seed",), -1, "config: seed must be non-negative, got -1"),
-        (("stages", 1, "mlp_ratio"), 1e308,
-         "stages[1]: mlp_ratio * channels must be a positive integer, got inf"),
         (("stages", 0, "channels"), 10**30,
          f"vfe.weight: cannot allocate shape (4, {10**30})"),
+        (("stages", 0, "channels"), 10**400,
+         f"vfe.weight: cannot allocate shape (4, {10**400})"),
         (("voxelizer", "voxel_size"), [0.1, 0.1, 1e-320],
          "voxelizer: range (-3.2, 3.2) over voxel size 1e-320 gives a cell count beyond float range"),
-    ], ids=["negative-seed", "infinite-mlp-width", "channels-beyond-numpy",
+    ], ids=["negative-seed", "channels-beyond-numpy", "channels-beyond-numpy-and-float",
             "voxel-count-beyond-float"])
     @pytest.mark.parametrize("command", ["voxelize", "forward"])
     def test_unbuildable_config_exit_one(self, scene_files, tmp_path, capsys,
