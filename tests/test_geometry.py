@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import focalvox.sparse as fsp
 from focalvox.backbone import SfmNet, downsample, init_network, preset, sfmnet_forward
 from focalvox.conv import SparseConvLayer, regular_conv_down, subm_conv
+from focalvox.errors import InvalidSpec
 from focalvox.points import PointCloud
 from focalvox.sfm import SFMConfig, sfm_block, sfm_pair_count, srb_block
 from focalvox.sparse import (
@@ -506,6 +507,35 @@ class TestGeometryCache:
         calls = count_builds(monkeypatch)
         sfmnet_forward(PointCloud(pts), cfg, init_network(cfg), bn_mode="eval")
         assert calls == {"submanifold": 9, "regular": 3}
+
+    @pytest.mark.parametrize("regular", [False, True], ids=["submanifold", "regular"])
+    @pytest.mark.parametrize("error", [MemoryError, ValueError])
+    def test_unallocatable_build_is_invalid_spec_and_not_cached(self, monkeypatch, regular, error):
+        rng = np.random.default_rng(7)
+        t = random_sparse(rng, (6, 6, 6), 0.3, 1)
+        spec = KernelSpec.downsample(3) if regular else KernelSpec.same(3, 2, dims=3)
+        name = "build_rulebook_regular" if regular else "build_rulebook_submanifold"
+        build = getattr(fsp, name)
+        with monkeypatch.context() as mp:
+            mp.setattr(fsp, name, lambda *_: (_ for _ in ()).throw(error("no room")))
+            with pytest.raises(InvalidSpec) as info:
+                fsp.rulebook(t, spec, regular=regular)
+        assert str(info.value) == (f"the rulebook of kernel {spec.kernel} at dilation "
+                                   f"{spec.dilation} on {t.n_active} voxels cannot be allocated")
+        assert isinstance(info.value.__cause__, error)
+        # the failure left no entry: the next request builds, and agrees
+        # with a build on a fresh geometry
+        rb = fsp.rulebook(t, spec, regular=regular)
+        fresh = build(SparseTensor(t.coords, t.features.data, t.spatial_shape), spec)
+        assert rb.offsets == fresh.offsets
+        assert all(np.array_equal(a, b) for a, b in zip(rb.pairs, fresh.pairs, strict=True))
+
+    def test_other_build_errors_pass_through(self, monkeypatch):
+        t = random_sparse(np.random.default_rng(8), (6, 6, 6), 0.3, 1)
+        monkeypatch.setattr(fsp, "build_rulebook_submanifold",
+                            lambda *_: (_ for _ in ()).throw(KeyError("bug")))
+        with pytest.raises(KeyError, match="bug"):
+            fsp.rulebook(t, KernelSpec.same(3, 1, dims=3))
 
     def test_sfm_pair_count_unchanged_and_cached(self):
         rng = np.random.default_rng(6)

@@ -9,6 +9,7 @@ from focalvox.errors import InvalidSpec, ShapeMismatch
 from focalvox.gradcheck import vjp_check
 from focalvox.params import Initializer, ParamReader, ParamStore
 from focalvox.sfm import (
+    MLP_RATIO,
     SFMConfig,
     SfmBlockParams,
     SfmModuleParams,
@@ -108,6 +109,14 @@ class TestConfig:
         with pytest.raises(InvalidSpec, match=rf"^channels must be at least 1, got {channels}$"):
             SFMConfig(channels=channels, kernels=(3,), dilations=(1,))
 
+
+    @pytest.mark.parametrize("channels", [1, 48, 10**400])
+    def test_mlp_hidden_is_exactly_twice_the_channels(self, channels):
+        # an exact integer even past float range: the allocation, not the
+        # config, is what rejects an impossible width
+        cfg = SFMConfig(channels=channels, kernels=(3,), dilations=(1,))
+        assert MLP_RATIO == 2 and cfg.mlp_hidden == 2 * channels
+        assert type(cfg.mlp_hidden) is int
 
 class TestEffectiveReceptiveField:
     def test_single_level(self):
