@@ -39,7 +39,7 @@ from .sparse import (
     build_rulebook_submanifold,
     gather_scatter_matmul,
 )
-from .tape import GradTape, PrecisionMode, Tensor
+from .tape import GradTape, Tensor
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "ParamReader",
     "ParamStore",
     "PointCloud",
-    "PrecisionMode",
     "Rulebook",
     "SFMConfig",
     "SfmNet",

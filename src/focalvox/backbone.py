@@ -29,7 +29,7 @@ from .sfm import (
     srb_params,
 )
 from .sparse import KernelSpec, SparseTensor, unique_coords
-from .tape import GradTape, PrecisionMode
+from .tape import GradTape
 
 PROBE_LOGITS = 3
 
@@ -66,7 +66,6 @@ class NetworkConfig:
     voxelizer: VoxelizerConfig
     stages: tuple[StageConfig, StageConfig, StageConfig, StageConfig]
     backbone2d: StageConfig
-    precision: PrecisionMode = PrecisionMode.STANDARD32
     seed: int = 0
 
     def __post_init__(self):
@@ -140,20 +139,17 @@ def preset(name: str) -> NetworkConfig:
 
 
 def init_network(cfg: NetworkConfig, seed: int | None = None) -> ParamStore:
-    """Create every parameter of the network, deterministically seeded.
-
-    The store's scalar width follows the config's precision mode, which is
-    what routes a whole forward pass through float32 or float64.
-    """
-    init = Initializer(ParamStore(), cfg.seed if seed is None else seed,
-                       dtype=cfg.precision.dtype)
+    """Create every parameter of the network in float32, deterministically
+    seeded.  A pass runs in its store's dtype: a float64 pass binds
+    ``init_network(cfg).as_dtype(np.float64)``."""
+    init = Initializer(ParamStore(), cfg.seed if seed is None else seed)
     return SfmNet(cfg, init).store
 
 
 def network_template(cfg: NetworkConfig) -> ParamStore:
-    """Every tensor of the layout, in the config's precision, with no
-    random draws: the names and shapes a weights file is loaded into."""
-    return SfmNet(cfg, LayoutTemplate(ParamStore(), dtype=cfg.precision.dtype)).store
+    """Every tensor of the layout, in float32, with no random draws: the
+    names and shapes a weights file is loaded into."""
+    return SfmNet(cfg, LayoutTemplate(ParamStore())).store
 
 
 def param_count(cfg: NetworkConfig) -> int:

@@ -132,7 +132,7 @@ def _load_net(args):
 def cmd_voxelize(args) -> int:
     cfg = load_config(args.config)
     # the VFE tensors are the first draws of init_network with the config seed
-    init = Initializer(ParamStore(), cfg.seed, dtype=cfg.precision.dtype)
+    init = Initializer(ParamStore(), cfg.seed)
     vfe_w, vfe_b = vfe_params(init, cfg.stages[0].channels)
     cloud = load_points(args.points, args.format)
     t = voxelize_vfe(cloud, cfg.voxelizer, vfe_w, vfe_b)
@@ -232,14 +232,15 @@ def main(argv=None) -> int:
             if argv[i] in _LIST_FLAGS and re.match(r"-\d", argv[i + 1]):
                 argv[i : i + 2] = ["=".join(argv[i : i + 2])]
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except IoError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except FocalvoxError as exc:
+    except (FocalvoxError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

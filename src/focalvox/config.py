@@ -1,13 +1,13 @@
 """JSON configuration documents.
 
 A config file carries the voxelizer geometry, the four 3-D stage recipes,
-the 2-D stage recipe, the precision mode and the seed.  Channel widths are
-stated once, per stage: the VFE and each downsample produce the width of
-the stage they feed, and the BEV projection that of the 2-D stage.  The
-schema is closed: unknown keys anywhere are rejected.  Values must have
-their JSON type: counts, channels, kernels, dilations and the seed are
-integers, sizes and ranges finite numbers, and list fields arrays.  Every
-error names its location (``stages[2]: ...``).
+the 2-D stage recipe and the seed.  Channel widths are stated once, per
+stage: the VFE and each downsample produce the width of the stage they
+feed, and the BEV projection that of the 2-D stage.  The schema is closed:
+unknown keys anywhere are rejected.  Values must have their JSON type:
+counts, channels, kernels, dilations and the seed are integers, sizes and
+ranges finite numbers, and list fields arrays.  Every error names its
+location (``stages[2]: ...``).
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from .errors import ConfigError, FocalvoxError
 from .fileio import atomic_write_text, read_bytes
 from .points import VoxelizerConfig
 from .sfm import SFMConfig
-from .tape import PrecisionMode
 
-_TOP_KEYS = {"voxelizer", "stages", "backbone2d", "precision", "seed"}
+_TOP_KEYS = {"voxelizer", "stages", "backbone2d", "seed"}
 # {key: (kind, array)} in reading order (see _field); a stage object holds
 # the mixer fields (SFMConfig), then the block counts (StageConfig)
 _VOXELIZER = {"voxel_size": (float, True), "range_min": (float, True), "range_max": (float, True)}
@@ -99,13 +98,8 @@ def config_from_dict(doc: dict) -> NetworkConfig:
         _stage_from_dict(s, f"stages[{i}]") for i, s in enumerate(doc["stages"])
     )
     backbone2d = _stage_from_dict(doc["backbone2d"], "backbone2d")
-    try:
-        precision = PrecisionMode(doc["precision"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"precision: {exc}") from exc
     return _build("config", NetworkConfig, voxelizer=voxelizer, stages=stages,
-                  backbone2d=backbone2d, precision=precision,
-                  seed=_field(doc, "seed", "config"))
+                  backbone2d=backbone2d, seed=_field(doc, "seed", "config"))
 
 
 def config_to_dict(cfg: NetworkConfig) -> dict:
@@ -113,7 +107,6 @@ def config_to_dict(cfg: NetworkConfig) -> dict:
         "voxelizer": _to_dict(cfg.voxelizer, _VOXELIZER),
         "stages": [_stage_to_dict(s) for s in cfg.stages],
         "backbone2d": _stage_to_dict(cfg.backbone2d),
-        "precision": cfg.precision.value,
         "seed": cfg.seed,
     }
 

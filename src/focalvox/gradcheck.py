@@ -3,7 +3,7 @@
 The harness reduces any tensor-valued computation to a scalar by
 contracting with a fixed random cotangent, takes the analytic gradient from
 a tape replay, and compares against central differences.  Checks always run
-in float64 (CHECK64); float32 rounding would drown the signal.
+in float64; float32 rounding would drown the signal.
 """
 
 from __future__ import annotations

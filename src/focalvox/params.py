@@ -89,11 +89,9 @@ class ParamStore:
         return sum(self._entries[n].data.size for n in self.param_names())
 
     def as_dtype(self, dtype) -> "ParamStore":
-        """A parallel store with every payload cast to ``dtype``.
-
-        Gradient checking runs models in float64 through this view; tensor
-        identities are fresh, so gradients key against the view's tensors.
-        """
+        """A parallel store with every payload cast to ``dtype``: the one
+        float64 route, as a pass runs in its store's dtype.  Tensor
+        identities are fresh, so gradients key against the view's tensors."""
         view = ParamStore()
         for name, t in self._entries.items():
             view.add(name, t.data.astype(dtype))
@@ -101,7 +99,7 @@ class ParamStore:
 
 
 class Initializer:
-    """Deterministic parameter creation.
+    """Deterministic float32 parameter creation.
 
     Weights draw from a centered uniform distribution with bound
     ``1/sqrt(fan-in)``, where the fan-in is the product of all dims of the
@@ -110,38 +108,36 @@ class Initializer:
     given config and seed always produce identical parameters.
     """
 
-    def __init__(self, store: ParamStore, seed: int, dtype=np.float32):
+    def __init__(self, store: ParamStore, seed: int):
         self.store = store
         self.rng = np.random.default_rng(seed)
-        self.dtype = dtype
 
     def weight(self, name: str, shape: tuple[int, ...]) -> Tensor:
         bound = 1.0 / np.sqrt(math.prod(shape[:-1]))
         return self._add(name, shape, lambda: self.rng.uniform(-bound, bound, size=shape))
 
     def zeros(self, name: str, shape: tuple[int, ...]) -> Tensor:
-        return self._add(name, shape, lambda: np.zeros(shape, dtype=self.dtype))
+        return self._add(name, shape, lambda: np.zeros(shape, dtype=np.float32))
 
     def ones(self, name: str, shape: tuple[int, ...]) -> Tensor:
-        return self._add(name, shape, lambda: np.ones(shape, dtype=self.dtype))
+        return self._add(name, shape, lambda: np.ones(shape, dtype=np.float32))
 
     def _add(self, name: str, shape: tuple[int, ...], make) -> Tensor:
         """Store ``make()`` under ``name``; InvalidSpec if numpy cannot allocate it."""
         try:
-            data = make().astype(self.dtype, copy=False)
+            data = make().astype(np.float32, copy=False)
         except (ValueError, MemoryError) as exc:
             raise InvalidSpec(f"{name}: cannot allocate shape {tuple(shape)}") from exc
         return self.store.add(name, data)
 
 
 class LayoutTemplate(Initializer):
-    """An :class:`Initializer` that draws nothing: weights start at zero
-    like biases.  It declares a layout's names and shapes cheaply, for a
-    store whose values are loaded afterwards."""
+    """An :class:`Initializer` that draws nothing: float32 weights start at
+    zero like biases.  It declares a layout's names and shapes cheaply, for
+    a store whose values are loaded afterwards."""
 
-    def __init__(self, store: ParamStore, dtype=np.float32):
+    def __init__(self, store: ParamStore):
         self.store = store
-        self.dtype = dtype
 
     def weight(self, name: str, shape: tuple[int, ...]) -> Tensor:
         return self.zeros(name, shape)

@@ -21,7 +21,6 @@ saves forward state or spends work to form one.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from collections import deque
 
@@ -30,21 +29,6 @@ import numpy as np
 from .errors import ShapeMismatch, TapeConsumed
 
 _uids = itertools.count()
-
-
-class PrecisionMode(enum.Enum):
-    """Scalar width for a computation path.
-
-    ``STANDARD32`` is the runtime default; ``CHECK64`` is used by gradient
-    checking and oracle tests where float32 rounding would mask defects.
-    """
-
-    STANDARD32 = "standard32"
-    CHECK64 = "check64"
-
-    @property
-    def dtype(self):
-        return np.float32 if self is PrecisionMode.STANDARD32 else np.float64
 
 
 class Tensor:

@@ -24,6 +24,7 @@ from focalvox.params import Initializer, ParamReader, ParamStore, is_buffer_name
 from focalvox.points import PointCloud
 from focalvox.sfm import SFMConfig, sfm_block
 from focalvox.tape import GradTape, Tensor, grad_of
+from focalvox.weights import serialize_weights
 from helpers import closed_form_param_count, random_sparse, sparse_from_coords
 
 
@@ -251,12 +252,13 @@ class TestEndToEnd:
         with pytest.raises(EmptyScene):
             sfmnet_forward(cloud, cfg, store)
 
-    def test_check64_precision_runs_in_float64(self):
-        from focalvox.tape import PrecisionMode
-
-        cfg = replace(preset("tiny"), precision=PrecisionMode.CHECK64)
-        store = init_network(cfg)
+    def test_float64_store_runs_in_float64(self):
+        cfg = preset("tiny")
+        source = init_network(cfg)
+        store = source.as_dtype(np.float64)
         assert store.data("vfe.weight").dtype == np.float64
+        # the float32 network cast exactly: its weights file is the source's
+        assert serialize_weights(store) == serialize_weights(source)
         bev, logits = sfmnet_forward(synthetic_cloud(300, seed=11), cfg, store)
         assert bev.features.data.dtype == np.float64
         assert logits.data.dtype == np.float64

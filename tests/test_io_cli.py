@@ -347,7 +347,9 @@ class TestConfigFile:
         (("voxelizer", "out_channels"), 16),
         (("downsample_channels",), [32, 64, 128]),
         (("bev",), {"channels": 128}),
-    ], ids=["surprise", "voxelizer.out_channels", "downsample_channels", "bev"])
+        # parameters are float32; a float64 pass binds store.as_dtype(np.float64)
+        (("precision",), "standard32"),
+    ], ids=["surprise", "voxelizer.out_channels", "downsample_channels", "bev", "precision"])
     def test_unknown_key_rejected(self, path, value):
         with pytest.raises(ConfigError, match=rf"unknown keys \['{path[-1]}'\]"):
             config_from_json(tiny_config_with(path, value))
@@ -517,11 +519,14 @@ class TestCli:
         (["forward", "--dump"], "batch_norm: variance overflows float32"),
         (["erf", "--seed", "1", "--stage", "1", "--out-pgm"],
          "row_l2: the norm of row 0 is not finite in float32"),
-    ], ids=["forward", "erf"])
+        *[(["erf", "--seed", "1", "--stage", stage, "--out-pgm"],
+           "overflow encountered in multiply") for stage in "234"],
+    ], ids=["forward", "erf", "erf-stage2", "erf-stage3", "erf-stage4"])
     def test_float32_overflow_exit_one_without_a_warning(self, scene_files, tmp_path, capsys,
                                                          args, message):
         """1e30 is a finite float32 intensity; the train-mode batch norm's
-        variance and the ERF query's norm overflow float32."""
+        variance and the ERF query's norm overflow float32.  Past stage 1 the
+        ERF probe overflows in a mixer first, and numpy's error is the line."""
         _, config = scene_files
         points, out = tmp_path / "big.csv", tmp_path / "out"
         points.write_text("0.1,0.2,0.3,1e30\n0.5,0.6,0.7,0.5\n")

@@ -452,7 +452,7 @@ class TestSfmBlock:
 class TestSrb:
     def make_params(self, rng, c=3, dims=3, dtype=np.float64):
         store = ParamStore()
-        init = Initializer(store, seed=int(rng.integers(1 << 30)), dtype=np.float32)
+        init = Initializer(store, seed=int(rng.integers(1 << 30)))
         srb_params(init, "srb", c, dims)
         return srb_params(
             ParamReader(store.as_dtype(dtype) if dtype is not np.float32 else store), "srb", c, dims
