@@ -56,10 +56,11 @@ def _apply_rulebook(t: SparseTensor, layer: SparseConvLayer, rb: Rulebook) -> Sp
         def vjp(cot):
             gw = None
             if need_w:
-                # a weight gradient larger than the cotangent is formed
-                # after the replay's last node, holding the cotangent until then
+                # a weight gradient larger than the cotangent plus the
+                # features, which forming it later keeps, is formed after
+                # the replay's last node, holding both until then
                 gw = partial(gather_scatter_weight_grad, xd, rb, cot)
-                if wd.size <= cot.size:
+                if wd.size <= cot.size + xd.size:
                     gw = gw()
             gb = cot.sum(axis=0).astype(xd.dtype) if need_b else None
             return gather_scatter_vjp(xd, rb, wd, cot), gw, gb

@@ -23,7 +23,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from .errors import EmptyBatch, InvalidSpec, ShapeMismatch
-from .tape import Tensor, active_tape, emit
+from .tape import GradTape, Tensor, active_tape, emit
 
 _INV_SQRT2 = np.float64(1.0 / np.sqrt(2.0))
 _INV_SQRT2PI = np.float64(1.0 / np.sqrt(2.0 * np.pi))
@@ -374,6 +374,30 @@ def mean_all(x: Tensor) -> Tensor:
     return emit("mean_all", np.asarray(x.data.mean(), dtype=dtype), (x,), lambda needs: vjp)
 
 
-def mlp_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Single-hidden-layer MLP: linear, gelu, linear."""
+def _mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return linear(gelu(linear(x, w1, b1)), w2, b2)
+
+
+def mlp_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Single-hidden-layer MLP: linear, gelu, linear.
+
+    On a tape that forms weight gradients (``tape.params``) the block is one
+    node that saves only its operands.  Its VJP reruns the three ops on an
+    inner tape and replays it with the cotangent, so the hidden layer (gelu's
+    slope and the second linear's input) is not held from the forward to the
+    replay, and each gradient has the bytes of the three ops' own VJPs.  Other
+    tapes record the three ops: there the block saves only the slope, too
+    little to pay for a recompute (README, "Gradient tape")."""
+    tape = active_tape(x, w1, b1, w2, b2)
+    if tape is None or not tape.params:
+        return _mlp(x, w1, b1, w2, b2)
+    operands = (x, w1, b1, w2, b2)
+
+    def vjp(cot):
+        inner = GradTape()
+        leaves = [Tensor(t.data, inner) for t in operands]
+        grads = inner._replay(_mlp(*leaves).uid, cot)
+        return tuple(grads[t.uid] for t in leaves)
+
+    data = _mlp(*(Tensor(t.data) for t in operands)).data
+    return emit("mlp_block", data, operands, lambda needs: vjp)

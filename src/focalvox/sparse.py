@@ -565,8 +565,8 @@ def gather_scatter_vjp(
     features' dtype.  Only the shape and dtype of ``features`` are read,
     so a zero-strided view will do.  The weight gradient is
     :func:`gather_scatter_weight_grad`'s: a conv's VJP forms it at once
-    when it has no more entries than the cotangent, and otherwise returns
-    it as a callable that the tape's replay calls after its last node (see
+    when it has no more entries than the cotangent and the features
+    together, and otherwise returns it as a callable that the tape's replay calls after its last node (see
     :meth:`~focalvox.tape.GradTape.gradients`).  A bias gradient is the
     cotangent's column sum, which the conv forms itself.  Accumulation
     order mirrors the forward pass, so the gradient is deterministic as

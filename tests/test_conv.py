@@ -216,6 +216,23 @@ class TestConvVjp:
         assert err < 1e-6
 
 
+@pytest.mark.parametrize("n, deferred", [(40, False), (20, True)])
+def test_weight_gradient_deferred_only_past_cotangent_plus_features(n, deferred):
+    """A 27 x 2 x 2 weight (108 entries) outweighs the cotangent of 40
+    voxels (80) but not that plus their features (160): its gradient is
+    formed at once.  At 20 voxels (40 + 40) the VJP returns a callable."""
+    rng = np.random.default_rng(3)
+    coords = np.stack([np.zeros(n), np.arange(n), np.zeros(n), np.zeros(n)], axis=1)
+    t = sparse_from_coords(coords, (n, 1, 1), 2, rng)
+    layer = make_subm_layer(rng, 3, 1, 2, 2)
+    tape = GradTape()
+    subm_conv(SparseTensor(t.coords, Tensor(t.features.data, tape), t.spatial_shape), layer)
+    (node,) = tape._nodes
+    gw = node.vjp(np.ones((n, 2), np.float32))[1]
+    assert callable(gw) is deferred
+    assert (gw() if deferred else gw).shape == layer.weight.data.shape
+
+
 class TestConvBiasGradient:
     """The conv forms the bias gradient itself (the executor's VJP functions
     return only feature and weight gradients); its bytes are the reference's."""

@@ -404,6 +404,43 @@ class TestMlp:
         step = ops.linear(ops.gelu(ops.linear(x, w1, b1)), w2, b2)
         np.testing.assert_array_equal(out.data, step.data)
 
+    @staticmethod
+    def _replay(fn, operands, cot, params=True):
+        """Node names, every operand's gradient bytes and the output bytes of
+        ``fn`` replayed with ``cot``; an input-only tape has every operand
+        attached to it."""
+        tape = GradTape(params=params)
+        x, *rest = operands
+        taped = [Tensor(x.data, tape)] + [t if params else Tensor(t.data, tape) for t in rest]
+        out = fn(*taped)
+        grads = tape.gradients(out, cot)
+        return tape.node_names(), [grads[t.uid].tobytes() for t in taped], out.data.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_node_gradients_equal_the_three_ops(self, dtype):
+        """A tape that forms weight gradients records the block as one node
+        that recomputes its hidden layer; every gradient keeps the bytes of
+        linear, gelu and linear recorded op by op."""
+        rng = np.random.default_rng(8)
+        operands = [T(t.data, dtype) for t in self._params(rng, 8, 2)]
+        x = T(rng.standard_normal((4, 8)), dtype)
+        cot = rng.standard_normal((4, 8)).astype(dtype)
+        names, grads, out = self._replay(ops.mlp_block, [x, *operands], cot)
+        step_names, step_grads, step_out = self._replay(
+            lambda x, w1, b1, w2, b2: ops.linear(ops.gelu(ops.linear(x, w1, b1)), w2, b2),
+            [x, *operands], cot)
+        assert names == ["mlp_block"]
+        assert step_names == ["linear", "gelu", "linear"]
+        assert out == step_out
+        assert grads == step_grads
+
+    def test_input_only_tape_records_the_three_ops(self):
+        rng = np.random.default_rng(8)
+        operands = [T(t.data) for t in self._params(rng, 8, 2)]
+        x = T(rng.standard_normal((4, 8)))
+        names, *_ = self._replay(ops.mlp_block, [x, *operands], np.ones((4, 8)), params=False)
+        assert names == ["linear", "gelu", "linear"]
+
 
 class TestStructuralOps:
     def test_weighted_level_sum_matches_loop(self):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from focalvox.sfm import (
     srb_params,
 )
 from focalvox.sparse import KernelSpec, SparseTensor, centered_offsets
-from focalvox.tape import Tensor
+from focalvox.tape import GradTape, Tensor
 from helpers import random_sparse, rel_err, sparse_from_coords
 
 
@@ -434,6 +435,40 @@ class TestSfmBlock:
         y = ops.add(ops.layer_norm(mlp, *params.ln2), y1)
         np.testing.assert_array_equal(out.features.data, y.data)
         assert out.coords is t.coords
+
+    def test_taped_forward_does_not_hold_the_mlp_hidden_layer(self):
+        """On a default tape the MLP saves only its input, so the block's
+        forward holds at least gelu's slope and the second linear's input
+        (each N x 2C float32) less than the block recorded op by op."""
+        rng = np.random.default_rng(21)
+        cfg = SFMConfig(channels=8, kernels=(3,), dilations=(1,))
+        params = block_params(rng, cfg, dims=3, dtype=np.float32)
+        scene = random_sparse(rng, (12, 12, 12), 0.4, 8)
+
+        def op_by_op(t, config, params):
+            z = sfm_module(t, config, params.module)
+            y1 = ops.add(ops.layer_norm(z.features, *params.ln1), t.features)
+            del z
+            mlp = ops.linear(ops.gelu(ops.linear(y1, *params.fc1)), *params.fc2)
+            return t.with_features(ops.add(ops.layer_norm(mlp, *params.ln2), y1))
+
+        def held(block):
+            tape = GradTape()
+            t = scene.with_features(Tensor(scene.features.data, tape))
+            tracemalloc.start()
+            try:
+                out = block(t, cfg, params)
+                return tracemalloc.get_traced_memory()[0], tape.node_names(), out
+            finally:
+                tracemalloc.stop()
+
+        for block in (sfm_block, op_by_op):  # warm-up: caches the rulebook, first-call state
+            held(block)
+        node_held, names, out = held(sfm_block)
+        step_held, step_names, step_out = held(op_by_op)
+        assert "mlp_block" in names and "mlp_block" not in step_names
+        assert out.features.data.tobytes() == step_out.features.data.tobytes()
+        assert step_held - node_held >= 2 * scene.n_active * cfg.mlp_hidden * 4
 
     def test_gradcheck(self):
         rng = np.random.default_rng(19)
