@@ -1,16 +1,20 @@
 """Atomic file writes: temp file in the target directory, then rename."""
 
 import os
-import tempfile
+import secrets
 
 from .errors import IoError
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
+    """Write ``data`` to a new file beside ``path``, then rename it over
+    ``path``.  The file is created with mode 0666 less the umask, as
+    ``open`` would create it (``tempfile.mkstemp`` would make it 0600)."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        tmp = os.path.join(directory, f".tmp-{secrets.token_hex(16)}")
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)

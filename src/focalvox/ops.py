@@ -163,12 +163,12 @@ def _norm(name: str, x: Tensor, gain: Tensor, bias: Tensor, axis: int):
     kept dims; InvalidSpec, naming the op, if the variance is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.data.mean(axis=axis, keepdims=True)
-        centered = x.data - mean
-        var = (centered * centered).mean(axis=axis, keepdims=True)
+        xhat = x.data - mean  # centered here, normalized in its own buffer below
+        var = (xhat * xhat).mean(axis=axis, keepdims=True)
     if not np.isfinite(var).all():
         raise InvalidSpec(f"{name}: variance overflows {x.data.dtype}")
     inv_std = 1.0 / np.sqrt(var + np.asarray(NORM_EPS, dtype=x.data.dtype))
-    xhat = centered * inv_std
+    xhat *= inv_std
     return emit(
         name, xhat * gain.data + bias.data, (x, gain, bias),
         lambda needs: _norm_vjp(gain.data, xhat, inv_std, axis, needs),
@@ -217,15 +217,37 @@ def batch_norm_active(
     return out, running_mean, running_var
 
 
-def gelu(x: Tensor) -> Tensor:
+def _phi(xd: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The Gaussian CDF of ``xd``, formed in ``out`` (C-contiguous, ``xd``'s
+    shape and dtype)."""
+    np.multiply(xd, xd.dtype.type(_INV_SQRT2), out=out)
+    _erf(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def gelu(x: Tensor, out: np.ndarray | None = None) -> Tensor:
     """Exact Gaussian-CDF gelu, ``x * Phi(x)`` via the error function, written
     into Phi's buffer; a taped node keeps one array, the slope
-    ``Phi + x pdf(x)``, formed from Phi before the product overwrites it."""
+    ``Phi + x pdf(x)``, formed from Phi before the product overwrites it.
+
+    ``out``, for an untaped ``x`` only (ValueError otherwise), is a
+    C-contiguous array of ``x``'s shape and dtype, ``x.data`` itself
+    included, that receives the result block by block: Phi of one
+    ``_ERF_BLOCK`` piece at a time, so no second full-size array is made.
+    The element operations are the same, so are the bytes."""
     xd = x.data
-    phi = np.multiply(xd, xd.dtype.type(_INV_SQRT2), order="C")
-    _erf(phi, out=phi)  # phi is C-ordered, so erf lands in its buffer, not in a view
-    phi += 1.0
-    phi *= 0.5
+    if out is not None:
+        if x.tape is not None:
+            raise ValueError("gelu writes into out only for an untaped input")
+        src, dst = xd.reshape(-1), np.reshape(out, -1, copy=False)
+        phi = np.empty(min(src.size, _ERF_BLOCK), xd.dtype)
+        for start in range(0, src.size, _ERF_BLOCK):
+            xb = src[start : start + _ERF_BLOCK]
+            np.multiply(_phi(xb, phi[: xb.size]), xb, out=dst[start : start + _ERF_BLOCK])
+        return emit("gelu", out, (x,), None)
+    phi = _phi(xd, np.empty(xd.shape, xd.dtype))
     slope = None
     if x.tape is not None:  # emit will record a node
         slope = np.multiply(xd, -0.5, order="C")  # exp(-0.5 x x) / sqrt(2 pi) * x + Phi
@@ -375,7 +397,10 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 def _mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    return linear(gelu(linear(x, w1, b1)), w2, b2)
+    """linear, gelu, linear; untaped, gelu overwrites the first linear's
+    output, which nothing else reads."""
+    h = linear(x, w1, b1)
+    return linear(gelu(h, out=h.data if h.tape is None else None), w2, b2)
 
 
 def mlp_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

@@ -21,7 +21,7 @@ from .errors import InvalidSpec, ShapeMismatch
 from .params import ParamPair, ParamSource, linear_params, norm_params
 from .sparse import KernelSpec, SparseTensor, check_kernels, rulebook
 from .sparse import build_rulebook_submanifold  # patched by perfbench/tracing.py
-from .tape import Tensor
+from .tape import Tensor, active_tape
 
 MLP_RATIO = 2  # a block's MLP hidden width, in channels
 
@@ -145,11 +145,21 @@ def sfm_module(t: SparseTensor, config: SFMConfig, params: SfmModuleParams) -> S
     back to query space, modulate.
 
     The base context is passed on as a temporary, so that no local here
-    holds it while the levels run: untaped, it dies after level 1."""
-    projected = list(input_projection(t.features, *params.in_proj, config.channels, config.levels))
-    queries, gates = projected[0], projected[2]
+    holds it while the levels run: untaped, it dies after level 1.  An
+    untaped pass does not hold the queries through the levels either: it
+    reruns the projection once the context is formed, the same product of
+    the same operands.  A tape keeps them, since ``ops.multiply`` saves
+    them anyway and a second projection node would split its gradients."""
+    projected = list(input_projection(  # [queries, base context, gates]
+        t.features, *params.in_proj, config.channels, config.levels))
+    rerun = active_tape(t.features, *params.in_proj) is None
+    if rerun:
+        projected[0] = None
     context = ops.linear(
-        context_levels(t.with_features(projected.pop(1)), params.level_convs, gates), *params.h)
+        context_levels(t.with_features(projected.pop(1)), params.level_convs, projected[1]),
+        *params.h)
+    queries = input_projection(
+        t.features, *params.in_proj, config.channels, config.levels)[0] if rerun else projected[0]
     return t.with_features(ops.multiply(queries, context))  # each query picks up its context
 
 

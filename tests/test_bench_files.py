@@ -25,9 +25,7 @@ def test_bench_files_exist():
     assert BENCH_FILES
 
 
-@pytest.mark.parametrize("path", BENCH_FILES, ids=[p.name for p in BENCH_FILES])
-def test_bench_file_core_schema(path):
-    doc = json.loads(path.read_text(encoding="utf-8"))
+def check_core_schema(doc: dict) -> None:
     end_to_end = doc["end_to_end"]
     assert set(end_to_end) == WORKLOADS
     for workload, metrics in end_to_end.items():
@@ -44,3 +42,8 @@ def test_bench_file_core_schema(path):
                 assert s["q1"] <= s["median"] <= s["q3"], where
     lines = doc["src_focalvox_lines"]
     assert type(lines["parent"]) is int and type(lines["change"]) is int
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=[p.name for p in BENCH_FILES])
+def test_bench_file_core_schema(path):
+    check_core_schema(json.loads(path.read_text(encoding="utf-8")))

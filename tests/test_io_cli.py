@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import struct
 import warnings
 
@@ -18,11 +20,13 @@ from focalvox.errors import (
     ConfigError,
     EmptyScene,
     InvalidSpec,
+    IoError,
     ParseError,
     ShapeMismatch,
     TruncatedPayload,
     VersionMismatch,
 )
+from focalvox.fileio import atomic_write_bytes, atomic_write_text
 from focalvox.params import ParamStore
 from focalvox.points import (
     PointCloud,
@@ -434,6 +438,23 @@ BAD_NUMBERS = [
     (["gradcheck", "--seed", "-1"], "--seed"),
     (["gradcheck", "--seed", "x"], "--seed"),
 ]
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_file_mode_follows_the_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "out.txt", "x\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode) == mode
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "taken").mkdir()  # a directory cannot be renamed over
+        with pytest.raises(IoError, match="cannot write"):
+            atomic_write_bytes(tmp_path / "taken", b"x")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 class TestCli:

@@ -371,6 +371,48 @@ class TestLeanGelu:
         assert peak - scratch < 1.1 * nbytes
 
 
+class TestGeluOut:
+    """An untaped gelu written into ``out`` block by block has the bytes of
+    the allocating gelu, and makes no second input-sized array."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [ops._ERF_BLOCK - 3, ops._ERF_BLOCK, 2 * ops._ERF_BLOCK + 5],
+                             ids=["below", "at", "above"])
+    def test_bytes_of_the_allocating_gelu(self, size, dtype):
+        rng = np.random.default_rng(14)
+        xd = (3 * rng.standard_normal(size)).astype(dtype)
+        xd[: len(TestLeanGelu.SPECIAL)] = TestLeanGelu.SPECIAL
+        xd = xd.reshape(-1, 1) if size % 2 else xd.reshape(-1, 2)
+        want = ops.gelu(Tensor(xd)).data
+        other = np.empty_like(xd)
+        y = ops.gelu(Tensor(xd.copy()), out=other)
+        assert y.data is other
+        assert_same_bits(other, want)
+        x = Tensor(xd.copy())
+        y = ops.gelu(x, out=x.data)
+        assert y.data is x.data
+        assert_same_bits(y.data, want)
+
+    def test_refused_on_a_tape(self):
+        x = Tensor(np.ones((2, 3)), GradTape())
+        with pytest.raises(ValueError, match="untaped"):
+            ops.gelu(x, out=x.data)
+
+    def test_in_place_peak_holds_one_block(self):
+        x = Tensor(TestLeanGelu.seeded())
+        nbytes = x.data.nbytes
+        scratch = 4 * 8 * ops._ERF_BLOCK  # erf's float64 rows
+        tracemalloc.start()
+        try:
+            ops.gelu(x, out=x.data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # beside the scratch: Phi of one block and erf's index arrays for it
+        # (111 kB here); the allocating gelu holds a whole input-sized Phi
+        assert peak - scratch < 2 * 4 * ops._ERF_BLOCK < 0.25 * nbytes
+
+
 class TestMlp:
     def _params(self, rng, c, ratio):
         h = int(ratio * c)
@@ -433,6 +475,19 @@ class TestMlp:
         assert step_names == ["linear", "gelu", "linear"]
         assert out == step_out
         assert grads == step_grads
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_untaped_bytes_equal_the_three_ops_on_a_tape(self, dtype):
+        """Untaped, gelu overwrites the first linear's output block by block;
+        the hidden layer (300 x 64) spans two gelu blocks."""
+        rng = np.random.default_rng(9)
+        operands = [T(t.data, dtype) for t in self._params(rng, 32, 2)]
+        x = T(rng.standard_normal((300, 32)), dtype)
+        _, _, step_out = self._replay(
+            lambda x, w1, b1, w2, b2: ops.linear(ops.gelu(ops.linear(x, w1, b1)), w2, b2),
+            [x, *operands], np.ones((300, 32), dtype))
+        assert 300 * 64 > ops._ERF_BLOCK
+        assert ops.mlp_block(x, *operands).data.tobytes() == step_out
 
     def test_input_only_tape_records_the_three_ops(self):
         rng = np.random.default_rng(8)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -470,6 +471,61 @@ class TestSfmBlock:
         assert out.features.data.tobytes() == step_out.features.data.tobytes()
         assert step_held - node_held >= 2 * scene.n_active * cfg.mlp_hidden * 4
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_untaped_bytes_equal_the_taped_block(self, dtype):
+        """Untaped, the block reruns the query projection and writes gelu and
+        the norms in place; a default and an input-only tape keep the
+        queries and record the ops.  The hidden layer spans several gelu
+        blocks."""
+        rng = np.random.default_rng(22)
+        cfg = SFMConfig(channels=16, kernels=(3, 3), dilations=(1, 2))
+        params = block_params(rng, cfg, dims=3, dtype=dtype)
+        scene = random_sparse(rng, (12, 12, 12), 0.5, 16, dtype=dtype)
+        assert scene.n_active * cfg.mlp_hidden > ops._ERF_BLOCK
+        want = sfm_block(scene, cfg, params).features.data
+        assert want.dtype == dtype
+        for tape in (GradTape(), GradTape(params=False)):
+            t = scene.with_features(Tensor(scene.features.data, tape))
+            assert sfm_block(t, cfg, params).features.data.tobytes() == want.tobytes()
+            assert tape.node_names().count("slice_cols") == 3  # one projection
+
+    def test_untaped_forward_does_not_hold_the_queries_through_the_levels(self):
+        """Untaped, the block's peak (in the level chain here) is at least
+        the N x C float32 queries below the same block composed with the
+        queries held through the levels."""
+        rng = np.random.default_rng(21)
+        cfg = SFMConfig(channels=32, kernels=(3, 3), dilations=(1, 2))
+        params = block_params(rng, cfg, dims=3, dtype=np.float32)
+        scene = random_sparse(rng, (12, 12, 12), 0.5, 32)
+
+        def queries_held(t, config, params):
+            m = params.module
+            projected = list(input_projection(
+                t.features, *m.in_proj, config.channels, config.levels))
+            context = ops.linear(context_levels(
+                t.with_features(projected.pop(1)), m.level_convs, projected[1]), *m.h)
+            z = ops.multiply(projected[0], context)
+            del projected, context
+            y1 = ops.add(ops.layer_norm(z, *params.ln1), t.features)
+            del z
+            mlp = ops.mlp_block(y1, *params.fc1, *params.fc2)
+            return t.with_features(ops.add(ops.layer_norm(mlp, *params.ln2), y1))
+
+        def peak(block):
+            tracemalloc.start()
+            try:
+                out = block(scene, cfg, params)
+                return tracemalloc.get_traced_memory()[1], out
+            finally:
+                tracemalloc.stop()
+
+        for block in (sfm_block, queries_held):  # warm-up: caches the rulebooks
+            peak(block)
+        block_peak, out = peak(sfm_block)
+        held_peak, held_out = peak(queries_held)
+        assert out.features.data.tobytes() == held_out.features.data.tobytes()
+        assert held_peak - block_peak >= scene.n_active * cfg.channels * 4
+
     def test_gradcheck(self):
         rng = np.random.default_rng(19)
         cfg = SFMConfig(channels=3, kernels=(3,), dilations=(1,))
@@ -482,6 +538,66 @@ class TestSfmBlock:
 
         err = vjp_check(fn, [scene.features.data], seed=20, max_coords=48)
         assert err < 1e-4
+
+
+def caller_arrays(*objs):
+    """Every array reachable from the given arrays, tensors, sparse tensors,
+    parameter dataclasses, tuples and lists."""
+    out = []
+    for o in objs:
+        if isinstance(o, np.ndarray):
+            out.append(o)
+        elif isinstance(o, Tensor):
+            out.append(o.data)
+        elif isinstance(o, SparseTensor):
+            out += caller_arrays(o.features, o.coords)
+        elif isinstance(o, (tuple, list)):
+            out += caller_arrays(*o)
+        elif dataclasses.is_dataclass(o):
+            out += caller_arrays(*(getattr(o, f.name) for f in dataclasses.fields(o)))
+    return out
+
+
+class TestCallerArraysUnchanged:
+    """No op writes an array its caller holds, on any tape or none, in its
+    forward or its replay: the in-place steps (gelu's ``out``, the norms'
+    ``xhat``) write only arrays their own function made."""
+
+    CFG = SFMConfig(channels=16, kernels=(3, 3), dilations=(1, 2))
+    CALLS = {
+        "gelu": lambda t, p, stats: ops.gelu(t.features),
+        "layer_norm": lambda t, p, stats: ops.layer_norm(t.features, *p.ln1),
+        "batch_norm_train": lambda t, p, stats: ops.batch_norm_active(
+            t.features, *p.ln2, *stats, mode="train")[0],
+        "batch_norm_eval": lambda t, p, stats: ops.batch_norm_active(
+            t.features, *p.ln2, *stats, mode="eval")[0],
+        "mlp_block": lambda t, p, stats: ops.mlp_block(t.features, *p.fc1, *p.fc2),
+        "sfm_block": lambda t, p, stats: sfm_block(t, TestCallerArraysUnchanged.CFG, p).features,
+    }
+
+    @pytest.mark.parametrize("tape_kind", [None, "default", "input-only"])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_inputs_and_parameters_bitwise_unchanged(self, name, tape_kind):
+        rng = np.random.default_rng(24)
+        params = block_params(rng, self.CFG, dims=3, dtype=np.float32)
+        scene = random_sparse(rng, (12, 12, 12), 0.5, 16)
+        assert scene.n_active * self.CFG.mlp_hidden > ops._ERF_BLOCK
+        stats = (rng.standard_normal(16).astype(np.float32), rng.uniform(0.5, 2, 16))
+        tape = None if tape_kind is None else GradTape(params=tape_kind == "default")
+        t = scene.with_features(Tensor(scene.features.data, tape))
+        held = caller_arrays(t, params, stats)
+        before = [a.copy() for a in held]
+
+        def check(out):
+            for a, b in zip(held, before):
+                assert a.tobytes() == b.tobytes()
+            assert not any(np.shares_memory(out.data, a) for a in held)
+
+        out = self.CALLS[name](t, params, stats)
+        check(out)
+        if tape is not None:
+            tape.gradients(out, np.ones_like(out.data))
+            check(out)
 
 
 class TestSrb:
