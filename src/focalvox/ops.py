@@ -400,7 +400,9 @@ def _mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """linear, gelu, linear; untaped, gelu overwrites the first linear's
     output, which nothing else reads."""
     h = linear(x, w1, b1)
-    return linear(gelu(h, out=h.data if h.tape is None else None), w2, b2)
+    g = gelu(h, out=h.data if h.tape is None else None)
+    del h  # taped, gelu's node keeps only its slope: the input dies here
+    return linear(g, w2, b2)
 
 
 def mlp_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

@@ -1,13 +1,13 @@
 """A/B benchmark of two checkouts into one ``BENCH_<topic>.json``.
 
     python tests/ab.py --parent DIR --change DIR --topic TOPIC
-                       [--claim METRIC WORKLOAD] [--held-out SEED ...] [--seconds S]
+                       [--claim METRIC WORKLOAD] [--held-out SEED ...]
 
 Runs each checkout's own ``perfbench/run.py --trace 0`` on every workload
 of ``BENCHMARK.json``, one parent/change pair per seed 0-9 and per
-held-out seed, alternating which side of a pair runs first.  The run
-length defaults to ``run_seconds`` of ``BENCHMARK.json``; both sides get
-the same.  It writes ``BENCH_<topic>.json`` in the current directory:
+held-out seed, alternating which side of a pair runs first.  Every run
+lasts ``run_seconds`` of ``BENCHMARK.json``.  It writes
+``BENCH_<topic>.json`` in the current directory:
 
 - ``end_to_end.<workload>.<metric>``: ``parent`` and ``change``, each
   ``{median, q1, q3, runs}`` over seeds 0-9 (inclusive quartiles), the
@@ -21,7 +21,7 @@ the same.  It writes ``BENCH_<topic>.json`` in the current directory:
 
 It prints one verdict line per workload and metric, then the claim.  It
 imports nothing from ``perfbench/``: it only runs each checkout's script.
-``tests/test_ab.py`` tests the rules on synthetic runs.
+``tests/test_ab.py`` tests it on synthetic runs and stub checkouts.
 """
 
 from __future__ import annotations
@@ -159,14 +159,13 @@ def main(argv=None) -> int:
                    help="apply the gain rule to this end-to-end metric and workload")
     p.add_argument("--held-out", nargs="+", type=int, default=[7919], metavar="SEED",
                    help="seeds beyond 0-9 that the claim must also hold on (default 7919)")
-    p.add_argument("--seconds", type=float, default=benchmark["run_seconds"],
-                   help="run length of every run.py (default: BENCHMARK.json's)")
     args = p.parse_args(argv)
     if args.claim and (args.claim[0] not in metrics or args.claim[1] not in workloads):
         p.error(f"--claim takes one of {metrics} and one of {workloads}")
     if set(args.held_out) & set(SEEDS):
         p.error("held-out seeds must lie outside 0-9")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seconds = benchmark["run_seconds"]
     for side, root in roots.items():
         if not (root / RUN).is_file():
             p.error(f"--{side} {root} has no {RUN}")
@@ -175,14 +174,14 @@ def main(argv=None) -> int:
     for seed in (*SEEDS, *args.held_out):
         for w in workloads:
             for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
-                results[side, w, seed] = run_one(roots[side], w, seed, args.seconds)
+                results[side, w, seed] = run_one(roots[side], w, seed, seconds)
                 print(f"{w} seed {seed} {side}: " + ", ".join(
                     f"{m} {results[side, w, seed]['metrics'][m]['value']:.6g}" for m in metrics),
                     flush=True)
             pair += 1
 
     doc = {"topic": args.topic,
-           "command": f"python3 {RUN} --workload W --seed S --seconds {args.seconds:g} --trace 0",
+           "command": f"python3 {RUN} --workload W --seed S --seconds {seconds:g} --trace 0",
            "protocol": (f"one pair per seed ({SEEDS[0]}-{SEEDS[-1]}, held out "
                         f"{', '.join(map(str, args.held_out))}) and workload, in the order "
                         f"{', '.join(workloads)} per seed; the side run first alternates "

@@ -3,7 +3,6 @@ end-to-end test drives the script against stub checkouts whose
 ``perfbench/run.py`` prints made-up results at once."""
 
 import json
-import textwrap
 
 import pytest
 
@@ -89,8 +88,7 @@ def test_writes_a_bench_file_in_the_core_schema(tmp_path, monkeypatch, capsys):
     stub_checkout(tmp_path / "change", 0.9, 5)
     monkeypatch.chdir(tmp_path)
     assert ab.main(["--parent", "parent", "--change", "change", "--topic", "t",
-                    "--claim", "peak_traced_mb", "av2-infer", "--held-out", "7919", "31",
-                    "--seconds", "0.01"]) == 0
+                    "--claim", "peak_traced_mb", "av2-infer", "--held-out", "7919", "31"]) == 0
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())
     check_core_schema(doc)
     assert doc["src_focalvox_lines"] == {"parent": 7, "change": 5}
@@ -119,7 +117,7 @@ def test_failing_run_stops_the_script(tmp_path):
         "import sys; sys.exit('no engine')\n")
     with pytest.raises(RuntimeError, match="exited 1\nno engine"):
         ab.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-                 "--topic", "t", "--seconds", "0.01"])
+                 "--topic", "t"])
 
 
 @pytest.mark.parametrize("argv", [

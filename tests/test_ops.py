@@ -489,6 +489,34 @@ class TestMlp:
         assert 300 * 64 > ops._ERF_BLOCK
         assert ops.mlp_block(x, *operands).data.tobytes() == step_out
 
+    @pytest.mark.parametrize("params", [True, False], ids=["replay", "input-only"])
+    def test_taped_block_frees_the_pre_activation_before_the_second_linear(
+            self, monkeypatch, params):
+        """On a tape gelu's node keeps only its slope, so the first linear's
+        output must die before the second linear runs, as in the nested
+        calls; holding it there raised the `tiny-train` replay peak."""
+        gelu, linear, refs, freed = ops.gelu, ops.linear, [], []
+
+        def spy_gelu(x, **kw):
+            if x.tape is not None:
+                refs.append(weakref.ref(x.data))
+            return gelu(x, **kw)
+
+        def spy_linear(x, w, b):
+            if len(refs) > len(freed):  # the linear after a taped gelu
+                freed.append(refs[-1]() is None)
+            return linear(x, w, b)
+
+        monkeypatch.setattr(ops, "gelu", spy_gelu)
+        monkeypatch.setattr(ops, "linear", spy_linear)
+        rng = np.random.default_rng(10)
+        operands = [T(t.data) for t in self._params(rng, 4, 2)]
+        tape = GradTape(params=params)
+        x = Tensor(rng.standard_normal((3, 4)), tape)
+        out = ops.mlp_block(x, *operands)
+        tape.gradients(out, np.ones_like(out.data))
+        assert freed == [True]  # in the replay's recompute, or in the forward
+
     def test_input_only_tape_records_the_three_ops(self):
         rng = np.random.default_rng(8)
         operands = [T(t.data) for t in self._params(rng, 8, 2)]
