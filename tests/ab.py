@@ -11,7 +11,8 @@ lasts ``run_seconds`` of ``BENCHMARK.json``.  It writes
 
 - ``end_to_end.<workload>.<metric>``: ``parent`` and ``change``, each
   ``{median, q1, q3, runs}`` over seeds 0-9 (inclusive quartiles), the
-  change's wins out of the pairs, and a ``verdict`` (see :func:`verdict`);
+  change's wins out of the pairs, the parent's relative spread and a
+  ``verdict`` (see :func:`verdict`);
 - ``held_out_seeds.<workload>.<seed>.<metric>``: the single pair's values;
 - ``fail_ratio.<workload>.<side>``: failed and attempted passes, and the
   runs that reported ``correct``;
@@ -76,18 +77,25 @@ def claim(parent: list[float], change: list[float], better: str,
     return met, detail
 
 
+def spread(runs: list[float]) -> dict:
+    """The runs' spread as fractions of their median: the IQR, which
+    :func:`verdict` reads, and max - min."""
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"iqr": round((q3 - q1) / abs(median), 4),
+            "max_min": round((max(runs) - min(runs)) / abs(median), 4)}
+
+
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
     """``worse`` when the change's median is worse than the parent's by more
     than ``bound`` (a fraction of the parent's median); else ``unresolved``
-    when the parent's own runs spread (max - min) wider than ``bound`` of
-    their median, unless every change run reads better than every parent
-    run; else ``unchanged``."""
+    when the parent's own runs spread wider than ``bound``, taking their IQR
+    as the spread as the claim rule does, unless every change run reads
+    better than every parent run; else ``unchanged``."""
     pm, cm = statistics.median(parent), statistics.median(change)
     if -_gain(pm, cm, better) > bound * abs(pm):
         return "worse"
-    spread = (max(parent) - min(parent)) / abs(pm)
     all_better = all(_gain(p, c, better) > 0 for p in parent for c in change)
-    if spread > bound and not all_better:
+    if spread(parent)["iqr"] > bound and not all_better:
         return "unresolved"
     return "unchanged"
 
@@ -128,6 +136,7 @@ def summarize(benchmark: dict, results: dict, held_out: list[int],
                 "unit": m["unit"], "better": better, "bound": m["bound"],
                 **{s: quartiles(runs[s]) for s in SIDES},
                 "change_wins": f"{wins(runs['parent'], runs['change'], better)}/{len(SEEDS)}",
+                "parent_spread": spread(runs["parent"]),
                 "verdict": verdict(runs["parent"], runs["change"], better, m["bound"]),
             }
             if claimed == (name, w):
@@ -197,7 +206,8 @@ def main(argv=None) -> int:
     for w, per_metric in doc["end_to_end"].items():
         for m, e in per_metric.items():
             print(f"{w} {m}: {e['parent']['median']:.6g} -> {e['change']['median']:.6g} "
-                  f"{e['unit']}, change wins {e['change_wins']}, {e['verdict']}")
+                  f"{e['unit']}, change wins {e['change_wins']}, parent IQR "
+                  f"{e['parent_spread']['iqr']:.1%} of its median, {e['verdict']}")
     if doc["claim"]:
         c = doc["claim"]
         print(f"claim {c['metric']} on {c['workload']}: {'met' if c['met'] else 'NOT met'}; "

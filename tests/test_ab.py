@@ -53,11 +53,17 @@ class TestVerdict:
         assert ab.verdict(PARENT, [v * 1.3 for v in PARENT], "lower", 0.25) == "worse"
         assert ab.verdict(PARENT, [v * 0.7 for v in PARENT], "higher", 0.25) == "worse"
 
-    def test_unresolved_when_the_parent_spreads_past_the_bound(self):
-        wide = [0.8, 1.0, 1.1, 1.0, 0.9, 1.0, 1.0, 1.0, 1.0, 1.0]  # max - min: 0.3 of 1.0
+    def test_unresolved_when_the_parent_iqr_passes_the_bound(self):
+        wide = [0.8, 1.2, 0.8, 1.2, 0.8, 1.0, 1.0, 1.2, 0.8, 1.2]  # quartiles 0.8, 1.2
+        assert ab.spread(wide) == {"iqr": 0.4, "max_min": 0.4}
         assert ab.verdict(wide, [v * 0.95 for v in wide], "lower", 0.25) == "unresolved"
         # unless every change run reads better than every parent run
         assert ab.verdict(wide, [0.7] * 10, "lower", 0.25) == "unchanged"
+
+    def test_one_outlier_does_not_make_it_unresolved(self):
+        outlier = [*PARENT[:9], 1.5]
+        assert ab.spread(outlier)["max_min"] > 0.25 > ab.spread(outlier)["iqr"]
+        assert ab.verdict(outlier, PARENT, "lower", 0.25) == "unchanged"
 
 
 STUB_RUN = """\
