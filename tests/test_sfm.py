@@ -490,9 +490,9 @@ class TestSfmBlock:
             assert tape.node_names().count("slice_cols") == 3  # one projection
 
     def test_untaped_forward_does_not_hold_the_queries_through_the_levels(self):
-        """Untaped, the block's peak (in the level chain here) is at least
-        the N x C float32 queries below the same block composed with the
-        queries held through the levels."""
+        """Untaped, the block peaks at least the N x C float32 queries below
+        the same block composed with the queries held through the levels,
+        which peaks in the level chain here."""
         rng = np.random.default_rng(21)
         cfg = SFMConfig(channels=32, kernels=(3, 3), dilations=(1, 2))
         params = block_params(rng, cfg, dims=3, dtype=np.float32)
