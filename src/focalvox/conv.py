@@ -43,29 +43,34 @@ class SparseConvLayer:
     bias: Tensor | None = None
 
 
+def conv_vjp(xd: np.ndarray, rb: Rulebook, wd: np.ndarray, cot: np.ndarray,
+             need_w: bool, need_b: bool) -> tuple:
+    """Input, weight and bias cotangents of a conv with input features
+    ``xd`` and weights ``wd`` on ``rb``; None for a weight or bias that
+    needs no gradient.  Without a weight gradient ``xd`` may be a
+    zero-strided view, as the input gradient reads only its shape and dtype.
+
+    A weight gradient larger than the cotangent plus the features, which
+    forming it later keeps, comes as a callable that forms it after the
+    replay's last node, holding both until then."""
+    gw = None
+    if need_w:
+        gw = partial(gather_scatter_weight_grad, xd, rb, cot)
+        if wd.size <= cot.size + xd.size:
+            gw = gw()
+    gb = cot.sum(axis=0).astype(xd.dtype) if need_b else None
+    return gather_scatter_vjp(xd, rb, wd, cot), gw, gb
+
+
 def _apply_rulebook(t: SparseTensor, layer: SparseConvLayer, rb: Rulebook) -> SparseTensor:
     x, weight, bias = t.features, layer.weight, layer.bias
     out_data = gather_scatter_matmul(x.data, rb, weight.data, None if bias is None else bias.data)
 
     def vjp_of(needs):
         wd, need_w, need_b = weight.data, needs[1], needs[2]
-        # only the weight gradient reads the features' data; without one a
-        # zero-strided view carries their shape and dtype
+        # only the weight gradient reads the features' data
         xd = x.data if need_w else np.broadcast_to(np.zeros((), x.data.dtype), x.data.shape)
-
-        def vjp(cot):
-            gw = None
-            if need_w:
-                # a weight gradient larger than the cotangent plus the
-                # features, which forming it later keeps, is formed after
-                # the replay's last node, holding both until then
-                gw = partial(gather_scatter_weight_grad, xd, rb, cot)
-                if wd.size <= cot.size + xd.size:
-                    gw = gw()
-            gb = cot.sum(axis=0).astype(xd.dtype) if need_b else None
-            return gather_scatter_vjp(xd, rb, wd, cot), gw, gb
-
-        return vjp
+        return lambda cot: conv_vjp(xd, rb, wd, cot, need_w, need_b)
 
     out = emit(f"conv_{rb.kind}", out_data, (x, weight, bias), vjp_of)
     return SparseTensor(rb.out_geometry or t.geometry, out)

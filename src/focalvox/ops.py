@@ -157,27 +157,60 @@ def _norm_vjp(gd, xhat, inv_std, axis: int, needs):
     return vjp
 
 
-def _norm(name: str, x: Tensor, gain: Tensor, bias: Tensor, axis: int):
-    """``xhat * gain + bias``, where ``xhat`` is ``x`` normalized along ``axis``
-    by its own statistics.  Returns ``(out, mean, var)``, the statistics with
-    kept dims; InvalidSpec, naming the op, if the variance is not finite."""
+def _normalize(name: str, x: np.ndarray, axis: int):
+    """``x`` normalized along ``axis`` by its own statistics: ``(xhat,
+    inv_std, mean, var)``, the statistics with kept dims; InvalidSpec,
+    naming the op, if the variance is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = x.data.mean(axis=axis, keepdims=True)
-        xhat = x.data - mean  # centered here, normalized in its own buffer below
+        mean = x.mean(axis=axis, keepdims=True)
+        xhat = x - mean  # centered here, normalized in its own buffer below
         var = (xhat * xhat).mean(axis=axis, keepdims=True)
     if not np.isfinite(var).all():
-        raise InvalidSpec(f"{name}: variance overflows {x.data.dtype}")
-    inv_std = 1.0 / np.sqrt(var + np.asarray(NORM_EPS, dtype=x.data.dtype))
+        raise InvalidSpec(f"{name}: variance overflows {x.dtype}")
+    inv_std = 1.0 / np.sqrt(var + np.asarray(NORM_EPS, dtype=x.dtype))
     xhat *= inv_std
-    return emit(
-        name, xhat * gain.data + bias.data, (x, gain, bias),
-        lambda needs: _norm_vjp(gain.data, xhat, inv_std, axis, needs),
-    ), mean, var
+    return xhat, inv_std, mean, var
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row normalization over the channel dimension, then affine."""
-    return _norm("layer_norm", x, gain, bias, 1)[0]
+    xhat, inv_std, _, _ = _normalize("layer_norm", x.data, 1)
+    return emit(
+        "layer_norm", xhat * gain.data + bias.data, (x, gain, bias),
+        lambda needs: _norm_vjp(gain.data, xhat, inv_std, 1, needs),
+    )
+
+
+def batch_norm_arrays(x: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
+                      mode: str = "train"):
+    """What a batch norm computes before its affine step:
+    ``(xhat, inv_std, new_running_mean, new_running_var)``.
+
+    Train mode normalizes by the statistics of the N active rows and
+    updates the running statistics; eval mode normalizes by the running
+    statistics and hands them back as given."""
+    if mode not in ("train", "eval"):
+        raise ValueError(f"unknown batch norm mode {mode!r}")
+    if mode == "train":
+        if x.shape[0] == 0:
+            raise EmptyBatch("batch norm train mode needs at least one row")
+        xhat, inv_std, mean, var = _normalize("batch_norm", x, 0)
+        return (xhat, inv_std, BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean[0],
+                BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var[0])
+    dtype = x.dtype
+    inv_std = 1.0 / np.sqrt(running_var.astype(dtype) + np.asarray(NORM_EPS, dtype=dtype))
+    return (x - running_mean.astype(dtype)) * inv_std, inv_std, running_mean, running_var
+
+
+def batch_norm_vjp(gd: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, mode: str, needs):
+    """VJP of ``xhat * gain + bias`` for the arrays of
+    :func:`batch_norm_arrays`, with gain data ``gd`` and one "gets a
+    gradient" flag per input ``(x, gain, bias)``."""
+    if mode == "train":
+        return _norm_vjp(gd, xhat, inv_std, 0, needs)
+    # eval: the input gradient does not read xhat; only the gain's does
+    saved = xhat if needs[1] else None
+    return lambda cot: (cot * gd * inv_std, *_affine_grads(cot, saved, *needs[1:]))
 
 
 def batch_norm_active(
@@ -195,26 +228,12 @@ def batch_norm_active(
     with the running statistics as given.  Returns
     ``(out, new_running_mean, new_running_var)``.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown batch norm mode {mode!r}")
-    if mode == "train":
-        if x.data.shape[0] == 0:
-            raise EmptyBatch("batch norm train mode needs at least one row")
-        out, mean, var = _norm("batch_norm", x, gain, bias, 0)
-        return (out, BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean[0],
-                BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var[0])
-    dtype = x.data.dtype
-    inv_std = 1.0 / np.sqrt(running_var.astype(dtype) + np.asarray(NORM_EPS, dtype=dtype))
-    xhat = (x.data - running_mean.astype(dtype)) * inv_std
-
-    def vjp_of(needs):
-        gd = gain.data
-        # the input gradient does not read xhat; only the gain's does
-        saved = xhat if needs[1] else None
-        return lambda cot: (cot * gd * inv_std, *_affine_grads(cot, saved, *needs[1:]))
-
-    out = emit("batch_norm", xhat * gain.data + bias.data, (x, gain, bias), vjp_of)
-    return out, running_mean, running_var
+    xhat, inv_std, new_mean, new_var = batch_norm_arrays(x.data, running_mean, running_var, mode)
+    out = emit(
+        "batch_norm", xhat * gain.data + bias.data, (x, gain, bias),
+        lambda needs: batch_norm_vjp(gain.data, xhat, inv_std, mode, needs),
+    )
+    return out, new_mean, new_var
 
 
 def _phi(xd: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -396,6 +415,25 @@ def mean_all(x: Tensor) -> Tensor:
     return emit("mean_all", np.asarray(x.data.mean(), dtype=dtype), (x,), lambda needs: vjp)
 
 
+def _rerun_node(name: str, fn, operands: tuple[Tensor, ...]) -> Tensor:
+    """``fn(*operands)`` as one node that saves only its operands.
+
+    The forward runs ``fn`` untaped.  The VJP reruns it on an inner tape and
+    replays that with the cotangent, so the intermediates ``fn`` makes are not
+    held from the forward to the replay, and each gradient has the bytes of
+    ``fn``'s ops recorded one by one.  The VJP makes a new inner tape on each
+    call."""
+
+    def vjp(cot):
+        inner = GradTape()
+        leaves = [Tensor(t.data, inner) for t in operands]
+        grads = inner._replay(fn(*leaves).uid, cot)
+        return tuple(grads[t.uid] for t in leaves)
+
+    data = fn(*(Tensor(t.data) for t in operands)).data
+    return emit(name, data, operands, lambda needs: vjp)
+
+
 def _mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """linear, gelu, linear; untaped, gelu overwrites the first linear's
     output, which nothing else reads."""
@@ -409,22 +447,40 @@ def mlp_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tens
     """Single-hidden-layer MLP: linear, gelu, linear.
 
     On a tape that forms weight gradients (``tape.params``) the block is one
-    node that saves only its operands.  Its VJP reruns the three ops on an
-    inner tape and replays it with the cotangent, so the hidden layer (gelu's
-    slope and the second linear's input) is not held from the forward to the
-    replay, and each gradient has the bytes of the three ops' own VJPs.  Other
-    tapes record the three ops: there the block saves only the slope, too
-    little to pay for a recompute (README, "Gradient tape")."""
+    node, ``mlp_block``, that saves only its operands and reruns the three
+    ops in its VJP (:func:`_rerun_node`), so the hidden layer (gelu's slope
+    and the second linear's input) is not held from the forward to the
+    replay.  Other tapes record the three ops: there the block saves only
+    the slope, too little to pay for a recompute (README, "Gradient tape")."""
     tape = active_tape(x, w1, b1, w2, b2)
     if tape is None or not tape.params:
         return _mlp(x, w1, b1, w2, b2)
-    operands = (x, w1, b1, w2, b2)
+    return _rerun_node("mlp_block", _mlp, (x, w1, b1, w2, b2))
 
-    def vjp(cot):
-        inner = GradTape()
-        leaves = [Tensor(t.data, inner) for t in operands]
-        grads = inner._replay(_mlp(*leaves).uid, cot)
-        return tuple(grads[t.uid] for t in leaves)
 
-    data = _mlp(*(Tensor(t.data) for t in operands)).data
-    return emit("mlp_block", data, operands, lambda needs: vjp)
+def _modulation(levels: Iterable[Tensor], gates: Tensor, queries: Tensor,
+                weight: Tensor, bias: Tensor) -> Tensor:
+    return multiply(queries, linear(weighted_level_sum(levels, gates), weight, bias))
+
+
+def modulation(levels: Iterable[Tensor], gates: Tensor, queries: Tensor,
+               weight: Tensor, bias: Tensor) -> Tensor:
+    """The mixer's modulation: ``queries * ((sum_l levels[l] * gates[:, l])
+    @ weight + bias)``, the queries times the gated level sum projected back
+    to query space.
+
+    On a tape that forms weight gradients it is one node, ``modulation``,
+    that saves only its operands (the levels, gates and queries, which the
+    tape keeps anyway) and reruns the three ops in its VJP
+    (:func:`_rerun_node`): the level sum and the context are not held from
+    the forward to the replay.  Otherwise the three ops are recorded, and
+    ``levels`` may be any iterable, folded as it arrives
+    (:func:`weighted_level_sum`)."""
+    tape = active_tape(gates, queries, weight, bias)
+    if tape is None or not tape.params:
+        return _modulation(levels, gates, queries, weight, bias)
+    levels = list(levels)
+    n = len(levels)
+    return _rerun_node(
+        "modulation", lambda *ts: _modulation(ts[:n], *ts[n:]),
+        (*levels, gates, queries, weight, bias))

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import ops
-from .conv import SparseConvLayer, subm_conv
+from .conv import SparseConvLayer, conv_vjp, subm_conv
 from .errors import InvalidSpec, ShapeMismatch
 from .params import ParamPair, ParamSource, linear_params, norm_params
 from .sparse import KernelSpec, SparseTensor, check_kernels, rulebook
 from .sparse import build_rulebook_submanifold  # patched by perfbench/tracing.py
-from .tape import Tensor, active_tape
+from .tape import Tensor, active_tape, emit
 
 MLP_RATIO = 2  # a block's MLP hidden width, in channels
 
@@ -129,15 +131,18 @@ def _focal_levels(cur: SparseTensor, level_convs: list[SparseConvLayer]):
         yield cur.features
 
 
-def context_levels(t: SparseTensor, level_convs: list[SparseConvLayer], gates: Tensor) -> Tensor:
-    """Gate-weighted sum of the hierarchical focal features:
-    ``sum_l gates[:, l-1] * level l`` over l = 1..L, where level l is
-    gelu(conv_l(level l-1)) and level 0 is ``t``.  All levels share the
-    input's active set; the README's "Activation lifetimes" says which
-    arrays stay alive."""
+def context_levels(t: SparseTensor, level_convs: list[SparseConvLayer], gates: Tensor,
+                   fold=None) -> Tensor:
+    """``fold(levels, gates)`` of the hierarchical focal features, where
+    level l is gelu(conv_l(level l-1)) for l = 1..L and level 0 is ``t``; by
+    default (None) the gate-weighted sum ``sum_l gates[:, l-1] * level l``.
+    The levels come as a generator, each made as the fold reads it.  All
+    levels share the input's active set; the README's "Activation
+    lifetimes" says which arrays stay alive."""
     levels = _focal_levels(t, level_convs)
     del t
-    return ops.weighted_level_sum(levels, gates)
+    # looked up at call time, where perfbench/tracing.py patches it
+    return (fold or ops.weighted_level_sum)(levels, gates)
 
 
 def sfm_module(t: SparseTensor, config: SFMConfig, params: SfmModuleParams) -> SparseTensor:
@@ -145,21 +150,25 @@ def sfm_module(t: SparseTensor, config: SFMConfig, params: SfmModuleParams) -> S
     back to query space, modulate.
 
     The base context is passed on as a temporary, so that no local here
-    holds it while the levels run: untaped, it dies after level 1.  An
-    untaped pass does not hold the queries through the levels either: it
-    reruns the projection once the context is formed, the same product of
-    the same operands.  A tape keeps them, since ``ops.multiply`` saves
-    them anyway and a second projection node would split its gradients."""
+    holds it while the levels run: untaped, it dies after level 1.  On a
+    tape the levels fold into :func:`ops.modulation`, which keeps the
+    queries (its multiply saves them anyway; a second projection node would
+    split its gradients).  An untaped pass does not hold the queries
+    through the levels: it reruns the projection's linear once the context
+    is formed, the same product of the same operands, and slices the
+    queries alone."""
     projected = list(input_projection(  # [queries, base context, gates]
         t.features, *params.in_proj, config.channels, config.levels))
-    rerun = active_tape(t.features, *params.in_proj) is None
-    if rerun:
-        projected[0] = None
+    if active_tape(t.features, *params.in_proj) is not None:
+        queries = projected.pop(0)
+        return t.with_features(context_levels(
+            t.with_features(projected.pop(0)), params.level_convs, projected[0],
+            lambda levels, gates: ops.modulation(levels, gates, queries, *params.h)))
+    projected[0] = None
     context = ops.linear(
         context_levels(t.with_features(projected.pop(1)), params.level_convs, projected[1]),
         *params.h)
-    queries = input_projection(
-        t.features, *params.in_proj, config.channels, config.levels)[0] if rerun else projected[0]
+    queries = ops.slice_cols(ops.linear(t.features, *params.in_proj), 0, config.channels)
     return t.with_features(ops.multiply(queries, context))  # each query picks up its context
 
 
@@ -176,23 +185,74 @@ def sfm_block(t: SparseTensor, config: SFMConfig, params: SfmBlockParams) -> Spa
     return t.with_features(y)
 
 
-def _bn(x: Tensor, bn: BatchNormParams, mode: str) -> Tensor:
-    out, new_mean, new_var = ops.batch_norm_active(
-        x, bn.gain, bn.bias, bn.running_mean.data, bn.running_var.data, mode=mode
-    )
+def _bn(x: Tensor, bn: BatchNormParams, mode: str, saved: list | None = None) -> Tensor:
+    """One batch norm, recorded as an op; with ``saved``, for the residual-block
+    node, computed untaped, appending the gain, bias, ``xhat`` and inverse
+    deviation it used."""
+    if saved is None:
+        out, new_mean, new_var = ops.batch_norm_active(
+            x, bn.gain, bn.bias, bn.running_mean.data, bn.running_var.data, mode=mode
+        )
+    else:
+        xhat, inv_std, new_mean, new_var = ops.batch_norm_arrays(
+            x.data, bn.running_mean.data, bn.running_var.data, mode)
+        saved.append((bn.gain.data, bn.bias.data, xhat, inv_std))
+        out = Tensor(xhat * bn.gain.data + bn.bias.data)
     # the engine's one in-place update: running buffers track a train-mode
     # batch (eval mode hands them back as given)
     bn.running_mean.data, bn.running_var.data = new_mean, new_var
     return out
 
 
-def srb_block(t: SparseTensor, params: SrbParams, bn_mode: str = "train") -> SparseTensor:
-    """Residual conv block: conv-BN-relu-conv-BN, skip, relu."""
+def _srb(t: SparseTensor, params: SrbParams, bn_mode: str, saved: list | None = None):
+    """conv-BN-relu-conv-BN, skip, relu; ``saved`` goes to :func:`_bn`."""
     h = subm_conv(t, params.conv1)
-    h = h.with_features(ops.relu(_bn(h.features, params.bn1, bn_mode)))
+    h = h.with_features(ops.relu(_bn(h.features, params.bn1, bn_mode, saved)))
     h = subm_conv(h, params.conv2)
-    pre = _bn(h.features, params.bn2, bn_mode)
+    pre = _bn(h.features, params.bn2, bn_mode, saved)
     return t.with_features(ops.relu(ops.add(pre, t.features)))
+
+
+def srb_block(t: SparseTensor, params: SrbParams, bn_mode: str = "train") -> SparseTensor:
+    """Residual conv block: conv-BN-relu-conv-BN, skip, relu.
+
+    On a tape that forms weight gradients (``tape.params``) the block is one
+    node, ``srb_block``.  It saves its input and each batch norm's
+    normalized activations and inverse deviations.  Its VJP rebuilds the
+    second conv's input, both relu masks and the residual sum elementwise
+    from those, recomputes no conv, and runs the batch-norm and conv VJPs,
+    so every gradient has the bytes of the ops recorded one by one, and a
+    conv weight gradient may still come as a callable.  Other tapes record
+    the ops (README, "Gradient tape")."""
+    c1, c2, bn1, bn2 = params.conv1, params.conv2, params.bn1, params.bn2
+    operands = (t.features, c1.weight, c1.bias, bn1.gain, bn1.bias,
+                c2.weight, c2.bias, bn2.gain, bn2.bias)
+    tape = active_tape(*operands)
+    if tape is None or not tape.params:
+        return _srb(t, params, bn_mode)
+    saved = []  # per batch norm: gain, bias, xhat, inv_std
+    u = t.with_features(Tensor(t.features.data))
+    data = _srb(u, params, bn_mode, saved).features.data
+    rb1, rb2 = rulebook(u, c1.spec), rulebook(u, c2.spec)  # cached by the convs
+    xd, wd1, wd2 = t.features.data, c1.weight.data, c2.weight.data
+    (gd1, bd1, xhat1, inv1), (gd2, bd2, xhat2, inv2) = saved
+    all_needed, bias1, bias2 = (True, True, True), c1.bias is not None, c2.bias is not None
+
+    def vjp(cot):
+        # the output relu's mask over the residual sum; its cotangent is
+        # also the skip's
+        skip = cot * (xhat2 * gd2 + bd2 + xd > 0)
+        gh, gg2, gb2 = ops.batch_norm_vjp(gd2, xhat2, inv2, bn_mode, all_needed)(skip)
+        r = np.maximum(xhat1 * gd1 + bd1, 0)  # the second conv's input
+        gr, gw2, gc2 = conv_vjp(r, rb2, wd2, gh, True, bias2)
+        gr = gr * (r > 0)
+        del r
+        gh, gg1, gb1 = ops.batch_norm_vjp(gd1, xhat1, inv1, bn_mode, all_needed)(gr)
+        del gr
+        gx, gw1, gc1 = conv_vjp(xd, rb1, wd1, gh, True, bias1)
+        return skip + gx, gw1, gc1, gg1, gb1, gw2, gc2, gg2, gb2
+
+    return t.with_features(emit("srb_block", data, operands, lambda needs: vjp))
 
 
 # ---------------------------------------------------------------------------

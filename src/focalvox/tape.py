@@ -140,6 +140,9 @@ class GradTape:
                     _accumulate(grads, uid, g)
                 else:
                     leaf_parts.append((uid, g))
+        # the last node's cotangent, VJP closure and part would otherwise
+        # stay alive while the leaf parts are formed
+        out_cot = vjp = g = None
         while leaf_parts:
             _accumulate(grads, *leaf_parts.popleft())
         return grads

@@ -2,6 +2,7 @@
 
     python tests/ab.py --parent DIR --change DIR --topic TOPIC
                        [--claim METRIC WORKLOAD] [--held-out SEED ...]
+    python tests/ab.py --trajectory
 
 Runs each checkout's own ``perfbench/run.py --trace 0`` on every workload
 of ``BENCHMARK.json``, one parent/change pair per seed 0-9 and per
@@ -22,6 +23,10 @@ lasts ``run_seconds`` of ``BENCHMARK.json``.  It writes
 
 It prints one verdict line per workload and metric, then the claim.  It
 imports nothing from ``perfbench/``: it only runs each checkout's script.
+
+``--trajectory`` runs nothing: it prints the change medians of every
+committed ``BENCH_*.json`` of this checkout in commit order (see
+:func:`trajectory`).
 ``tests/test_ab.py`` tests it on synthetic runs and stub checkouts.
 """
 
@@ -156,19 +161,52 @@ def summarize(benchmark: dict, results: dict, held_out: list[int],
     return doc
 
 
+def trajectory(root: Path) -> list[str]:
+    """The committed ``BENCH_*.json`` files of the git checkout ``root`` in
+    the order of each file's first commit (its committer date, then its
+    name): per file a line with that date, the name and both
+    ``src_focalvox_lines``, then one line per workload with the change's
+    median of each end-to-end metric, as committed at HEAD."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
+                              check=True).stdout
+
+    first = {}
+    for name in git("ls-files", "BENCH_*.json").split():
+        stamp, date = git("log", "--reverse", "--format=%ct %cs", "--", name).split()[:2]
+        first[name] = (int(stamp), date)
+    lines = []
+    for name in sorted(first, key=lambda n: (first[n][0], n)):
+        doc = json.loads(git("show", f"HEAD:{name}"))
+        src = doc["src_focalvox_lines"]
+        lines.append(f"{first[name][1]} {name} src_focalvox_lines "
+                     f"{src['parent']} -> {src['change']}")
+        for w, metrics in doc["end_to_end"].items():
+            lines.append(f"  {w}: " + ", ".join(
+                f"{m} {e['change']['median']:.6g}" for m, e in metrics.items()))
+    return lines
+
+
 def main(argv=None) -> int:
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = [m["name"] for m in benchmark["end_to_end"]]
-    workloads = [w["name"] for w in benchmark["workloads"]]
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
-    p.add_argument("--change", required=True, type=Path, help="checkout of the change")
-    p.add_argument("--topic", required=True, help="writes BENCH_<topic>.json here")
+    p.add_argument("--trajectory", action="store_true",
+                   help="print the change medians of every committed BENCH file and exit")
+    p.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    p.add_argument("--change", type=Path, help="checkout of the change")
+    p.add_argument("--topic", help="writes BENCH_<topic>.json here")
     p.add_argument("--claim", nargs=2, metavar=("METRIC", "WORKLOAD"),
                    help="apply the gain rule to this end-to-end metric and workload")
     p.add_argument("--held-out", nargs="+", type=int, default=[7919], metavar="SEED",
                    help="seeds beyond 0-9 that the claim must also hold on (default 7919)")
     args = p.parse_args(argv)
+    if args.trajectory:
+        print("\n".join(trajectory(ROOT)))
+        return 0
+    if None in (args.parent, args.change, args.topic):
+        p.error("--parent, --change and --topic are required without --trajectory")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = [m["name"] for m in benchmark["end_to_end"]]
+    workloads = [w["name"] for w in benchmark["workloads"]]
     if args.claim and (args.claim[0] not in metrics or args.claim[1] not in workloads):
         p.error(f"--claim takes one of {metrics} and one of {workloads}")
     if set(args.held_out) & set(SEEDS):

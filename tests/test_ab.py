@@ -3,6 +3,8 @@ end-to-end test drives the script against stub checkouts whose
 ``perfbench/run.py`` prints made-up results at once."""
 
 import json
+import os
+import subprocess
 
 import pytest
 
@@ -135,4 +137,44 @@ def test_bad_arguments_exit_two(tmp_path, argv):
     with pytest.raises(SystemExit) as err:
         ab.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "parent"),
                  "--topic", "t", *argv])
+    assert err.value.code == 2
+
+
+def synthetic_bench(peak, lines):
+    runs = {"median": peak, "q1": peak, "q3": peak, "runs": [peak] * 10}
+    return {"end_to_end": {"tiny-train": {"peak_traced_mb": {"parent": runs, "change": runs}}},
+            "src_focalvox_lines": {"parent": lines + 1, "change": lines}}
+
+
+def test_trajectory_lists_bench_files_in_commit_order(tmp_path, monkeypatch, capsys):
+    """Two BENCH files, the later name committed first: the trajectory
+    follows the commit dates and reads each file as committed."""
+    def commit(name, doc, date):
+        (tmp_path / name).write_text(json.dumps(doc))
+        env = {"GIT_AUTHOR_DATE": date, "GIT_COMMITTER_DATE": date}
+        for argv in (["add", name], ["commit", "-q", "-m", name]):
+            subprocess.run(["git", *argv], cwd=tmp_path, check=True,
+                           env={**os.environ, **env})
+
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    for key, value in (("user.name", "t"), ("user.email", "t@t")):
+        subprocess.run(["git", "config", key, value], cwd=tmp_path, check=True)
+    commit("BENCH_b.json", synthetic_bench(20.5, 3500), "2026-01-02T00:00:00+00:00")
+    commit("BENCH_a.json", synthetic_bench(18.25, 3400), "2026-01-03T00:00:00+00:00")
+    (tmp_path / "BENCH_a.json").write_text("not committed")
+    (tmp_path / "BENCH_c.json").write_text("untracked")
+    assert ab.trajectory(tmp_path) == [
+        "2026-01-02 BENCH_b.json src_focalvox_lines 3501 -> 3500",
+        "  tiny-train: peak_traced_mb 20.5",
+        "2026-01-03 BENCH_a.json src_focalvox_lines 3401 -> 3400",
+        "  tiny-train: peak_traced_mb 18.25",
+    ]
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    assert ab.main(["--trajectory"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].startswith("2026-01-02 BENCH_b.json")
+
+
+def test_comparison_needs_both_trees_and_a_topic(tmp_path):
+    with pytest.raises(SystemExit) as err:
+        ab.main(["--parent", str(tmp_path), "--topic", "t"])
     assert err.value.code == 2

@@ -525,6 +525,56 @@ class TestMlp:
         assert names == ["linear", "gelu", "linear"]
 
 
+class TestModulation:
+    @staticmethod
+    def _replay(fn, params, dtype, seed=30, n=37, c=6, n_levels=3):
+        """Node names, the bytes of the output and of each operand's gradient
+        for ``fn(levels, gates, queries, weight, bias)``: the levels, gates
+        and queries taped, the weight and bias parameters."""
+        rng = np.random.default_rng(seed)
+        tape = GradTape(params=params)
+        levels = [Tensor(rng.standard_normal((n, c)).astype(dtype), tape) for _ in range(n_levels)]
+        gates = Tensor(rng.standard_normal((n, n_levels)).astype(dtype), tape)
+        queries = Tensor(rng.standard_normal((n, c)).astype(dtype), tape)
+        weight, bias = T(rng.standard_normal((c, c)), dtype), T(rng.standard_normal(c), dtype)
+        out = fn(levels, gates, queries, weight, bias)
+        grads = tape.gradients(out, rng.standard_normal((n, c)).astype(dtype))
+        operands = [*levels, gates, queries, weight, bias]
+        return (tape.node_names(), out.data.tobytes(),
+                [None if t.uid not in grads else grads[t.uid].tobytes() for t in operands])
+
+    @staticmethod
+    def step(levels, gates, queries, weight, bias):
+        return ops.multiply(queries, ops.linear(ops.weighted_level_sum(levels, gates), weight, bias))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_node_gradients_equal_the_three_ops(self, dtype):
+        """A tape that forms weight gradients records one node that reruns
+        the level sum, the context linear and the multiply; the output and
+        every gradient keep the bytes of the three ops recorded one by one."""
+        names, out, grads = self._replay(ops.modulation, True, dtype)
+        step_names, step_out, step_grads = self._replay(self.step, True, dtype)
+        assert names == ["modulation"]
+        assert step_names == ["weighted_level_sum", "linear", "multiply"]
+        assert out == step_out
+        assert grads == step_grads and None not in grads
+
+    def test_input_only_tape_records_the_three_ops(self):
+        names, out, grads = self._replay(ops.modulation, False, np.float32)
+        step_names, step_out, step_grads = self._replay(self.step, False, np.float32)
+        assert names == step_names == ["weighted_level_sum", "linear", "multiply"]
+        assert (out, grads) == (step_out, step_grads)
+        assert grads[-2:] == [None, None]  # no parameter gradients
+
+    def test_untaped_folds_a_generator(self):
+        rng = np.random.default_rng(31)
+        levels = [T(rng.standard_normal((5, 4))) for _ in range(2)]
+        rest = [T(rng.standard_normal(s)) for s in ((5, 2), (5, 4), (4, 4), (4,))]
+        out = ops.modulation((f for f in levels), *rest)
+        assert out.tape is None
+        assert out.data.tobytes() == self.step(levels, *rest).data.tobytes()
+
+
 class TestStructuralOps:
     def test_weighted_level_sum_matches_loop(self):
         rng = np.random.default_rng(9)

@@ -29,7 +29,7 @@ from focalvox.sfm import (
     srb_params,
 )
 from focalvox.sparse import KernelSpec, SparseTensor, centered_offsets
-from focalvox.tape import GradTape, Tensor
+from focalvox.tape import GradTape, Tensor, emit, grad_of
 from helpers import random_sparse, rel_err, sparse_from_coords
 
 
@@ -471,6 +471,47 @@ class TestSfmBlock:
         assert out.features.data.tobytes() == step_out.features.data.tobytes()
         assert step_held - node_held >= 2 * scene.n_active * cfg.mlp_hidden * 4
 
+    def test_taped_forward_does_not_hold_the_level_sum_or_the_context(self):
+        """On a default tape the modulation saves only the levels, gates and
+        queries, so the block's forward does not hold the level sum or the
+        context (each N x C float32) that the modulation recorded op by op
+        holds; the bound asks for one of them."""
+        rng = np.random.default_rng(23)
+        cfg = SFMConfig(channels=8, kernels=(3, 3), dilations=(1, 2))
+        params = block_params(rng, cfg, dims=3, dtype=np.float32)
+        scene = random_sparse(rng, (12, 12, 12), 0.4, 8)
+
+        def op_by_op(t, config, params):
+            m = params.module
+            q, base, gates = input_projection(t.features, *m.in_proj, config.channels, config.levels)
+            mixed = context_levels(t.with_features(base), m.level_convs, gates)
+            del base
+            z = ops.multiply(q, ops.linear(mixed, *m.h))
+            del q, gates, mixed
+            y1 = ops.add(ops.layer_norm(z, *params.ln1), t.features)
+            del z
+            mlp = ops.mlp_block(y1, *params.fc1, *params.fc2)
+            return t.with_features(ops.add(ops.layer_norm(mlp, *params.ln2), y1))
+
+        def held(block):
+            tape = GradTape()
+            t = scene.with_features(Tensor(scene.features.data, tape))
+            tracemalloc.start()
+            try:
+                out = block(t, cfg, params)
+                return tracemalloc.get_traced_memory()[0], tape.node_names(), out
+            finally:
+                tracemalloc.stop()
+
+        for block in (sfm_block, op_by_op):  # warm-up: caches the rulebooks
+            held(block)
+        node_held, names, out = held(sfm_block)
+        step_held, step_names, step_out = held(op_by_op)
+        assert "modulation" in names and "weighted_level_sum" not in names
+        assert "modulation" not in step_names and "weighted_level_sum" in step_names
+        assert out.features.data.tobytes() == step_out.features.data.tobytes()
+        assert step_held - node_held >= scene.n_active * cfg.channels * 4
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_untaped_bytes_equal_the_taped_block(self, dtype):
         """Untaped, the block reruns the query projection and writes gelu and
@@ -672,6 +713,136 @@ class TestSrb:
 
         err = vjp_check(fn, [scene.features.data], seed=25, max_coords=48)
         assert err < 1e-4
+
+
+def srb_op_by_op(t, params, bn_mode="train"):
+    """``srb_block`` recorded op by op on any tape."""
+    def bn(h, p):
+        out, p.running_mean.data, p.running_var.data = ops.batch_norm_active(
+            h, p.gain, p.bias, p.running_mean.data, p.running_var.data, mode=bn_mode)
+        return out
+
+    h = subm_conv(t, params.conv1)
+    h = h.with_features(ops.relu(bn(h.features, params.bn1)))
+    h = subm_conv(h, params.conv2)
+    return t.with_features(ops.relu(ops.add(bn(h.features, params.bn2), t.features)))
+
+
+def srb_leaves(params):
+    return [params.conv1.weight, params.bn1.gain, params.bn1.bias,
+            params.conv2.weight, params.bn2.gain, params.bn2.bias]
+
+
+class TestSrbNode:
+    """On a tape that forms weight gradients ``srb_block`` is one node that
+    rebuilds the relu masks, the second conv's input and the residual sum
+    from its input and the batch norms' saved arrays."""
+
+    @staticmethod
+    def make_params(seed, c, dtype):
+        rng = np.random.default_rng(seed)
+        params = TestSrb().make_params(rng, c=c, dtype=dtype)
+        for bn in (params.bn1, params.bn2):  # away from the identity init
+            bn.gain.data = rng.uniform(0.5, 1.5, c).astype(dtype)
+            bn.bias.data = rng.uniform(-0.5, 0.5, c).astype(dtype)
+            bn.running_mean.data = rng.uniform(-0.2, 0.2, c).astype(dtype)
+            bn.running_var.data = rng.uniform(0.5, 2.0, c).astype(dtype)
+        return params
+
+    def record(self, block, seed, c, dtype, bn_mode, params=True, scene_shape=(7, 7, 7)):
+        """Node names, output bytes, gradient bytes (input first, then the
+        parameters; None for none) and running-statistics bytes."""
+        rng = np.random.default_rng(seed)
+        scene = random_sparse(rng, scene_shape, 0.3, c, dtype=dtype)
+        p = self.make_params(seed, c, dtype)
+        tape = GradTape(params=params)
+        x = Tensor(scene.features.data, tape)
+        out = block(scene.with_features(x), p, bn_mode=bn_mode).features
+        grads = tape.gradients(out, rng.standard_normal(out.data.shape).astype(dtype))
+        stats = [a.data.tobytes() for bn in (p.bn1, p.bn2) for a in (bn.running_mean, bn.running_var)]
+        return (tape.node_names(), out.data.tobytes(),
+                [None if t.uid not in grads else grads[t.uid].tobytes()
+                 for t in [x, *srb_leaves(p)]], stats)
+
+    @pytest.mark.parametrize("bn_mode", ["train", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_node_gradients_equal_the_ops(self, dtype, bn_mode):
+        names, out, grads, stats = self.record(srb_block, 27, 4, dtype, bn_mode)
+        step_names, step_out, step_grads, step_stats = self.record(
+            srb_op_by_op, 27, 4, dtype, bn_mode)
+        assert names == ["srb_block"]
+        assert step_names == ["conv_submanifold", "batch_norm", "relu", "conv_submanifold",
+                              "batch_norm", "add", "relu"]
+        assert out == step_out
+        assert grads == step_grads and None not in grads
+        assert stats == step_stats
+        fresh = self.make_params(27, 4, dtype)
+        before = [a.data.tobytes() for bn in (fresh.bn1, fresh.bn2)
+                  for a in (bn.running_mean, bn.running_var)]
+        assert (stats != before) == (bn_mode == "train")  # updated once, in the forward
+
+    def test_input_only_tape_records_the_ops(self):
+        names, out, grads, stats = self.record(srb_block, 28, 4, np.float32, "train", params=False)
+        step = self.record(srb_op_by_op, 28, 4, np.float32, "train", params=False)
+        assert names == step[0] and "srb_block" not in names and len(names) == 7
+        assert (out, grads, stats) == step[1:]
+        assert grads[1:] == [None] * 6  # no parameter gradients
+
+    def test_deferred_weight_gradients_reach_the_leaf_phase(self, monkeypatch):
+        """Few voxels and 16 channels: each 27 x 16 x 16 weight gradient is
+        larger than its cotangent plus the conv's input, so the node returns
+        both as callables, called after the replay's last node."""
+        import focalvox.conv as fc
+
+        events, weight_grad = [], fc.gather_scatter_weight_grad
+
+        def spy(*args):
+            events.append("weight gradient")
+            return weight_grad(*args)
+
+        monkeypatch.setattr(fc, "gather_scatter_weight_grad", spy)
+        rng = np.random.default_rng(29)
+        scene = random_sparse(rng, (4, 4, 4), 0.3, 16)
+        assert 2 * scene.n_active * 16 < 27 * 16 * 16
+        params = self.make_params(29, 16, np.float32)
+        tape = GradTape()
+        x = Tensor(scene.features.data, tape)
+        h = emit("first", x.data, (x,), lambda needs: lambda cot: (events.append("first") or cot,))
+        out = srb_block(scene.with_features(h), params).features
+        cot = rng.standard_normal(out.data.shape).astype(np.float32)
+        parts = tape._nodes[-1].vjp(cot)  # called twice: it keeps its saved state
+        assert callable(parts[1]) and callable(parts[5])
+        assert events == []
+        grads = tape.gradients(out, cot)
+        assert events == ["first", "weight gradient", "weight gradient"]
+        ref = self.record(srb_op_by_op, 29, 16, np.float32, "train", scene_shape=(4, 4, 4))
+        assert grad_of(grads, params.conv1.weight).tobytes() == ref[2][1]
+        assert grad_of(grads, params.conv2.weight).tobytes() == ref[2][4]
+
+    def test_taped_forward_holds_less_than_the_ops(self):
+        """The node keeps neither relu mask nor the second conv's input: at
+        least N x C float32 less than the block recorded op by op."""
+        rng = np.random.default_rng(30)
+        c = 16
+        scene = random_sparse(rng, (12, 12, 12), 0.4, c)
+
+        def held(block):
+            params = self.make_params(30, c, np.float32)
+            tape = GradTape()
+            t = scene.with_features(Tensor(scene.features.data, tape))
+            tracemalloc.start()
+            try:
+                out = block(t, params)
+                return tracemalloc.get_traced_memory()[0], out
+            finally:
+                tracemalloc.stop()
+
+        for block in (srb_block, srb_op_by_op):  # warm-up: caches the rulebook
+            held(block)
+        node_held, out = held(srb_block)
+        step_held, step_out = held(srb_op_by_op)
+        assert out.features.data.tobytes() == step_out.features.data.tobytes()
+        assert step_held - node_held >= scene.n_active * c * 4
 
 
 class TestParamAccounting:

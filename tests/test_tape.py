@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -167,9 +168,10 @@ def test_replay_frees_cotangents_and_saved_state():
 
 
 def test_tiny_replay_peaks_near_the_forward_residency():
-    """Conv weight gradients larger than their cotangents are formed after
-    the replay's last node, once the forward state is freed, so the replay
-    holds little beyond what the forward left resident."""
+    """The replay adds little to what it must hold: the forward's residency
+    while it frees the saved state, the leaf gradients it returns at the
+    end.  Conv weight gradients larger than their cotangents are formed
+    after the last node, once the forward state is freed."""
     cfg = preset("tiny")
     store = init_network(cfg)
     rng = np.random.default_rng(0)
@@ -187,7 +189,8 @@ def test_tiny_replay_peaks_near_the_forward_residency():
         tracemalloc.stop()
     assert all(grad_of(grads, store.tensor(name)) is not None for name in store.param_names()
                if name.startswith("stage4."))
-    assert peak <= 1.15 * resident
+    returned = sum(g.nbytes for g in grads.values())
+    assert peak <= 1.10 * max(resident, returned)
 
 
 def chain_with_a_leaf(tape, leaf, parts):
@@ -258,6 +261,37 @@ def test_leaf_callables_run_once_after_the_last_node():
     grads = tape.gradients(h, np.ones(2))
     assert events == ["node2", "node1", "node0", "part2", "part1", "part0"]
     np.testing.assert_array_equal(grad_of(grads, w), np.full(2, 6.0))
+
+
+def test_last_node_state_is_freed_before_the_leaf_phase():
+    """When the leaf parts are formed, the last replayed node's cotangent and
+    the forward array its VJP saved are gone: only the callable's own
+    arguments stay."""
+    seen, refs = [], []
+    tape = GradTape()
+    w = Tensor(np.ones(2))
+    x = Tensor(np.ones(2), tape)
+
+    def first(x):
+        saved = np.full(2, 2.0)
+        refs.append(weakref.ref(saved))
+
+        def vjp(cot):
+            refs.append(weakref.ref(cot))
+
+            def part():
+                seen.append([r() is None for r in refs])
+                return np.ones(2)
+
+            return cot * saved, part
+
+        return emit("first", x.data * saved, (x, w), lambda needs: vjp)
+
+    h = first(x)
+    out = emit("second", h.data, (h,), lambda needs: lambda cot: (cot * 3.0,))
+    grads = tape.gradients(out, np.ones(2))
+    assert seen == [[True, True]]
+    np.testing.assert_array_equal(grad_of(grads, x), np.full(2, 6.0))
 
 
 def test_needs_follows_the_tape_mode():

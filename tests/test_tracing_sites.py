@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import focalvox.ops as fo
 from focalvox.points import PointCloud
+from focalvox.tape import GradTape
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -31,9 +32,9 @@ def test_tracer_installs_and_restores_every_site(monkeypatch):
         assert owner.__dict__[attr].__name__ != "traced", (owner, attr)
 
 
-@pytest.fixture
-def tiny_spans(monkeypatch):
-    """The spans of one traced, untaped ``tiny`` forward, and its config."""
+def traced_tiny_forward(monkeypatch, tape):
+    """The spans of one traced ``tiny`` forward and its config: in eval mode
+    untaped, in train mode on ``tape``."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     cfg = fb.preset("tiny")
@@ -44,10 +45,17 @@ def tiny_spans(monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        tracer.root("pass", fb.sfmnet_forward, cloud, cfg, store, None, "eval")
+        tracer.root("pass", fb.sfmnet_forward, cloud, cfg, store, tape,
+                    "eval" if tape is None else "train")
     finally:
         tracer.uninstall()
     return tracer.spans, cfg
+
+
+@pytest.fixture
+def tiny_spans(monkeypatch):
+    """The spans of one traced, untaped ``tiny`` forward, and its config."""
+    return traced_tiny_forward(monkeypatch, None)
 
 
 def enclosing(spans, i, name):
@@ -59,11 +67,10 @@ def enclosing(spans, i, name):
     return -1
 
 
-def test_level_convs_run_inside_context_levels(tiny_spans):
-    """``sfm.context_levels.ms`` is the time of the level convs: every level
-    conv of an untaped forward nests in an ``sfm.context_levels`` span, and
-    every other submanifold conv in a residual block."""
-    spans, cfg = tiny_spans
+def assert_level_convs_inside_context_levels(spans, cfg):
+    """Every level conv nests in an ``sfm.context_levels`` span, one per
+    mixer, and every other submanifold conv in a residual block; each span
+    also holds the traced level sum."""
     in_levels = {}
     for i, span in enumerate(spans):
         if span[0] == "conv.subm_conv":
@@ -78,6 +85,27 @@ def test_level_convs_run_inside_context_levels(tiny_spans):
     assert mixers == sum(1 for s in spans if s[0] == "sfm.context_levels") == len(in_levels)
     assert sorted(in_levels.values()) == sorted(
         s.sfm.levels for s in stages for _ in range(s.n_sfm))
+    sums = [enclosing(spans, i, "sfm.context_levels")
+            for i, span in enumerate(spans) if span[0] == "ops.weighted_level_sum"]
+    assert sorted(sums) == sorted(in_levels)
+
+
+def test_level_convs_run_inside_context_levels(tiny_spans):
+    """``sfm.context_levels.ms`` is the time of the level convs: every level
+    conv of an untaped forward nests in an ``sfm.context_levels`` span, and
+    every other submanifold conv in a residual block."""
+    assert_level_convs_inside_context_levels(*tiny_spans)
+
+
+@pytest.mark.parametrize("params", [True, False], ids=["default", "input-only"])
+def test_taped_level_convs_run_inside_context_levels(monkeypatch, params):
+    """Also on a tape, where the default one records each mixer's
+    modulation and each residual block as one node."""
+    tape = GradTape(params=params)
+    assert_level_convs_inside_context_levels(*traced_tiny_forward(monkeypatch, tape))
+    names = set(tape.node_names())
+    assert ({"modulation", "srb_block"} <= names) == params
+    assert ("weighted_level_sum" in names) != params
 
 
 def test_every_rulebook_build_is_traced_inside_its_conv(tiny_spans):
