@@ -12,8 +12,8 @@ The exact gelu's ``erf`` is a numpy port of the Cephes ``ndtr.c`` erf
 float64 and rounds once, so float32 results equal SciPy's bit for bit; in
 float64 they are equal for |x| <= 1 and within 1 ulp beyond, where numpy's
 SIMD ``exp`` can round the last bit differently from the C library's.
-``gelu`` runs it in place on ``x / sqrt 2``, writes its output into Phi's
-buffer and keeps one slope array.
+``gelu`` runs it in place on ``x / sqrt 2`` one piece at a time, writes
+its output over Phi and keeps one slope array.
 """
 
 from __future__ import annotations
@@ -236,46 +236,37 @@ def batch_norm_active(
     return out, new_mean, new_var
 
 
-def _phi(xd: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The Gaussian CDF of ``xd``, formed in ``out`` (C-contiguous, ``xd``'s
-    shape and dtype)."""
-    np.multiply(xd, xd.dtype.type(_INV_SQRT2), out=out)
-    _erf(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
-
-
 def gelu(x: Tensor, out: np.ndarray | None = None) -> Tensor:
-    """Exact Gaussian-CDF gelu, ``x * Phi(x)`` via the error function, written
-    into Phi's buffer; a taped node keeps one array, the slope
-    ``Phi + x pdf(x)``, formed from Phi before the product overwrites it.
-
-    ``out``, for an untaped ``x`` only (ValueError otherwise), is a
-    C-contiguous array of ``x``'s shape and dtype, ``x.data`` itself
-    included, that receives the result block by block: Phi of one
-    ``_ERF_BLOCK`` piece at a time, so no second full-size array is made.
-    The element operations are the same, so are the bytes."""
+    """Exact Gaussian-CDF gelu, ``x * Phi(x)`` via the error function, one
+    ``_ERF_BLOCK`` piece at a time: Phi is formed in the output's piece, or
+    in a one-piece buffer given ``out``, which may be ``x.data``; a taped
+    node keeps the slope ``Phi + x pdf(x)``, its piece formed from Phi's
+    before the product overwrites Phi.  ``out`` (untaped ``x`` only,
+    ValueError otherwise) is C-contiguous, of ``x``'s shape and dtype.  A
+    C-contiguous input is read in place; any other is copied once."""
     xd = x.data
-    if out is not None:
-        if x.tape is not None:
-            raise ValueError("gelu writes into out only for an untaped input")
-        src, dst = xd.reshape(-1), np.reshape(out, -1, copy=False)
-        phi = np.empty(min(src.size, _ERF_BLOCK), xd.dtype)
-        for start in range(0, src.size, _ERF_BLOCK):
-            xb = src[start : start + _ERF_BLOCK]
-            np.multiply(_phi(xb, phi[: xb.size]), xb, out=dst[start : start + _ERF_BLOCK])
-        return emit("gelu", out, (x,), None)
-    phi = _phi(xd, np.empty(xd.shape, xd.dtype))
-    slope = None
-    if x.tape is not None:  # emit will record a node
-        slope = np.multiply(xd, -0.5, order="C")  # exp(-0.5 x x) / sqrt(2 pi) * x + Phi
-        np.exp(np.multiply(slope, xd, out=slope), out=slope)
-        slope *= xd.dtype.type(_INV_SQRT2PI)
-        slope *= xd
-        slope += phi
-    phi *= xd  # Phi x has the bits of x Phi
-    return emit("gelu", phi, (x,), lambda needs: lambda cot: (cot * slope,))
+    if out is not None and x.tape is not None:
+        raise ValueError("gelu writes into out only for an untaped input")
+    phi = None if out is None else np.empty(min(xd.size, _ERF_BLOCK), xd.dtype)
+    out = np.empty(xd.shape, xd.dtype) if out is None else out
+    src, dst = xd.reshape(-1), np.reshape(out, -1, copy=False)
+    slope = None if x.tape is None else np.empty(xd.shape, xd.dtype)
+    for start in range(0, src.size, _ERF_BLOCK):
+        piece = slice(start, start + _ERF_BLOCK)
+        xb = src[piece]
+        p = dst[piece] if phi is None else phi[: xb.size]
+        np.multiply(xb, xb.dtype.type(_INV_SQRT2), out=p)
+        _erf(p, out=p)
+        p += 1.0
+        p *= 0.5
+        if slope is not None:  # exp(-0.5 x x) / sqrt(2 pi) * x + Phi
+            sb = np.multiply(xb, -0.5, out=slope.reshape(-1)[piece])
+            np.exp(np.multiply(sb, xb, out=sb), out=sb)
+            sb *= xb.dtype.type(_INV_SQRT2PI)
+            sb *= xb
+            sb += p
+        np.multiply(p, xb, out=dst[piece])  # Phi x has the bits of x Phi
+    return emit("gelu", out, (x,), lambda needs: lambda cot: (cot * slope,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -416,13 +407,16 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 def _rerun_node(name: str, fn, operands: tuple[Tensor, ...]) -> Tensor:
-    """``fn(*operands)`` as one node that saves only its operands.
-
-    The forward runs ``fn`` untaped.  The VJP reruns it on an inner tape and
-    replays that with the cotangent, so the intermediates ``fn`` makes are not
-    held from the forward to the replay, and each gradient has the bytes of
-    ``fn``'s ops recorded one by one.  The VJP makes a new inner tape on each
-    call."""
+    """``fn(*operands)``, recording ``fn``'s ops one by one, untaped or on
+    an input-only tape.  On a tape that forms weight gradients
+    (``tape.params``) it is one node that saves only its operands: the
+    forward runs ``fn`` untaped, and the VJP reruns it on a new inner tape
+    and replays that with the cotangent.  So the intermediates ``fn`` makes
+    are not held from the forward to the replay, and each gradient has the
+    bytes of ``fn``'s ops recorded one by one."""
+    tape = active_tape(*operands)
+    if tape is None or not tape.params:
+        return fn(*operands)
 
     def vjp(cot):
         inner = GradTape()
@@ -446,24 +440,16 @@ def _mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 def mlp_block(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Single-hidden-layer MLP: linear, gelu, linear.
 
-    On a tape that forms weight gradients (``tape.params``) the block is one
-    node, ``mlp_block``, that saves only its operands and reruns the three
-    ops in its VJP (:func:`_rerun_node`), so the hidden layer (gelu's slope
-    and the second linear's input) is not held from the forward to the
-    replay.  Other tapes record the three ops: there the block saves only
-    the slope, too little to pay for a recompute (README, "Gradient tape")."""
-    tape = active_tape(x, w1, b1, w2, b2)
-    if tape is None or not tape.params:
-        return _mlp(x, w1, b1, w2, b2)
+    On a tape that forms weight gradients the block is one node,
+    ``mlp_block``, that reruns the three ops in its VJP
+    (:func:`_rerun_node`), so the hidden layer (gelu's slope and the second
+    linear's input) is not held from the forward to the replay.  Other
+    tapes record the three ops: there the block saves only the slope, too
+    little to pay for a recompute (README, "Gradient tape")."""
     return _rerun_node("mlp_block", _mlp, (x, w1, b1, w2, b2))
 
 
-def _modulation(levels: Iterable[Tensor], gates: Tensor, queries: Tensor,
-                weight: Tensor, bias: Tensor) -> Tensor:
-    return multiply(queries, linear(weighted_level_sum(levels, gates), weight, bias))
-
-
-def modulation(levels: Iterable[Tensor], gates: Tensor, queries: Tensor,
+def modulation(levels: tuple[Tensor, ...], gates: Tensor, queries: Tensor,
                weight: Tensor, bias: Tensor) -> Tensor:
     """The mixer's modulation: ``queries * ((sum_l levels[l] * gates[:, l])
     @ weight + bias)``, the queries times the gated level sum projected back
@@ -473,14 +459,9 @@ def modulation(levels: Iterable[Tensor], gates: Tensor, queries: Tensor,
     that saves only its operands (the levels, gates and queries, which the
     tape keeps anyway) and reruns the three ops in its VJP
     (:func:`_rerun_node`): the level sum and the context are not held from
-    the forward to the replay.  Otherwise the three ops are recorded, and
-    ``levels`` may be any iterable, folded as it arrives
-    (:func:`weighted_level_sum`)."""
-    tape = active_tape(gates, queries, weight, bias)
-    if tape is None or not tape.params:
-        return _modulation(levels, gates, queries, weight, bias)
-    levels = list(levels)
+    the forward to the replay.  Otherwise the three ops are recorded."""
     n = len(levels)
     return _rerun_node(
-        "modulation", lambda *ts: _modulation(ts[:n], *ts[n:]),
+        "modulation",
+        lambda *ts: multiply(ts[n + 1], linear(weighted_level_sum(ts[:n], ts[n]), *ts[n + 2 :])),
         (*levels, gates, queries, weight, bias))

@@ -163,7 +163,7 @@ def sfm_module(t: SparseTensor, config: SFMConfig, params: SfmModuleParams) -> S
         queries = projected.pop(0)
         return t.with_features(context_levels(
             t.with_features(projected.pop(0)), params.level_convs, projected[0],
-            lambda levels, gates: ops.modulation(levels, gates, queries, *params.h)))
+            lambda levels, gates: ops.modulation(tuple(levels), gates, queries, *params.h)))
     projected[0] = None
     context = ops.linear(
         context_levels(t.with_features(projected.pop(1)), params.level_convs, projected[1]),

@@ -84,7 +84,7 @@ class GradTape:
     def node_names(self) -> list[str]:
         return [n.name for n in self._nodes]
 
-    def gradients(self, output: Tensor, cotangent, trace: list[str] | None = None) -> dict[int, np.ndarray]:
+    def gradients(self, output: Tensor, cotangent) -> dict[int, np.ndarray]:
         """Replay the tape backwards from ``output`` seeded with ``cotangent``.
 
         Returns a map from leaf tensor uid to accumulated gradient.  Leaves
@@ -92,8 +92,7 @@ class GradTape:
         node on this tape produced (and ``output`` itself when it is one);
         intermediate results have no entry.  Nodes whose output never
         received a cotangent are skipped; their inputs stay absent from the
-        map.  ``trace``, if given, collects the names of visited nodes in
-        replay order.
+        map.
 
         A VJP may return a zero-argument callable in place of an input's
         cotangent (see :func:`emit`).  One for a non-leaf input is called
@@ -113,9 +112,9 @@ class GradTape:
             raise ShapeMismatch(
                 f"cotangent shape {cot.shape} != output shape {output.data.shape}"
             )
-        return self._replay(output.uid, cot, trace)
+        return self._replay(output.uid, cot)
 
-    def _replay(self, out_uid: int, cot: np.ndarray, trace: list[str] | None = None):
+    def _replay(self, out_uid: int, cot: np.ndarray):
         """:meth:`gradients` without its checks, for a VJP that replays an
         inner tape it has just recorded: ``gradients`` itself then runs once
         per pass, so a wrapper around it (``perfbench/tracing.py``) sees
@@ -131,8 +130,6 @@ class GradTape:
             out_cot = grads.pop(node.out_uid, None)
             if out_cot is None:
                 continue
-            if trace is not None:
-                trace.append(node.name)
             for uid, g in zip(node.in_uids, vjp(out_cot)):
                 if uid is None or g is None:
                     continue

@@ -566,11 +566,11 @@ class TestModulation:
         assert (out, grads) == (step_out, step_grads)
         assert grads[-2:] == [None, None]  # no parameter gradients
 
-    def test_untaped_folds_a_generator(self):
+    def test_untaped_takes_a_tuple_of_levels(self):
         rng = np.random.default_rng(31)
-        levels = [T(rng.standard_normal((5, 4))) for _ in range(2)]
+        levels = tuple(T(rng.standard_normal((5, 4))) for _ in range(2))
         rest = [T(rng.standard_normal(s)) for s in ((5, 2), (5, 4), (4, 4), (4,))]
-        out = ops.modulation((f for f in levels), *rest)
+        out = ops.modulation(levels, *rest)
         assert out.tape is None
         assert out.data.tobytes() == self.step(levels, *rest).data.tobytes()
 

@@ -17,15 +17,19 @@ from helpers import keep_all_replay, random_sparse
 
 def test_replay_visits_reverse_order():
     tape = GradTape()
-    x = Tensor(np.ones((2, 3)), tape)
-    w1 = Tensor(np.eye(3))
-    h = ops.linear(x, w1, None)
-    g = ops.gelu(h)
-    out = ops.mean_all(g)
-    assert tape.node_names() == ["linear", "gelu", "mean_all"]
-    trace = []
-    tape.gradients(out, 1.0, trace=trace)
-    assert trace == ["mean_all", "gelu", "linear"]
+    visited = []
+
+    def op(name, x):
+        def vjp(cot):
+            visited.append(name)
+            return (cot,)
+
+        return emit(name, x.data.copy(), (x,), lambda needs: vjp)
+
+    out = op("c", op("b", op("a", Tensor(np.ones((2, 3)), tape))))
+    assert tape.node_names() == ["a", "b", "c"]
+    tape.gradients(out, np.ones((2, 3)))
+    assert visited == ["c", "b", "a"]
 
 
 def test_untouched_tensor_has_no_gradient():
