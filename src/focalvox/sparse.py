@@ -176,7 +176,11 @@ class CoordIndex:
         return np.where(self._sorted_keys[pos] == keys, self._rows[pos], -1)
 
     def lookup(self, coord) -> int | None:
-        """Row of one ``(batch, *ijk)`` coordinate; None where absent or out of grid."""
+        """Row of one ``(batch, *ijk)`` coordinate; None where absent or out of
+        grid, ShapeMismatch if its length does not match the grid's rank."""
+        if len(coord) != 1 + len(self.spatial_shape):
+            raise ShapeMismatch(f"coordinate {tuple(coord)} has {len(coord)} entries, "
+                                f"expected {1 + len(self.spatial_shape)} (batch, *ijk)")
         batch, *ijk = coord
         if not (0 <= batch <= self._max_batch
                 and all(0 <= i < s for i, s in zip(ijk, self.spatial_shape))):

@@ -9,7 +9,7 @@ from focalvox.erf import (
     render_plane,
     select_query,
 )
-from focalvox.errors import InactiveQuery, InvalidSpec
+from focalvox.errors import InactiveQuery, InvalidSpec, ShapeMismatch
 from focalvox.params import Initializer, ParamReader, ParamStore
 from focalvox.sfm import (
     BatchNormParams,
@@ -62,6 +62,11 @@ class TestSelectQuery:
         t = slab_scene(3, 3, 1)
         with pytest.raises(InactiveQuery):
             erf_gradient_map(lambda t: t, t, (0, 1, 1, 5))
+
+    def test_query_of_the_wrong_length_rejected(self):
+        t = slab_scene(3, 3, 1)
+        with pytest.raises(ShapeMismatch, match=r"coordinate \(1, 2, 0\) has 3 entries, expected 4"):
+            erf_gradient_map(lambda t: t, t, (1, 2, 0))
 
     def test_seeded_deterministic(self):
         t = slab_scene(5, 5, 2)

@@ -102,6 +102,12 @@ class TestCoordIndex:
         assert idx.lookup((0, -1, 1, 1)) is None
         assert idx.lookup((0, 4, 1, 1)) is None
 
+    @pytest.mark.parametrize("coord", [(0, 1, 2, 7), (0, 1), ()])
+    def test_coordinate_of_the_wrong_length_rejected(self, coord):
+        t = sparse_from_coords([(0, 1, 2)], (4, 4), 1)
+        with pytest.raises(ShapeMismatch, match=r"expected 3 \(batch, \*ijk\)"):
+            t.geometry.index.lookup(coord)
+
 
 class TestKeySpace:
     """Flat keys are int64, so a grid may hold n_batch * prod(shape) <= 2**63 cells."""
