@@ -12,8 +12,8 @@ The exact gelu's ``erf`` is a numpy port of the Cephes ``ndtr.c`` erf
 float64 and rounds once, so float32 results equal SciPy's bit for bit; in
 float64 they are equal for |x| <= 1 and within 1 ulp beyond, where numpy's
 SIMD ``exp`` can round the last bit differently from the C library's.
-``gelu`` runs it in place on ``x / sqrt 2`` one piece at a time, writes
-its output over Phi and keeps one slope array.
+``gelu`` runs it in place on ``x / sqrt 2``, writes its output over Phi
+and keeps one slope array.
 """
 
 from __future__ import annotations
@@ -237,22 +237,23 @@ def batch_norm_active(
 
 
 def gelu(x: Tensor, out: np.ndarray | None = None) -> Tensor:
-    """Exact Gaussian-CDF gelu, ``x * Phi(x)`` via the error function, one
-    ``_ERF_BLOCK`` piece at a time: Phi is formed in the output's piece, or
-    in a one-piece buffer given ``out``, which may be ``x.data``; a taped
-    node keeps the slope ``Phi + x pdf(x)``, its piece formed from Phi's
-    before the product overwrites Phi.  ``out`` (untaped ``x`` only,
+    """Exact Gaussian-CDF gelu, ``x * Phi(x)`` via the error function, in one
+    loop: Phi is formed in the output, as one piece, or given ``out``, which
+    may be ``x.data``, one ``_ERF_BLOCK`` piece at a time in a one-piece
+    buffer; a taped node keeps the slope ``Phi + x pdf(x)``, formed from Phi
+    before the product overwrites it.  ``out`` (untaped ``x`` only,
     ValueError otherwise) is C-contiguous, of ``x``'s shape and dtype.  A
     C-contiguous input is read in place; any other is copied once."""
     xd = x.data
     if out is not None and x.tape is not None:
         raise ValueError("gelu writes into out only for an untaped input")
-    phi = None if out is None else np.empty(min(xd.size, _ERF_BLOCK), xd.dtype)
+    step = max(xd.size, 1) if out is None else _ERF_BLOCK
+    phi = None if out is None else np.empty(min(xd.size, step), xd.dtype)
     out = np.empty(xd.shape, xd.dtype) if out is None else out
     src, dst = xd.reshape(-1), np.reshape(out, -1, copy=False)
     slope = None if x.tape is None else np.empty(xd.shape, xd.dtype)
-    for start in range(0, src.size, _ERF_BLOCK):
-        piece = slice(start, start + _ERF_BLOCK)
+    for start in range(0, src.size, step):
+        piece = slice(start, start + step)
         xb = src[piece]
         p = dst[piece] if phi is None else phi[: xb.size]
         np.multiply(xb, xb.dtype.type(_INV_SQRT2), out=p)
