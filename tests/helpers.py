@@ -18,18 +18,19 @@ from focalvox.sparse import SparseTensor, centered_offsets, raw_offsets
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli_limited(argv, address_space=3 << 30, timeout=120):
-    """``python -m focalvox.cli *argv`` in a subprocess whose address space
-    is capped at ``address_space`` bytes: an oversized allocation there
-    raises MemoryError instead of growing until the OS stops it.  Returns
-    the ``CompletedProcess``, with stdout and stderr as text."""
+def run_cli_limited(argv, address_space=3 << 30, timeout=120, cwd=None):
+    """``python -m focalvox.cli *argv`` in a subprocess, run in ``cwd``,
+    whose address space is capped at ``address_space`` bytes: an oversized
+    allocation there raises MemoryError instead of growing until the OS
+    stops it.  Returns the ``CompletedProcess``, with stdout and stderr as
+    text."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "focalvox.cli", *argv], capture_output=True, text=True,
-        preexec_fn=limit, env={**os.environ, "PYTHONPATH": path}, timeout=timeout,
+        preexec_fn=limit, env={**os.environ, "PYTHONPATH": path}, timeout=timeout, cwd=cwd,
     )
 
 

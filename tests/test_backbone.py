@@ -8,6 +8,7 @@ from focalvox import ops
 from focalvox.backbone import (
     BevParams,
     NetworkConfig,
+    SfmNet,
     StageConfig,
     bev_compress,
     downsample,
@@ -23,6 +24,7 @@ from focalvox.errors import EmptyScene, InvalidSpec
 from focalvox.params import Initializer, ParamReader, ParamStore, is_buffer_name
 from focalvox.points import PointCloud
 from focalvox.sfm import SFMConfig, sfm_block
+from focalvox.sparse import SparseTensor
 from focalvox.tape import GradTape, Tensor, grad_of
 from focalvox.weights import serialize_weights
 from helpers import closed_form_param_count, random_sparse, sparse_from_coords
@@ -290,6 +292,48 @@ class TestActivationLifetimes:
         assert alive_at_bev == [[False, False]]
 
 
+class TestInvariance:
+    """Metamorphic gates on the tiny 3-D backbone in eval mode, on a seeded
+    1,500-voxel scene kept 8 cells from every grid edge."""
+
+    SHAPE = (64, 64, 32)  # the tiny voxelizer's grid; its total stride is 8
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        cfg = preset("tiny")
+        net = SfmNet(cfg, init_network(cfg))
+        rng = np.random.default_rng(3)
+        ijk = np.stack(np.unravel_index(
+            rng.choice(40 * 40 * 16, 1500, replace=False), (40, 40, 16)), axis=1) + (8, 8, 4)
+        coords = np.concatenate((np.zeros((1500, 1), np.int64), ijk), axis=1)
+        feats = rng.standard_normal((1500, 16)).astype(np.float32)
+
+        def run(c, f):
+            return net.backbone3d(SparseTensor(c, f, self.SHAPE), bn_mode="eval")
+
+        return run, coords, feats, run(coords, feats)
+
+    def test_shift_by_the_total_stride_is_bit_identical(self, scene):
+        run, coords, feats, base = scene
+        out = run(coords + (0, 8, 8, 8), feats)
+        np.testing.assert_array_equal(out.coords, base.coords + (0, 1, 1, 1))
+        assert out.features.data.tobytes() == base.features.data.tobytes()
+
+    def test_row_permutation_is_bit_identical(self, scene):
+        run, coords, feats, base = scene
+        perm = np.random.default_rng(4).permutation(len(coords))
+        out = run(coords[perm], feats[perm])
+        np.testing.assert_array_equal(out.coords, base.coords)
+        assert out.features.data.tobytes() == base.features.data.tobytes()
+
+    def test_one_voxel_shift_changes_the_features(self, scene):
+        """The negative control: the same output cells, other features."""
+        run, coords, feats, base = scene
+        out = run(coords + (0, 1, 1, 1), feats)
+        np.testing.assert_array_equal(out.coords, base.coords)
+        assert np.abs(out.features.data - base.features.data).max() > 1.0
+
+
 class TestPresetsAndCounts:
     def test_presets_build(self):
         for name in ("tiny", "argoverse2-like", "waymo-like"):
@@ -308,6 +352,11 @@ class TestPresetsAndCounts:
         cfg = preset("tiny")
         store = init_network(cfg)
         assert param_count(cfg) == closed_form_param_count(cfg) == store.scalar_count()
+
+    def test_tiny_has_117_parameter_tensors_and_147_entries(self):
+        store = init_network(preset("tiny"))
+        assert len(store.param_names()) == 117
+        assert len(store.names()) == 147  # buffers included
 
     def test_linear_layer_count_example(self):
         # a lone linear 2 -> 3 with bias is 9 scalars

@@ -1,8 +1,10 @@
 import json
 import os
+import shlex
 import stat
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,6 +457,31 @@ class TestAtomicWrite:
         with pytest.raises(IoError, match="cannot write"):
             atomic_write_bytes(tmp_path / "taken", b"x")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each command in the README's "Command line" block,
+    continuation lines joined and comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_command_line_block_runs(scene_files):
+    """Each documented command, run as written on a tiny config and a
+    seeded scene, exits 0 and writes the files it names."""
+    cwd = scene_files[0].parent
+    commands = readme_commands()
+    assert [argv[:2] for argv in commands] == [
+        ["focalvox", cmd] for cmd in ("selftest", "voxelize", "forward", "erf", "bench", "gradcheck")]
+    for _, *argv in commands:
+        proc = run_cli_limited(argv, cwd=cwd)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        outputs = [v for flag, v in zip(argv, argv[1:])
+                   if flag in ("--out", "--dump", "--out-pgm", "--out-csv", "--report")]
+        assert all((cwd / name).is_file() for name in outputs), argv
+    assert sorted(p.name for p in cwd.iterdir()) == sorted(
+        ["scene.csv", "net.json", "voxels.csv", "bev.csv", "erf.pgm", "erf.csv", "bench.jsonl"])
 
 
 class TestCli:

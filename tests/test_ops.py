@@ -332,12 +332,15 @@ class TestLeanGelu:
             x = Tensor(data.copy(), tape)  # traced, so that freeing it shows
             y = ops.gelu(x)
             del x  # the caller's drop: only the node can still hold arrays
-            held = tracemalloc.get_traced_memory()[0]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(tape) == 1
         # the slope alone; keeping the input and Phi would be two arrays
         assert held - y.data.nbytes < 1.5 * nbytes
+        # beside erf's scratch: the input, the output and the slope; a whole
+        # copy of the (C-contiguous) input would read 4.05
+        assert peak - 4 * 8 * ops._ERF_BLOCK < 3.25 * nbytes
 
     def test_untaped_peak_holds_no_scaled_copy(self):
         x = Tensor(self.seeded())

@@ -134,6 +134,16 @@ def test_tiny_network_leaf_gradients_match_keep_all_replay():
     assert len(params & set(grads)) > 0.9 * len(params)
 
 
+def test_tiny_default_tape_has_78_nodes():
+    cfg = preset("tiny")
+    rng = np.random.default_rng(0)
+    pts = np.concatenate((rng.uniform(-3, 3, (500, 3)), rng.uniform(0, 1, (500, 1))), axis=1)
+    tape = GradTape()
+    _, logits = sfmnet_forward(PointCloud(pts), cfg, init_network(cfg), tape=tape)
+    ops.mean_all(logits)
+    assert len(tape) == 78
+
+
 def test_sfm_block_leaf_gradients_match_keep_all_replay():
     cfg = preset("tiny")
     stage = 1  # holds one mixer block
