@@ -255,12 +255,16 @@ class SfmNet:
         self.probe_w, self.probe_b = linear_params(p, "probe", c_bev, PROBE_LOGITS)
 
     def backbone3d(self, t: SparseTensor, bn_mode: str = "train", depth: int = 4) -> SparseTensor:
-        """3-D stages 1..depth with the downsamples between them."""
+        """3-D stages 1..depth with the downsamples between them.  ``held``
+        passes each stage its input and keeps none, so, untaped, a stage's
+        input dies after the stage's first block."""
+        held = [t]
+        del t
         for i in range(depth):
-            t = run_stage(t, self.config.stages[i], self.stages[i], bn_mode=bn_mode)
+            held.append(run_stage(held.pop(), self.config.stages[i], self.stages[i], bn_mode))
             if i < depth - 1:
-                t = downsample(t, self.downs[i], bn_mode=bn_mode)
-        return t
+                held.append(downsample(held.pop(), self.downs[i], bn_mode=bn_mode))
+        return held.pop()
 
 
 def sfmnet_forward(

@@ -67,9 +67,9 @@ def window_neighbor_rows(t: SparseTensor, window_edge: int) -> list[np.ndarray]:
     """Active rows inside each voxel's centered Chebyshev window, in window
     offset order.
 
-    Read from the geometry's cached submanifold rulebook of the window
-    (kernel ``window_edge``, dilation 1): its pair (i, j) at offset o says
-    that row j sits at ``coords[i] + o``.
+    Read from the geometry's submanifold rulebook of the window (kernel
+    ``window_edge``, dilation 1), which it keeps from a second request on:
+    its pair (i, j) at offset o says that row j sits at ``coords[i] + o``.
     """
     _check_window(window_edge)
     rb = rulebook(t, KernelSpec.same(window_edge, 1, dims=t.dims))

@@ -3,8 +3,8 @@
 A layer holds its kernel spec and per-offset weight blocks; the function
 that runs it is the conv's kind (:func:`subm_conv` or
 :func:`regular_conv_down`).  The forward takes its rulebook from
-:func:`~focalvox.sparse.rulebook`, which caches it on the input geometry
-under ``(spec, regular)``, and runs the gather-scatter plan.  The same code
+:func:`~focalvox.sparse.rulebook`, the input geometry's cache under
+``(spec, regular)``, and runs the gather-scatter plan.  The same code
 serves 2-D and 3-D tensors since everything is parameterized by the
 coordinate rank.
 """

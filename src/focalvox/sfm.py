@@ -233,7 +233,7 @@ def srb_block(t: SparseTensor, params: SrbParams, bn_mode: str = "train") -> Spa
     saved = []  # per batch norm: gain, bias, xhat, inv_std
     u = t.with_features(Tensor(t.features.data))
     data = _srb(u, params, bn_mode, saved).features.data
-    rb1, rb2 = rulebook(u, c1.spec), rulebook(u, c2.spec)  # cached by the convs
+    rb1, rb2 = rulebook(u, c1.spec), rulebook(u, c2.spec)  # one spec, kept since conv2 asked again
     xd, wd1, wd2 = t.features.data, c1.weight.data, c2.weight.data
     (gd1, bd1, xhat1, inv1), (gd2, bd2, xhat2, inv2) = saved
     all_needed, bias1, bias2 = (True, True, True), c1.bias is not None, c2.bias is not None
@@ -303,9 +303,9 @@ def srb_params(p: ParamSource, prefix: str, channels: int, dims: int) -> SrbPara
 def sfm_pair_count(t: SparseTensor, config: SFMConfig) -> dict[str, int]:
     """Exact interaction counts of one mixer application on a scene.
 
-    Rulebook pairs are counted level by level, on the rulebooks cached on
-    the scene's geometry; the gate and modulation stages contribute N*L
-    and N rowwise interactions.
+    Rulebook pairs are counted level by level, on rulebooks requested from
+    the scene's geometry, which keeps them from a second count on; the gate
+    and modulation stages contribute N*L and N rowwise interactions.
     """
     n = t.n_active
     conv_pairs = sum(rulebook(t, KernelSpec.same(k, d, dims=t.dims)).total_pairs

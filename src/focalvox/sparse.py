@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,12 +178,14 @@ class CoordIndex:
 
     def lookup(self, coord) -> int | None:
         """Row of one ``(batch, *ijk)`` coordinate; None where absent or out of
-        grid, ShapeMismatch if its length does not match the grid's rank."""
+        grid, ShapeMismatch if its length does not match the grid's rank.
+        A coordinate with a non-integral entry names no cell, so it is
+        absent too; an integral float such as ``2.0`` finds its row."""
         if len(coord) != 1 + len(self.spatial_shape):
             raise ShapeMismatch(f"coordinate {tuple(coord)} has {len(coord)} entries, "
                                 f"expected {1 + len(self.spatial_shape)} (batch, *ijk)")
         batch, *ijk = coord
-        if not (0 <= batch <= self._max_batch
+        if any(c % 1 for c in coord) or not (0 <= batch <= self._max_batch
                 and all(0 <= i < s for i, s in zip(ijk, self.spatial_shape))):
             return None
         hit = int(self.find(flat_keys(np.array([coord], dtype=np.int64), self.spatial_shape))[0])
@@ -199,7 +202,7 @@ class Geometry:
     int64 keys (see :func:`check_key_space`) raises InvalidSpec.  The
     rulebook cache lives exactly as long as the geometry, keyed by
     ``(KernelSpec, regular)``; :func:`rulebook` is the one way to fill and
-    read it.
+    read it, and says which rulebooks it keeps.
     """
 
     def __init__(self, coords, spatial_shape: tuple[int, ...]):
@@ -222,6 +225,7 @@ class Geometry:
         self.coords = coords
         self.index = CoordIndex(coords, self.spatial_shape)
         self._rulebooks: dict = {}
+        self._last_rulebook = None
 
     @property
     def n_active(self) -> int:
@@ -457,16 +461,22 @@ def build_rulebook_regular(t: SparseTensor, spec: KernelSpec) -> Rulebook:
 def rulebook(t: SparseTensor, spec: KernelSpec, regular: bool = False) -> Rulebook:
     """The rulebook of ``spec`` on ``t``'s active set, from its geometry's
     cache under ``(spec, regular)``; built on a miss by :func:`build_rulebook_regular`
-    or :func:`build_rulebook_submanifold`; InvalidSpec if the build cannot allocate."""
-    key, cache = (spec, regular), t.geometry._rulebooks
-    if key not in cache:
+    or :func:`build_rulebook_submanifold`; InvalidSpec if the build cannot allocate.
+    The cache keeps a regular rulebook from its first request, a submanifold
+    one from its second, and the last one asked for (README, "Rulebook lifetime")."""
+    key, geometry = (spec, regular), t.geometry
+    held = geometry._rulebooks.get(key)
+    rb = held() if isinstance(held, weakref.ref) else held
+    if rb is None:
         build = build_rulebook_regular if regular else build_rulebook_submanifold
         try:
-            cache[key] = build(t, spec)
+            rb = build(t, spec)
         except (MemoryError, ValueError) as exc:
             raise InvalidSpec(f"the rulebook of kernel {spec.kernel} at dilation {spec.dilation} "
                               f"on {t.n_active} voxels cannot be allocated") from exc
-    return cache[key]
+    geometry._rulebooks[key] = rb if regular or held is not None else weakref.ref(rb)
+    geometry._last_rulebook = rb
+    return rb
 
 
 # float64 entries per scatter block of either executor (256 KB)

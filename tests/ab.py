@@ -3,6 +3,7 @@
     python tests/ab.py --parent DIR --change DIR --topic TOPIC
                        [--claim METRIC WORKLOAD] [--held-out SEED ...]
     python tests/ab.py --trajectory
+    python tests/ab.py --peak WORKLOAD SEED [--root DIR]
 
 Runs each checkout's own ``perfbench/run.py --trace 0`` on every workload
 of ``BENCHMARK.json``, one parent/change pair per seed 0-9 and per
@@ -27,6 +28,9 @@ imports nothing from ``perfbench/``: it only runs each checkout's script.
 ``--trajectory`` runs nothing: it prints the change medians of every
 committed ``BENCH_*.json`` of this checkout in commit order (see
 :func:`trajectory`).
+``--peak`` runs no A/B either: it names the engine call that sets a
+pass's ``peak_traced_mb`` in the checkout ``--root`` (default this one;
+see :func:`peak`).
 ``tests/test_ab.py`` tests it on synthetic runs and stub checkouts.
 """
 
@@ -161,6 +165,87 @@ def summarize(benchmark: dict, results: dict, held_out: list[int],
     return doc
 
 
+PEAK_PROBE = """\
+import inspect, json, sys, tracemalloc
+sys.path.insert(0, "perfbench")
+import run
+run.pin_environment()
+run.import_engine()
+from workloads import WORKLOADS
+
+workload, seed = sys.argv[1], int(sys.argv[2])
+names = {}  # code object -> name of each public engine function and method
+for module in [m for n, m in sys.modules.items() if n.startswith("focalvox.")]:
+    for obj in vars(module).values():
+        members = vars(obj).values() if inspect.isclass(obj) else [obj]
+        for f in members:
+            if (inspect.isfunction(f) and f.__module__ == module.__name__
+                    and not f.__name__.startswith("_")):
+                names[f.__code__] = f.__name__
+stack, stages, high = [], [0], [0, "outside the engine"]
+
+def checkpoint():
+    peak = tracemalloc.get_traced_memory()[1]
+    if peak > high[0]:
+        high[:] = peak, "/".join(stack) or "outside the engine"
+
+def profile(frame, event, arg):
+    name = names.get(frame.f_code) if event in ("call", "return") else None
+    if name is None:
+        return
+    checkpoint()  # the stack has not changed since the last event
+    if event == "return":
+        stack.pop()
+        return
+    if name == "run_stage":
+        stages[0] += 1
+        name = f"run_stage#{stages[0]}"
+    stack.append(name)
+
+def hooked(state, inp):
+    stack.clear()
+    stages[0] = 0
+    sys.setprofile(profile)
+    try:
+        wl.run(state, inp)
+    finally:
+        sys.setprofile(None)
+
+wl = WORKLOADS[workload]
+state = wl.setup(seed)
+# the untraced pass runs hooked too: a profiled function's code object
+# allocates its line table once, and the traced pass must not count it
+hooked(state, wl.make_input(state, 1))
+inp = wl.make_input(state, 1)
+tracemalloc.start()
+hooked(state, inp)
+checkpoint()
+tracemalloc.stop()
+print(json.dumps({"peak_traced_mb": high[0] / 1e6, "at": high[1]}))
+"""
+
+
+def peak(root: Path, workload: str, seed: int) -> tuple[float, str]:
+    """Where pass 1 of ``workload`` at ``seed`` peaks in the checkout ``root``.
+
+    In a subprocess there, set up as ``perfbench/run.py`` sets up its
+    process, it runs the pass once untraced and again under tracemalloc,
+    the way ``run.py`` measures ``peak_traced_mb``.  A profile hook on the
+    engine's public functions and methods reads the peak at every call and
+    return of one of them.  It returns the peak in MB and the calls that
+    were running when the peak was last reached, outermost first and
+    joined by ``/``; the last is the innermost.  ``run_stage#k`` is the
+    k-th stage of the pass.  A hook keeps no argument alive, as a wrapper
+    would: ``backbone3d`` and ``context_levels`` drop theirs mid-call."""
+    proc = subprocess.run([sys.executable, "-c", PEAK_PROBE, workload, str(seed)], cwd=root,
+                          capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"{root}: peak probe of {workload} seed {seed} exited "
+                           f"{proc.returncode}\n{proc.stderr}")
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return result["peak_traced_mb"], result["at"]
+
+
 def trajectory(root: Path) -> list[str]:
     """The committed ``BENCH_*.json`` files of the git checkout ``root`` in
     the order of each file's first commit (its committer date, then its
@@ -198,15 +283,25 @@ def main(argv=None) -> int:
                    help="apply the gain rule to this end-to-end metric and workload")
     p.add_argument("--held-out", nargs="+", type=int, default=[7919], metavar="SEED",
                    help="seeds beyond 0-9 that the claim must also hold on (default 7919)")
+    p.add_argument("--peak", nargs=2, metavar=("WORKLOAD", "SEED"),
+                   help="print pass 1's traced peak and the call that sets it, and exit")
+    p.add_argument("--root", type=Path, default=ROOT, help="the checkout --peak runs in")
     args = p.parse_args(argv)
     if args.trajectory:
         print("\n".join(trajectory(ROOT)))
         return 0
-    if None in (args.parent, args.change, args.topic):
-        p.error("--parent, --change and --topic are required without --trajectory")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = [m["name"] for m in benchmark["end_to_end"]]
     workloads = [w["name"] for w in benchmark["workloads"]]
+    if args.peak:
+        workload, seed = args.peak
+        if workload not in workloads or not seed.isdigit():
+            p.error(f"--peak takes one of {workloads} and a seed >= 0")
+        mb, at = peak(args.root.resolve(), workload, int(seed))
+        print(f"peak_traced_mb {mb:.6f} MB, last reached in {at}")
+        return 0
+    if None in (args.parent, args.change, args.topic):
+        p.error("--parent, --change and --topic are required without --trajectory or --peak")
     if args.claim and (args.claim[0] not in metrics or args.claim[1] not in workloads):
         p.error(f"--claim takes one of {metrics} and one of {workloads}")
     if set(args.held_out) & set(SEEDS):

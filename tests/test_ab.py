@@ -4,7 +4,9 @@ end-to-end test drives the script against stub checkouts whose
 
 import json
 import os
+import re
 import subprocess
+import sys
 
 import pytest
 
@@ -131,6 +133,8 @@ def test_failing_run_stops_the_script(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["--claim", "peak_traced_mb", "no-such-workload"],
     ["--held-out", "3"],
+    ["--peak", "no-such-workload", "0"],
+    ["--peak", "av2-infer", "-1"],
 ])
 def test_bad_arguments_exit_two(tmp_path, argv):
     stub_checkout(tmp_path / "parent", 1.0, 1)
@@ -178,3 +182,16 @@ def test_comparison_needs_both_trees_and_a_topic(tmp_path):
     with pytest.raises(SystemExit) as err:
         ab.main(["--parent", str(tmp_path), "--topic", "t"])
     assert err.value.code == 2
+
+
+def test_peak_reads_as_run_py_and_names_the_engine_calls(capsys):
+    """On one pass of this checkout the probe's peak is ``run.py``'s
+    ``peak_traced_mb`` within 0.01 MB, and it names the calls then running,
+    the forward outermost."""
+    mb, at = ab.peak(ab.ROOT, "av2-infer", 0)
+    argv = [sys.executable, ab.RUN, "--workload", "av2-infer", "--seed", "0",
+            "--seconds", "0.1", "--trace", "0"]
+    proc = subprocess.run(argv, cwd=ab.ROOT, capture_output=True, text=True, check=True)
+    reported = json.loads(proc.stdout.splitlines()[-1])["metrics"]["peak_traced_mb"]["value"]
+    assert abs(mb - reported) <= 0.01
+    assert re.fullmatch(r"sfmnet_forward(/[a-z0-9_]+(#[1-5])?)+", at), at

@@ -22,7 +22,7 @@ from focalvox.backbone import (
 from focalvox.config import config_from_json, config_to_json
 from focalvox.errors import EmptyScene, InvalidSpec
 from focalvox.params import Initializer, ParamReader, ParamStore, is_buffer_name
-from focalvox.points import PointCloud
+from focalvox.points import PointCloud, voxelize_vfe
 from focalvox.sfm import SFMConfig, sfm_block
 from focalvox.sparse import SparseTensor
 from focalvox.tape import GradTape, Tensor, grad_of
@@ -290,6 +290,33 @@ class TestActivationLifetimes:
         bev, _ = sfmnet_forward(synthetic_cloud(600, seed=5), cfg, init_network(cfg))
         assert bev.n_active > 0
         assert alive_at_bev == [[False, False]]
+
+    def test_untaped_backbone_drops_a_stage_input_after_its_first_block(self, monkeypatch):
+        """``backbone3d`` hands each stage its input without holding it, so
+        while stage 2's residual block runs (after its mixer block) the
+        stage-2 input features, made by the first downsample, are gone."""
+        import focalvox.backbone as fb
+
+        refs, alive_in_srb = [], []
+        down, residual = fb.downsample, fb.srb_block
+
+        def downsample(*args, **kwargs):
+            out = down(*args, **kwargs)
+            refs.append(weakref.ref(out.features.data))
+            return out
+
+        def srb_block(t, *args, **kwargs):
+            if len(refs) == 1:  # stage 2
+                alive_in_srb.append(refs[0]() is not None)
+            return residual(t, *args, **kwargs)
+
+        monkeypatch.setattr(fb, "downsample", downsample)
+        monkeypatch.setattr(fb, "srb_block", srb_block)
+        cfg = preset("tiny")
+        net = SfmNet(cfg, init_network(cfg))
+        scene = voxelize_vfe(synthetic_cloud(600, seed=5), cfg.voxelizer, net.vfe_w, net.vfe_b)
+        assert net.backbone3d(scene, bn_mode="eval", depth=2).n_active > 0
+        assert alive_in_srb == [False]
 
 
 class TestInvariance:

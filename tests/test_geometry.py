@@ -29,7 +29,7 @@ from focalvox.sparse import (
     regular_out_shape,
     unique_coords,
 )
-from focalvox.tape import Tensor
+from focalvox.tape import GradTape, Tensor
 from helpers import (
     per_offset_rulebook_regular,
     per_offset_rulebook_submanifold,
@@ -433,6 +433,19 @@ def count_builds(monkeypatch):
     return calls
 
 
+def track_builds(monkeypatch):
+    """A weak reference to each submanifold rulebook built from here on."""
+    built, build = [], fsp.build_rulebook_submanifold
+
+    def tracked(*args):
+        rb = build(*args)
+        built.append(weakref.ref(rb))
+        return rb
+
+    monkeypatch.setattr(fsp, "build_rulebook_submanifold", tracked)
+    return built
+
+
 class TestGeometryCache:
     def test_same_geometry_and_spec_gives_same_rulebook(self):
         rng = np.random.default_rng(0)
@@ -498,7 +511,12 @@ class TestGeometryCache:
         assert u.coords is not frozen and not np.shares_memory(u.coords, frozen)
         assert np.array_equal(u.coords, frozen) and not u.coords.flags.writeable
 
-    def test_tiny_forward_builds_each_rulebook_once(self, monkeypatch):
+    def test_tiny_forward_rebuilds_one_rulebook_per_mixer_stage(self, monkeypatch):
+        """An untaped ``tiny`` forward asks for 9 distinct submanifold
+        rulebooks.  In each of the four stages that open with a mixer block,
+        the level-1 rulebook (d=1) is dead when the residual block asks for
+        it again, so it is built twice: 13 builds.  The 3 regular ones are
+        built once."""
         cfg = preset("tiny")
         rng = np.random.default_rng(5)
         pts = np.concatenate(
@@ -506,7 +524,47 @@ class TestGeometryCache:
         )
         calls = count_builds(monkeypatch)
         sfmnet_forward(PointCloud(pts), cfg, init_network(cfg), bn_mode="eval")
-        assert calls == {"submanifold": 9, "regular": 3}
+        assert calls == {"submanifold": 13, "regular": 3}
+
+    def test_untaped_single_use_rulebook_dies_at_the_next_spec(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        t = random_sparse(rng, (6, 6, 6), 0.3, 2)
+        built = track_builds(monkeypatch)
+        subm_conv(t, subm_layer(rng, KernelSpec.same(3, 2, dims=3), 2))
+        assert built[0]() is not None  # the rulebook asked for last
+        subm_conv(t, subm_layer(rng, KernelSpec.same(3, 1, dims=3), 2))
+        assert len(built) == 2 and built[0]() is None and built[1]() is not None
+
+    def test_second_request_keeps_the_rulebook_and_a_third_builds_nothing(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        t = random_sparse(rng, (6, 6, 6), 0.3, 1)
+        a, b = KernelSpec.same(3, 2, dims=3), KernelSpec.same(3, 1, dims=3)
+        calls = count_builds(monkeypatch)
+        fsp.rulebook(t, a)
+        fsp.rulebook(t, b)  # the first a is now held by nothing
+        assert calls["submanifold"] == 2
+        kept = weakref.ref(fsp.rulebook(t, a))  # a second request: built again, and kept
+        assert calls["submanifold"] == 3
+        fsp.rulebook(t, b)
+        fsp.rulebook(t, b)
+        assert kept() is not None
+        assert fsp.rulebook(t, a) is kept()  # a third request builds nothing
+        assert calls["submanifold"] == 4
+
+    def test_taped_second_request_reuses_the_first_build_until_the_replay(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        base = random_sparse(rng, (6, 6, 6), 0.3, 2)
+        tape = GradTape()
+        t = base.with_features(Tensor(base.features.data, tape))
+        built = track_builds(monkeypatch)
+        out = subm_conv(t, subm_layer(rng, KernelSpec.same(3, 2, dims=3), 2))
+        out = subm_conv(out, subm_layer(rng, KernelSpec.same(3, 1, dims=3), 2))
+        # the first conv's VJP holds its rulebook: a second request reuses it
+        assert fsp.rulebook(t, KernelSpec.same(3, 2, dims=3)) is built[0]()
+        assert len(built) == 2
+        tape.gradients(out.features, np.ones_like(out.features.data))
+        # the replay freed both VJPs; only the rulebook asked for twice is kept
+        assert built[0]() is not None and built[1]() is None
 
     @pytest.mark.parametrize("regular", [False, True], ids=["submanifold", "regular"])
     @pytest.mark.parametrize("error", [MemoryError, ValueError])
@@ -537,7 +595,9 @@ class TestGeometryCache:
         with pytest.raises(KeyError, match="bug"):
             fsp.rulebook(t, KernelSpec.same(3, 1, dims=3))
 
-    def test_sfm_pair_count_unchanged_and_cached(self):
+    def test_sfm_pair_count_unchanged_and_cached(self, monkeypatch):
+        """A count asks for each level's rulebook once, a second count asks
+        again and keeps them, so a third count builds nothing."""
         rng = np.random.default_rng(6)
         t = random_sparse(rng, (7, 7, 7), 0.3, 1, batches=2)
         config = SFMConfig(channels=4, kernels=(3, 5, 3), dilations=(1, 1, 3))
@@ -553,6 +613,10 @@ class TestGeometryCache:
             "modulation": n,
             "total": expected + 4 * n,
         }
+        assert sfm_pair_count(t, config) == counts
+        calls = count_builds(monkeypatch)
+        assert sfm_pair_count(t, config) == counts
+        assert calls == {"submanifold": 0, "regular": 0}
         for k, d in zip(config.kernels, config.dilations):
             cached(t, KernelSpec.same(k, d, dims=3))
 

@@ -102,6 +102,18 @@ class TestCoordIndex:
         assert idx.lookup((0, -1, 1, 1)) is None
         assert idx.lookup((0, 4, 1, 1)) is None
 
+    def test_non_integral_entry_names_no_cell(self):
+        idx = sparse_from_coords([(0, 1, 2, 3)], (4, 4, 4), 1).geometry.index
+        assert idx.lookup((0, 1.5, 2, 3)) is None
+        assert idx.lookup((0, 1, 2, 3.25)) is None
+        assert idx.lookup((0.5, 1, 2, 3)) is None
+        assert idx.lookup((0, float("nan"), 2, 3)) is None
+
+    def test_integral_float_entry_finds_its_row(self):
+        idx = sparse_from_coords([(0, 1, 2, 3)], (4, 4, 4), 1).geometry.index
+        assert idx.lookup((0, 1, 2.0, 3)) == 0
+        assert idx.lookup(np.array([0.0, 1.0, 2.0, 3.0])) == 0
+
     @pytest.mark.parametrize("coord", [(0, 1, 2, 7), (0, 1), ()])
     def test_coordinate_of_the_wrong_length_rejected(self, coord):
         t = sparse_from_coords([(0, 1, 2)], (4, 4), 1)
