@@ -4,8 +4,9 @@ The mixer touches each voxel through rulebook pairs (at most kernel-volume
 neighbors per level), so its interaction count is linear in the number of
 active voxels.  Local attention pays query-key plus attention-value work
 quadratic in each window's occupancy.  Both quantities are counted exactly
-here, and a naive local-attention reference is executable for small scenes
-so the count model can be cross-checked against instrumented execution.
+here from the geometry alone; neither mixer runs.  The tests check each
+window's occupancy against the active rows that the window's submanifold
+rulebook finds.
 ``scaling_experiment`` reports every run of either mixer the same way: one
 ``BenchReport`` and one point of the log-log fit, per voxel or per window.
 """
@@ -20,27 +21,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import ops
-from .errors import DegenerateFit, InvalidSpec, ShapeMismatch
-from .params import ParamPair, ParamSource, linear_params
+from .errors import DegenerateFit, InvalidSpec
 from .sfm import SFMConfig, effective_receptive_field, sfm_pair_count
-from .sparse import KernelSpec, SparseTensor, _unflatten, check_key_space, rulebook
-from .tape import Tensor
+from .sparse import SparseTensor, _unflatten, check_key_space
 
 MIXER_KINDS = ("sfm", "local-attention")
 WINDOWS_PER_AXIS = 4  # attention scenes are a fixed 4x4x4 partition into windows
-
-
-@dataclass
-class AttentionParams:
-    q: ParamPair
-    k: ParamPair
-    v: ParamPair
-
-
-def attention_params(p: ParamSource, prefix: str, channels: int) -> AttentionParams:
-    """Layout of the attention reference: the q, k and v projections."""
-    return AttentionParams(*(linear_params(p, f"{prefix}.{n}", channels, channels) for n in "qkv"))
 
 
 @dataclass
@@ -61,48 +47,6 @@ class BenchReport:
 def _check_window(window_edge: int) -> None:
     if window_edge % 2 == 0 or window_edge < 1:
         raise InvalidSpec("window edge must be odd and positive")
-
-
-def window_neighbor_rows(t: SparseTensor, window_edge: int) -> list[np.ndarray]:
-    """Active rows inside each voxel's centered Chebyshev window, in window
-    offset order.
-
-    Read from the geometry's submanifold rulebook of the window (kernel
-    ``window_edge``, dilation 1), which it keeps from a second request on:
-    its pair (i, j) at offset o says that row j sits at ``coords[i] + o``.
-    """
-    _check_window(window_edge)
-    rb = rulebook(t, KernelSpec.same(window_edge, 1, dims=t.dims))
-    table = np.full((t.n_active, len(rb.offsets)), -1, dtype=np.int64)
-    for m, p in enumerate(rb.pairs):
-        table[p[:, 0], m] = p[:, 1]
-    return [row[row >= 0] for row in table]
-
-
-def local_attention_reference(
-    t: SparseTensor, window_edge: int, params: AttentionParams
-) -> SparseTensor:
-    """Single-head attention over each voxel's active window.
-
-    Per query: softmax(q k^T / sqrt(C)) v over the active voxels of its
-    centered window (the query itself always included).  Coordinates are
-    preserved.
-    """
-    x = t.features
-    c = x.data.shape[1]
-    if params.q[0].data.shape != (c, c):
-        raise ShapeMismatch(f"attention projections must be {c}x{c}")
-    q, k, v = (ops.linear(x, *proj).data for proj in (params.q, params.k, params.v))
-    scale = 1.0 / np.sqrt(c)
-    neighbors = window_neighbor_rows(t, window_edge)
-    out = np.zeros_like(v)
-    for row, nbrs in enumerate(neighbors):
-        logits = (k[nbrs] @ q[row]) * scale
-        logits = logits - logits.max()
-        weights = np.exp(logits)
-        weights = weights / weights.sum()
-        out[row] = weights @ v[nbrs]
-    return t.with_features(Tensor(out.astype(x.data.dtype)))
 
 
 def window_occupancy(t: SparseTensor, window_edge: int) -> np.ndarray:

@@ -205,10 +205,15 @@ def _bn(x: Tensor, bn: BatchNormParams, mode: str, saved: list | None = None) ->
 
 
 def _srb(t: SparseTensor, params: SrbParams, bn_mode: str, saved: list | None = None):
-    """conv-BN-relu-conv-BN, skip, relu; ``saved`` goes to :func:`_bn`."""
+    """conv-BN-relu-conv-BN, skip, relu; ``saved`` gets, per conv, the
+    rulebook it ran with (the geometry's last) and what :func:`_bn` saves."""
     h = subm_conv(t, params.conv1)
+    if saved is not None:
+        saved.append(t.geometry._last_rulebook)
     h = h.with_features(ops.relu(_bn(h.features, params.bn1, bn_mode, saved)))
     h = subm_conv(h, params.conv2)
+    if saved is not None:
+        saved.append(t.geometry._last_rulebook)
     pre = _bn(h.features, params.bn2, bn_mode, saved)
     return t.with_features(ops.relu(ops.add(pre, t.features)))
 
@@ -217,25 +222,24 @@ def srb_block(t: SparseTensor, params: SrbParams, bn_mode: str = "train") -> Spa
     """Residual conv block: conv-BN-relu-conv-BN, skip, relu.
 
     On a tape that forms weight gradients (``tape.params``) the block is one
-    node, ``srb_block``.  It saves its input and each batch norm's
-    normalized activations and inverse deviations.  Its VJP rebuilds the
-    second conv's input, both relu masks and the residual sum elementwise
-    from those, recomputes no conv, and runs the batch-norm and conv VJPs,
-    so every gradient has the bytes of the ops recorded one by one, and a
-    conv weight gradient may still come as a callable.  Other tapes record
-    the ops (README, "Gradient tape")."""
+    node, ``srb_block``.  It saves its input, the rulebooks its convs ran
+    with and each batch norm's normalized activations and inverse
+    deviations.  Its VJP rebuilds the second conv's input, both relu masks
+    and the residual sum elementwise from those, recomputes no conv and
+    requests no rulebook, and runs the batch-norm and conv VJPs, so every
+    gradient has the bytes of the ops recorded one by one, and a conv
+    weight gradient may still come as a callable.  Other tapes record the
+    ops (README, "Gradient tape")."""
     c1, c2, bn1, bn2 = params.conv1, params.conv2, params.bn1, params.bn2
     operands = (t.features, c1.weight, c1.bias, bn1.gain, bn1.bias,
                 c2.weight, c2.bias, bn2.gain, bn2.bias)
     tape = active_tape(*operands)
     if tape is None or not tape.params:
         return _srb(t, params, bn_mode)
-    saved = []  # per batch norm: gain, bias, xhat, inv_std
-    u = t.with_features(Tensor(t.features.data))
-    data = _srb(u, params, bn_mode, saved).features.data
-    rb1, rb2 = rulebook(u, c1.spec), rulebook(u, c2.spec)  # one spec, kept since conv2 asked again
+    saved = []  # per conv: its rulebook, then its batch norm's gain, bias, xhat, inv_std
+    data = _srb(t.with_features(Tensor(t.features.data)), params, bn_mode, saved).features.data
     xd, wd1, wd2 = t.features.data, c1.weight.data, c2.weight.data
-    (gd1, bd1, xhat1, inv1), (gd2, bd2, xhat2, inv2) = saved
+    rb1, (gd1, bd1, xhat1, inv1), rb2, (gd2, bd2, xhat2, inv2) = saved
     all_needed, bias1, bias2 = (True, True, True), c1.bias is not None, c2.bias is not None
 
     def vjp(cot):

@@ -20,7 +20,9 @@ lasts ``run_seconds`` of ``BENCHMARK.json``.  It writes
   runs that reported ``correct``;
 - ``claim``: :func:`claim` for ``--claim METRIC WORKLOAD``, or null;
 - ``env``: each side's ``env`` line from ``run.py`` plus the BLAS core;
-- ``src_focalvox_lines``: both trees' ``src/focalvox`` line counts.
+- ``src_focalvox_lines``: both trees' ``src/focalvox`` line counts;
+- ``peak_setting_op.<workload>.<side>.<seed>``: ``[MB, calls]`` of
+  :func:`peak` in that checkout, at each held-out seed.
 
 It prints one verdict line per workload and metric, then the claim.  It
 imports nothing from ``perfbench/``: it only runs each checkout's script.
@@ -321,6 +323,14 @@ def main(argv=None) -> int:
                     f"{m} {results[side, w, seed]['metrics'][m]['value']:.6g}" for m in metrics),
                     flush=True)
             pair += 1
+    peaks = {w: {s: {} for s in SIDES} for w in workloads}
+    for seed in args.held_out:
+        for w in workloads:
+            for side in SIDES:
+                mb, at = peak(roots[side], w, seed)
+                peaks[w][side][str(seed)] = [round(mb, 6), at]
+                print(f"{w} seed {seed} {side}: peak {mb:.6g} MB, last reached in {at}",
+                      flush=True)
 
     doc = {"topic": args.topic,
            "command": f"python3 {RUN} --workload W --seed S --seconds {seconds:g} --trace 0",
@@ -333,7 +343,8 @@ def main(argv=None) -> int:
                    for s in SIDES},
            "src_focalvox_lines": {s: src_lines(roots[s]) for s in SIDES},
            **summarize(benchmark, results, args.held_out,
-                       tuple(args.claim) if args.claim else None)}
+                       tuple(args.claim) if args.claim else None),
+           "peak_setting_op": peaks}
     out = Path(f"BENCH_{args.topic}.json")
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     for w, per_metric in doc["end_to_end"].items():

@@ -1,8 +1,10 @@
 """Shared test fixtures: scene generators and independent dense oracles.
 
-The oracles here never touch rulebooks or gather-scatter plans; they work
-on dense float64 grids so that agreement with the sparse engine is a real
-cross-check, not a tautology.
+The dense oracles here never touch rulebooks or gather-scatter plans; they
+work on dense float64 grids so that agreement with the sparse engine is a
+real cross-check, not a tautology.  ``window_neighbor_rows`` reads a
+window's rulebook instead: it is the oracle of ``bench.window_occupancy``'s
+summed-area count.
 """
 
 import os
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from focalvox.sparse import SparseTensor, centered_offsets, raw_offsets
+from focalvox.bench import _check_window
+from focalvox.sparse import KernelSpec, SparseTensor, centered_offsets, raw_offsets, rulebook
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -284,6 +287,22 @@ def reference_gather_scatter_vjp(features, rulebook, weights, cotangent):
         grad_weights.astype(out_dtype, copy=False),
         cotangent.sum(axis=0).astype(out_dtype, copy=False),
     )
+
+
+def window_neighbor_rows(t: SparseTensor, window_edge: int) -> list[np.ndarray]:
+    """Active rows inside each voxel's centered Chebyshev window, in window
+    offset order.
+
+    Read from the geometry's submanifold rulebook of the window (kernel
+    ``window_edge``, dilation 1), which it keeps from a second request on:
+    its pair (i, j) at offset o says that row j sits at ``coords[i] + o``.
+    """
+    _check_window(window_edge)
+    rb = rulebook(t, KernelSpec.same(window_edge, 1, dims=t.dims))
+    table = np.full((t.n_active, len(rb.offsets)), -1, dtype=np.int64)
+    for m, p in enumerate(rb.pairs):
+        table[p[:, 0], m] = p[:, 1]
+    return [row[row >= 0] for row in table]
 
 
 def keep_all_replay(tape, output, cotangent):

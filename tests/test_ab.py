@@ -93,10 +93,16 @@ def stub_checkout(root, scale, src_lines):
     (root / "scale").write_text(str(scale))
 
 
+def stub_peak(root, workload, seed):
+    """``ab.peak`` of a stub checkout: its scale in MB and a made-up call."""
+    return float((root / "scale").read_text()), f"{root.name}/{workload}/{seed}"
+
+
 def test_writes_a_bench_file_in_the_core_schema(tmp_path, monkeypatch, capsys):
     stub_checkout(tmp_path / "parent", 1.0, 7)
     stub_checkout(tmp_path / "change", 0.9, 5)
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ab, "peak", stub_peak)
     assert ab.main(["--parent", "parent", "--change", "change", "--topic", "t",
                     "--claim", "peak_traced_mb", "av2-infer", "--held-out", "7919", "31"]) == 0
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())
@@ -111,6 +117,10 @@ def test_writes_a_bench_file_in_the_core_schema(tmp_path, monkeypatch, capsys):
         assert set(doc["held_out_seeds"][w]) == {"7919", "31"}
         assert doc["fail_ratio"][w]["parent"] == {"failed": 0, "attempted": 48,
                                                   "correct_runs": "12/12"}
+        # the peak probe runs in both checkouts at each held-out seed
+        assert doc["peak_setting_op"][w] == {
+            side: {seed: [scale, f"{side}/{w}/{seed}"] for seed in ("7919", "31")}
+            for side, scale in (("parent", 1.0), ("change", 0.9))}
     # one pair per seed and workload; the side run first alternates
     order = (tmp_path / "order.log").read_text().splitlines()
     workloads = [w["name"] for w in BENCHMARK["workloads"]]

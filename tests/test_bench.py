@@ -9,90 +9,16 @@ import pytest
 import focalvox.sparse as fsp
 from focalvox.bench import (
     BenchReport,
-    attention_params,
-    local_attention_reference,
     scaling_experiment,
     sfm_bytes_model,
     uniform_scene,
-    window_neighbor_rows,
     window_occupancy,
 )
 from focalvox.cli import main
 from focalvox.errors import DegenerateFit, InvalidSpec
-from focalvox.params import Initializer, ParamStore
 from focalvox.sfm import SFMConfig, sfm_pair_count
 from focalvox.sparse import KernelSpec, build_rulebook_submanifold
-from focalvox.tape import Tensor
-from helpers import random_sparse, rel_err, sparse_from_coords
-
-
-def make_attention(rng, channels):
-    """The attention layout's parameters, drawn from ``rng`` (``default_rng``
-    hands a Generator back unaltered)."""
-    return attention_params(Initializer(ParamStore(), rng), "attn", channels)
-
-
-class TestAttentionReference:
-    def test_isolated_voxel_is_value_projection(self):
-        rng = np.random.default_rng(0)
-        t = sparse_from_coords([(0, 3, 3, 3)], (8, 8, 8), 4, rng=rng)
-        params = make_attention(rng, 4)
-        out = local_attention_reference(t, 3, params)
-        expected = t.features.data @ params.v[0].data + params.v[1].data
-        np.testing.assert_allclose(out.features.data, expected, rtol=1e-6)
-
-    def test_equal_features_symmetric_outputs(self):
-        rng = np.random.default_rng(1)
-        feats = np.tile(rng.standard_normal((1, 4)).astype(np.float32), (2, 1))
-        from focalvox.sparse import SparseTensor
-
-        t = SparseTensor(
-            np.array([[0, 2, 2, 2], [0, 2, 2, 3]], dtype=np.int64), feats, (6, 6, 6)
-        )
-        out = local_attention_reference(t, 3, make_attention(rng, 4))
-        np.testing.assert_allclose(out.features.data[0], out.features.data[1], rtol=1e-6)
-
-    def test_matches_per_query_loop_oracle(self):
-        rng = np.random.default_rng(2)
-        t = random_sparse(rng, (6, 6, 6), 0.3, 4)
-        params = make_attention(rng, 4)
-        out = local_attention_reference(t, 3, params)
-
-        q = t.features.data @ params.q[0].data + params.q[1].data
-        k = t.features.data @ params.k[0].data + params.k[1].data
-        v = t.features.data @ params.v[0].data + params.v[1].data
-        coord_set = {tuple(c): i for i, c in enumerate(t.coords)}
-        expected = np.zeros_like(v)
-        for i, c in enumerate(t.coords):
-            nbrs = []
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for dz in (-1, 0, 1):
-                        key = (c[0], c[1] + dx, c[2] + dy, c[3] + dz)
-                        if key in coord_set:
-                            nbrs.append(coord_set[key])
-            nbrs = sorted(nbrs)
-            logits = np.array([q[i] @ k[j] for j in nbrs]) / np.sqrt(4.0)
-            weights = np.exp(logits - logits.max())
-            weights /= weights.sum()
-            expected[i] = sum(w * v[j] for w, j in zip(weights, nbrs))
-        assert rel_err(out.features.data, expected) < 1e-5
-
-    def test_softmax_rows_sum_to_one(self):
-        # with v forced to all-ones, each output row is exactly the softmax sum
-        rng = np.random.default_rng(3)
-        t = random_sparse(rng, (6, 6, 6), 0.4, 4)
-        params = make_attention(rng, 4)
-        params.v = (Tensor(np.zeros((4, 4), dtype=np.float32)),
-                    Tensor(np.ones(4, dtype=np.float32)))
-        out = local_attention_reference(t, 5, params)
-        assert np.abs(out.features.data - 1.0).max() < 1e-6
-
-    def test_even_window_rejected(self):
-        rng = np.random.default_rng(4)
-        t = random_sparse(rng, (4, 4, 4), 0.5, 2)
-        with pytest.raises(InvalidSpec):
-            local_attention_reference(t, 4, make_attention(rng, 2))
+from helpers import random_sparse, sparse_from_coords, window_neighbor_rows
 
 
 class TestCounting:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import focalvox.sparse as fsp
 from focalvox import ops
 from focalvox.conv import SparseConvLayer, subm_conv
 from focalvox.errors import InvalidSpec, ShapeMismatch
@@ -749,12 +750,15 @@ class TestSrbNode:
             bn.running_var.data = rng.uniform(0.5, 2.0, c).astype(dtype)
         return params
 
-    def record(self, block, seed, c, dtype, bn_mode, params=True, scene_shape=(7, 7, 7)):
+    def record(self, block, seed, c, dtype, bn_mode, params=True, scene_shape=(7, 7, 7),
+               dilation2=1):
         """Node names, output bytes, gradient bytes (input first, then the
-        parameters; None for none) and running-statistics bytes."""
+        parameters; None for none) and running-statistics bytes; the second
+        conv runs at ``dilation2``."""
         rng = np.random.default_rng(seed)
         scene = random_sparse(rng, scene_shape, 0.3, c, dtype=dtype)
         p = self.make_params(seed, c, dtype)
+        p.conv2.spec = KernelSpec.same(3, dilation2, dims=3)
         tape = GradTape(params=params)
         x = Tensor(scene.features.data, tape)
         out = block(scene.with_features(x), p, bn_mode=bn_mode).features
@@ -780,6 +784,23 @@ class TestSrbNode:
         before = [a.data.tobytes() for bn in (fresh.bn1, fresh.bn2)
                   for a in (bn.running_mean, bn.running_var)]
         assert (stats != before) == (bn_mode == "train")  # updated once, in the forward
+
+    def test_two_specs_build_each_rulebook_once(self, monkeypatch):
+        """Convs at dilations 1 and 2: the node's VJP reads the rulebooks its
+        convs ran with, so a default tape builds each once (no request after
+        the convs finds a dead one), and output and gradients are the ops'."""
+        built, build = [], fsp.build_rulebook_submanifold
+
+        def counting(t, spec):
+            built.append(spec.dilation)
+            return build(t, spec)
+
+        monkeypatch.setattr(fsp, "build_rulebook_submanifold", counting)
+        args = (31, 4, np.float32, "train")
+        node = self.record(srb_block, *args, scene_shape=(6, 6, 6), dilation2=2)
+        assert node[0] == ["srb_block"] and built == [(1, 1, 1), (2, 2, 2)]
+        step = self.record(srb_op_by_op, *args, scene_shape=(6, 6, 6), dilation2=2)
+        assert node[1:] == step[1:] and None not in node[2]
 
     def test_input_only_tape_records_the_ops(self):
         names, out, grads, stats = self.record(srb_block, 28, 4, np.float32, "train", params=False)
