@@ -1,11 +1,14 @@
+import ast
 import itertools
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import focalvox.bench as fbench
 import focalvox.sparse as fsp
 from focalvox.bench import (
     BenchReport,
@@ -81,6 +84,20 @@ class TestCounting:
         n = t.n_active
         total = sfm_pair_count(t, cfg)["total"]
         assert total <= n * sum(k**3 for k in cfg.kernels) + n * (cfg.levels + 1)
+
+    @pytest.mark.parametrize("window", [4, 0, -1])
+    def test_even_window_rejected(self, window):
+        t = random_sparse(np.random.default_rng(4), (4, 4, 4), 0.5, 2)
+        with pytest.raises(InvalidSpec, match="odd and positive"):
+            window_occupancy(t, window)
+
+    def test_counts_from_geometry_alone(self):
+        """The counts read geometry only: bench imports no op, parameter
+        layout or tape from the engine."""
+        tree = ast.parse(Path(fbench.__file__).read_text(encoding="utf-8"))
+        engine = {node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 1}
+        assert engine == {"errors", "sfm", "sparse"}
 
 
 class TestBytesModel:
